@@ -1,19 +1,13 @@
 // Co-run engine throughput: events/s of the production shared-cache co-run
-// simulation (fetch plans + packed tag-probe cache + run-aware collapse,
-// DESIGN.md §11) against the pre-optimization per-event loop restated
-// longhand — module/layout lookups per event, rotate-prefix LRU cache,
-// per-round credit and stall arithmetic. The baseline is the bit-identical
-// reference: for every kernel the report carries the FNV checksum of the
-// production result *and* of the reference replay, and the bench fails
-// (exit 4) if they differ, so the speedup numbers are only ever reported
-// for provably identical outputs.
+// simulation (fetch plans + packed tag-probe cache, DESIGN.md §11) against
+// the pre-optimization per-event loop restated longhand — module/layout
+// lookups per event, rotate-prefix LRU cache, per-round credit and stall
+// arithmetic. The baseline is the bit-identical reference: for every kernel
+// the report carries the FNV checksum of the production result *and* of the
+// reference replay, and the bench fails (exit 4) if they differ, so the
+// speedup numbers are only ever reported for provably identical outputs.
 //
-// Workloads form (self, peer) pairs from consecutive entries of --workload;
-// "+spin" selects the bench-local spin variant (long same-block runs, the
-// shape the collapse engine is built for). Spin pairs show the collapse
-// speedup; plain suite pairs run mostly per-event and stay near 1x — both
-// shapes are reported, with the engine's rounds_fast / rounds_fallback
-// counters per kernel.
+// Workloads form (self, peer) pairs from consecutive entries of --workload.
 //
 // --sweep-threads fans independent co-run cells over a thread pool at each
 // requested width and reports per-width throughput plus a combined checksum;
@@ -36,7 +30,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -240,8 +233,6 @@ struct KernelReport {
   double baseline_events_per_sec = 0.0;  ///< 0 when no reference was timed
   std::uint64_t checksum = 0;
   std::uint64_t baseline_checksum = 0;
-  std::uint64_t rounds_fast = 0;
-  std::uint64_t rounds_fallback = 0;
   std::vector<SweepPoint> sweep{};
 };
 
@@ -268,8 +259,8 @@ struct PreparedWorkloadBench {
   [[nodiscard]] RefParty ref_party(double speed = 1.0) const {
     return RefParty{&module, &layout, &trace, speed};
   }
-  [[nodiscard]] PlannedParty planned_party(double speed = 1.0) const {
-    return PlannedParty{sim_plan.get(), &trace, speed};
+  [[nodiscard]] CorunSpec::Party planned_party(double speed = 1.0) const {
+    return CorunSpec::Party{sim_plan.get(), &trace, speed};
   }
   /// A fetch plan for a sweep geometry's line size (the default plan is
   /// only valid for 64B lines). Built outside the timed regions.
@@ -312,12 +303,9 @@ std::uint64_t total_blocks(const std::vector<SimResult>& results) {
 KernelReport measure_corun_kernel(const char* name, const CorunSpec& spec,
                                   const std::vector<RefParty>& ref_parties) {
   KernelReport report{.name = name};
-  CorunStats stats;
-  const std::vector<SimResult> produced = simulate_corun(spec, &stats);
+  const std::vector<SimResult> produced = simulate_corun(spec);
   const std::uint64_t events = total_blocks(produced);
   report.checksum = hash_results(produced);
-  report.rounds_fast = stats.rounds_fast;
-  report.rounds_fallback = stats.rounds_fallback;
   report.events_per_sec = measure_events_per_sec(events, [&] {
     const auto r = simulate_corun(spec);
     if (hash_results(r) != report.checksum) g_checksums_ok = false;
@@ -429,9 +417,10 @@ std::vector<GeometryPoint> measure_geometry_sweep(
         SimOptions options = hw ? hardware_proxy_options(seed) : SimOptions{};
         options.seed = seed;
         options.hierarchy = hierarchy;
-        cells.push_back(CorunSpec{{PlannedParty{plan_a.get(), &a.trace, 1.0},
-                                   PlannedParty{plan_b.get(), &b.trace, 1.3}},
-                                  options});
+        cells.push_back(
+            CorunSpec{{CorunSpec::Party{plan_a.get(), &a.trace, 1.0},
+                       CorunSpec::Party{plan_b.get(), &b.trace, 1.3}},
+                      options});
       }
     }
 
@@ -570,12 +559,8 @@ std::string json_report(const std::vector<PairReport>& pairs) {
       append_format(out, ", \"checksum\": \"0x%016llx\"",
                     static_cast<unsigned long long>(k.checksum));
       if (k.sweep.empty()) {
-        append_format(out,
-                      ", \"baseline_checksum\": \"0x%016llx\","
-                      " \"rounds_fast\": %llu, \"rounds_fallback\": %llu",
-                      static_cast<unsigned long long>(k.baseline_checksum),
-                      static_cast<unsigned long long>(k.rounds_fast),
-                      static_cast<unsigned long long>(k.rounds_fallback));
+        append_format(out, ", \"baseline_checksum\": \"0x%016llx\"",
+                      static_cast<unsigned long long>(k.baseline_checksum));
       } else {
         append_format(out, ", \"sweep\": [");
         for (std::size_t j = 0; j < k.sweep.size(); ++j) {
@@ -625,11 +610,6 @@ void print_text(const PairReport& r) {
                   k.baseline_events_per_sec,
                   k.events_per_sec / k.baseline_events_per_sec);
     }
-    if (k.sweep.empty()) {
-      std::printf("   fast/fallback rounds %llu/%llu",
-                  static_cast<unsigned long long>(k.rounds_fast),
-                  static_cast<unsigned long long>(k.rounds_fallback));
-    }
     std::printf("\n");
     for (const SweepPoint& p : k.sweep) {
       std::printf("        %2u thread%s %12.0f events/s  checksum "
@@ -649,28 +629,6 @@ void print_text(const PairReport& r) {
 
 // ---- CLI --------------------------------------------------------------------
 
-/// "name+spin" = the test suite's spin variant (prob 0.7, repeat 48);
-/// "name+spin:P:R" overrides both knobs (e.g. "470.lbm+spin:0.9:192" for
-/// long spin runs, the shape the collapse engine targets).
-WorkloadSpec spin_variant(const std::string& base, const std::string& params) {
-  WorkloadSpec spec = find_spec(base);
-  spec.name = base + "+spin" + params;
-  spec.spin_prob = 0.7;
-  spec.spin_repeat = 48.0;
-  if (!params.empty()) {
-    char* cursor = nullptr;
-    spec.spin_prob = std::strtod(params.c_str() + 1, &cursor);
-    if (cursor == nullptr || *cursor != ':' ||
-        !(spec.spin_prob > 0.0 && spec.spin_prob <= 1.0)) {
-      std::fprintf(stderr, "bad spin parameters \"%s\" (want :prob:repeat)\n",
-                   params.c_str());
-      std::exit(2);
-    }
-    spec.spin_repeat = std::strtod(cursor + 1, nullptr);
-  }
-  return spec;
-}
-
 std::vector<WorkloadSpec> parse_workloads(const std::string& list) {
   std::vector<WorkloadSpec> specs;
   std::size_t start = 0;
@@ -678,15 +636,7 @@ std::vector<WorkloadSpec> parse_workloads(const std::string& list) {
     std::size_t comma = list.find(',', start);
     if (comma == std::string::npos) comma = list.size();
     const std::string name = list.substr(start, comma - start);
-    if (!name.empty()) {
-      const auto plus = name.rfind("+spin");
-      if (plus != std::string::npos) {
-        specs.push_back(
-            spin_variant(name.substr(0, plus), name.substr(plus + 5)));
-      } else {
-        specs.push_back(find_spec(name));
-      }
-    }
+    if (!name.empty()) specs.push_back(find_spec(name));
     start = comma + 1;
   }
   return specs;
@@ -730,17 +680,14 @@ std::vector<HierarchySpec> parse_geometry_list(const std::string& list) {
 
 int main(int argc, char** argv) {
   bool json = false;
-  std::string workload =
-      "470.lbm+spin:0.9:192,403.gcc+spin:0.9:192,"
-      "470.lbm+spin,403.gcc+spin,403.gcc,416.gamess";
+  std::string workload = "403.gcc,416.gamess";
   std::string sweep = "1";
   std::uint64_t max_events = ~std::uint64_t{0};
   CliOptions cli(argv[0],
                  "co-run engine throughput vs the per-event reference");
   cli.flag("--json", &json, "emit the machine-readable report");
   cli.option("--workload", &workload, "A,B,...",
-             "consecutive entries form (self, peer) pairs; +spin[:p:r] "
-             "selects the spin variant");
+             "consecutive entries form (self, peer) pairs");
   cli.option_u64("--events", &max_events, 1, ~std::uint64_t{0}, "N",
                  "truncate each trace to N events");
   std::string sweep_geometry;

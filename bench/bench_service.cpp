@@ -114,8 +114,6 @@ std::string json_report(const LoadGenOptions& load, const LoadGenReport& report,
   json.end_object();
   json.begin_object("cost");
   json.field("events", report.cost.events);
-  json.field("rounds_fast", report.cost.rounds_fast);
-  json.field("rounds_fallback", report.cost.rounds_fallback);
   json.field("cache_probes", report.cost.cache_probes);
   json.field("l2_probes", report.cost.l2_probes);
   json.field("memo_hits", report.cost.memo_hits);
@@ -222,9 +220,6 @@ int main(int argc, char** argv) {
   // response's CostReceipt (all-zero against a pre-v3 daemon).
   TextTable cost({"cost", "total"});
   cost.add_row({"events simulated", fmt_count(report.cost.events)});
-  cost.add_row({"rounds fast / fallback",
-                fmt_count(report.cost.rounds_fast) + " / " +
-                    fmt_count(report.cost.rounds_fallback)});
   cost.add_row({"cache probes", fmt_count(report.cost.cache_probes)});
   cost.add_row({"l2 probes", fmt_count(report.cost.l2_probes)});
   cost.add_row({"memo hits / misses",

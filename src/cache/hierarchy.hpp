@@ -14,10 +14,9 @@
 //   * CacheLevel — one level of the materialized hierarchy: a SetAssocCache
 //     plus a next_level pointer. access() chains misses downward and reports
 //     the hit depth; prefill() on a resident line is a pure recency touch of
-//     this level only (the co-run collapse replays last-touch order through
-//     it, and an L1 hit never generates downstream traffic); contains()
-//     probes this level only. Per-level hit/miss/evict counters and AMAT
-//     come from the underlying cache.
+//     this level only (an L1 hit never generates downstream traffic);
+//     contains() probes this level only. Per-level hit/miss/evict counters
+//     and AMAT come from the underlying cache.
 //   * CacheHierarchy — the runtime instantiation for one simulation: under a
 //     flat spec all parties share the single L1 (the paper's SMT model);
 //     with an L2 present each party gets a private L1 front and sharing
@@ -109,9 +108,9 @@ class CacheLevel {
   }
 
   /// Prefetch fill (uncounted). A resident line is a pure recency touch of
-  /// this level — no downstream traffic, which is what keeps the co-run
-  /// collapse's recency replay exact. A missing line installs here and
-  /// prefills the chain below. Returns true if the line was resident here.
+  /// this level, with no downstream traffic. A missing line installs here
+  /// and prefills the chain below. Returns true if the line was resident
+  /// here.
   bool prefill(std::uint64_t line) {
     if (cache_.prefill(line)) return true;
     if (next_ != nullptr) next_->prefill(line);

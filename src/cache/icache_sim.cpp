@@ -1,7 +1,7 @@
 #include "cache/icache_sim.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <span>
+#include <vector>
 
 #include "support/registry.hpp"
 #include "support/rng.hpp"
@@ -150,37 +150,9 @@ class FetchStream {
     return advance(count);
   }
 
-  // --- co-run collapse hooks (DESIGN.md §11) ---
-
-  /// The plan entry for the block the cursor currently points at.
-  [[nodiscard]] const BlockPlan& current_plan() const {
-    return plan_[runs_[run_idx_].symbol];
-  }
-  /// Events left in the current run (>= 1 while the trace is live).
-  [[nodiscard]] std::uint64_t remaining_in_run() const {
-    return runs_[run_idx_].length - run_pos_;
-  }
-  [[nodiscard]] bool stalled() const { return stall_debt_ >= 1.0; }
-  [[nodiscard]] std::uint64_t line_base() const { return namespace_; }
-  /// One wrong-path coin flip, exactly as a per-event step would draw it.
-  bool draw_wrong_path() { return rng_.chance(options_.wrong_path_rate); }
-
-  /// Applies a collapse window's outcome for this stream: `n` block
-  /// executions of the current block, every probe a hit, no stall change.
-  /// The caller replays recency separately. Returns true on trace wrap.
-  bool apply_bulk(std::uint64_t n) {
-    const BlockPlan& bp = current_plan();
-    stats_.blocks += n;
-    stats_.instructions += n * bp.instr_count;
-    stats_.overhead_instructions += n * bp.overhead_instrs;
-    stats_.line_probes += n * bp.line_count;
-    return advance(n);
-  }
-
   [[nodiscard]] const SimResult& stats() const { return stats_; }
-  /// Runs consumed by the O(1) collapse vs replayed per event (degenerate
-  /// geometry). Solo fast path only; the co-run collapse counts rounds at
-  /// the engine level instead (CorunStats).
+  /// Runs consumed by the O(1) solo collapse vs replayed per event
+  /// (degenerate geometry).
   [[nodiscard]] std::uint64_t fast_runs() const { return fast_runs_; }
   [[nodiscard]] std::uint64_t fallback_runs() const { return fallback_runs_; }
 
@@ -214,25 +186,19 @@ class FetchStream {
   SimResult stats_;
 };
 
-/// Shared N-way co-run engine: round-robin interleaving with the run-aware
-/// collapse. Party 0 is the measured stream (one block per round, ends the
+/// Shared N-way co-run engine: round-robin interleaving, one event at a
+/// time. Party 0 is the measured stream (one block per round, ends the
 /// simulation when its trace wraps); parties 1..P-1 run at fractional
-/// `speeds` through per-party credit accumulators. Statistics, stall debt,
-/// credit values, and every RNG stream are bit-identical to pure per-event
-/// replay — the exactness argument lives in DESIGN.md §11.
+/// `speeds` through per-party credit accumulators, and every stream stalls
+/// for `miss_stall_blocks` fetch slots per demand miss.
 ///
 /// Hierarchy topology: a flat spec shares the single L1 between all parties
 /// (the paper's SMT model); with an L2 each party fetches through a private
-/// L1 front and sharing moves to the L2. The collapse stays exact either
-/// way: its residency precondition is checked at each party's front level,
-/// so every probe inside a window is a front-level hit — no downstream
-/// traffic exists to skip — and the recency replay's prefill() of a
-/// resident line touches only the front level.
-std::vector<SimResult> run_corun_engine(std::span<const PlannedParty> parties,
-                                        const SimOptions& options,
-                                        CorunStats* stats_out) {
+/// L1 front and sharing moves to the L2.
+std::vector<SimResult> run_corun_engine(
+    std::span<const CorunSpec::Party> parties, const SimOptions& options) {
   CL_CHECK_MSG(parties.size() >= 2, "need at least two co-runners");
-  for (const PlannedParty& p : parties) {
+  for (const CorunSpec::Party& p : parties) {
     CL_CHECK(p.plan && p.trace);
     CL_CHECK(p.speed > 0.0);
   }
@@ -245,189 +211,18 @@ std::vector<SimResult> run_corun_engine(std::span<const PlannedParty> parties,
   CacheHierarchy hier(options.hierarchy, P);
   std::vector<FetchStream> streams;
   streams.reserve(P);
-  std::vector<double> speeds(P, 1.0);
   std::vector<double> credit(P, 0.0);
   for (std::size_t i = 0; i < P; ++i) {
     // Disjoint line-id namespaces: P address spaces sharing one cache.
     streams.emplace_back(*parties[i].plan, *parties[i].trace,
                          static_cast<std::uint64_t>(i) << 40, options,
                          /*rng_stream=*/i + 1);
-    speeds[i] = parties[i].speed;
   }
 
-  const bool wrong_path = options.wrong_path_rate > 0.0;
-  CorunStats stats;
-
-  // Collapse-window scratch (sized once; reused every window attempt).
-  std::vector<double> next_credit(P, 0.0);
-  std::vector<std::uint32_t> round_steps(P, 0);
-  std::vector<std::uint64_t> remaining(P, 0);
-  std::vector<std::uint64_t> window_steps(P, 0);
-  std::vector<std::uint64_t> last_span(P, 0);
-  std::vector<std::int64_t> last_wrong(P, 0);
-  std::vector<std::uint8_t> branchy(P, 0);
-  // A recency-replay unit: one stream's final demand span (even keys) or
-  // final successful wrong-path fetch (odd keys), ordered by the global step
-  // ordinal it happened at.
-  struct Unit {
-    std::uint64_t key;
-    std::uint32_t party;
-    bool wrong;
-  };
-  std::vector<Unit> units;
-  units.reserve(2 * P);
-
   for (;;) {
-    // ---- Try to open a collapse window over the streams' current runs ----
-    // Cheap gate first: nobody stalled, and at least two full rounds fit
-    // inside every stream's current run (peer i takes at most
-    // floor(credit + 2*speed) steps over two rounds).
-    bool collapsible = true;
-    for (std::size_t i = 0; i < P; ++i) {
-      if (streams[i].stalled()) {
-        collapsible = false;
-        break;
-      }
-      remaining[i] = streams[i].remaining_in_run();
-      const double need = i == 0 ? 2.0 : credit[i] + 2.0 * speeds[i];
-      if (static_cast<double>(remaining[i]) < need) {
-        collapsible = false;
-        break;
-      }
-    }
-    if (collapsible) {
-      // Residency precondition: every demand line of every stream's current
-      // block resident in that stream's front level, plus the wrong-path
-      // line for blocks that can draw one. Then every probe in the window
-      // hits at the front, nothing is installed or evicted anywhere in the
-      // hierarchy, and debt stays constant (contains() never perturbs
-      // state).
-      for (std::size_t i = 0; i < P && collapsible; ++i) {
-        const CacheLevel& front = hier.front(i);
-        const BlockPlan& bp = streams[i].current_plan();
-        const std::uint64_t base = streams[i].line_base() + bp.first_line;
-        for (std::uint32_t l = 0; l < bp.line_count; ++l) {
-          if (!front.contains(base + l)) {
-            collapsible = false;
-            break;
-          }
-        }
-        branchy[i] = wrong_path && bp.branchy != 0 ? 1 : 0;
-        if (collapsible && branchy[i] != 0 &&
-            !front.contains(base + bp.line_count)) {
-          collapsible = false;
-        }
-      }
-    }
-    if (collapsible) {
-      // ---- Replay rounds in bulk: credit arithmetic and RNG draws happen
-      // exactly as per-event replay would issue them; only the cache probes
-      // (all provably hits) are skipped. A round is rejected — and the
-      // window closed — when it would overrun any stream's current run.
-      std::uint64_t seq = 0;
-      std::uint64_t rounds = 0;
-      std::fill(window_steps.begin(), window_steps.end(), 0);
-      std::fill(last_wrong.begin(), last_wrong.end(), -1);
-      while (window_steps[0] < remaining[0]) {
-        bool fits = true;
-        for (std::size_t i = 1; i < P; ++i) {
-          double c = credit[i] + speeds[i];
-          std::uint32_t n = 0;
-          while (c >= 1.0) {
-            c -= 1.0;
-            ++n;
-          }
-          next_credit[i] = c;
-          round_steps[i] = n;
-          if (window_steps[i] + n > remaining[i]) {
-            fits = false;
-            break;
-          }
-        }
-        if (!fits) break;
-        // Commit the round: per-stream draws in step order (cross-stream
-        // draw order is irrelevant — the RNG streams are independent).
-        ++seq;
-        ++window_steps[0];
-        last_span[0] = seq;
-        if (branchy[0] != 0 && streams[0].draw_wrong_path()) {
-          last_wrong[0] = static_cast<std::int64_t>(seq);
-        }
-        for (std::size_t i = 1; i < P; ++i) {
-          credit[i] = next_credit[i];
-          const std::uint32_t n = round_steps[i];
-          if (n == 0) continue;
-          if (branchy[i] == 0) {
-            // No draws to issue: the stream's last step this round lands at
-            // ordinal seq + n either way.
-            seq += n;
-            window_steps[i] += n;
-            last_span[i] = seq;
-          } else {
-            for (std::uint32_t s = 0; s < n; ++s) {
-              ++seq;
-              ++window_steps[i];
-              last_span[i] = seq;
-              if (streams[i].draw_wrong_path()) {
-                last_wrong[i] = static_cast<std::int64_t>(seq);
-              }
-            }
-          }
-        }
-        ++rounds;
-      }
-      if (rounds > 0) {
-        stats.rounds_fast += rounds;
-        ++stats.windows;
-        // Reconstruct per-set recency exactly: only each line's *last* touch
-        // in the window determines its final rank, so re-touch each stream's
-        // span (and last successful wrong-path line) via prefill() in global
-        // last-touch order. Keys interleave span touches (2*seq) with wrong
-        // touches (2*seq+1): within one step the span precedes the draw.
-        // Every replayed line is resident in its party's front level, so
-        // prefill() is a pure recency touch of that level — no chaining.
-        units.clear();
-        for (std::size_t i = 0; i < P; ++i) {
-          if (window_steps[i] == 0) continue;
-          units.push_back(
-              Unit{2 * last_span[i], static_cast<std::uint32_t>(i), false});
-          if (last_wrong[i] >= 0) {
-            units.push_back(
-                Unit{2 * static_cast<std::uint64_t>(last_wrong[i]) + 1,
-                     static_cast<std::uint32_t>(i), true});
-          }
-        }
-        std::sort(units.begin(), units.end(),
-                  [](const Unit& a, const Unit& b) { return a.key < b.key; });
-        for (const Unit& u : units) {
-          CacheLevel& front = hier.front(u.party);
-          const BlockPlan& bp = streams[u.party].current_plan();
-          const std::uint64_t base = streams[u.party].line_base() + bp.first_line;
-          if (u.wrong) {
-            front.prefill(base + bp.line_count);
-          } else {
-            for (std::uint32_t l = 0; l < bp.line_count; ++l) {
-              front.prefill(base + l);
-            }
-          }
-        }
-        bool done = false;
-        for (std::size_t i = 0; i < P; ++i) {
-          if (window_steps[i] == 0) continue;
-          const bool wrapped = streams[i].apply_bulk(window_steps[i]);
-          if (i == 0) done = wrapped;
-        }
-        if (done) break;
-        continue;
-      }
-      // rounds == 0: a run boundary blocks even one full round — fall back.
-    }
-
-    // ---- Per-event round: the reference interleaving ----
-    ++stats.rounds_fallback;
     const bool done = streams[0].step(hier.front(0), /*stall_on_miss=*/true);
     for (std::size_t i = 1; i < P; ++i) {
-      credit[i] += speeds[i];
+      credit[i] += parties[i].speed;
       while (credit[i] >= 1.0) {
         streams[i].step(hier.front(i), /*stall_on_miss=*/true);
         credit[i] -= 1.0;
@@ -435,14 +230,6 @@ std::vector<SimResult> run_corun_engine(std::span<const PlannedParty> parties,
     }
     if (done) break;
   }
-
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("cache.corun.rounds_fast").add(stats.rounds_fast);
-    registry.counter("cache.corun.rounds_fallback").add(stats.rounds_fallback);
-    registry.counter("cache.corun.windows").add(stats.windows);
-  }
-  if (stats_out) *stats_out = stats;
 
   std::vector<SimResult> results;
   results.reserve(streams.size());
@@ -569,14 +356,10 @@ CorunResult simulate_corun(const FetchPlan& self_plan, const Trace& self_trace,
   CODELAYOUT_PHASE("icache_corun", "cache", "cache.icache_corun.wall_ns",
                    {"self_events", std::uint64_t{self_trace.size()}},
                    {"peer_events", std::uint64_t{peer_trace.size()}});
-  const PlannedParty parties[2] = {{&self_plan, &self_trace, 1.0},
-                                   {&peer_plan, &peer_trace, peer_speed}};
-  CorunResult result;
-  std::vector<SimResult> results = run_corun_engine(
-      std::span<const PlannedParty>(parties), options, &result.stats);
-  result.self = results[0];
-  result.peer = results[1];
-  return result;
+  const CorunSpec::Party parties[2] = {{&self_plan, &self_trace, 1.0},
+                                       {&peer_plan, &peer_trace, peer_speed}};
+  const std::vector<SimResult> results = run_corun_engine(parties, options);
+  return CorunResult{results[0], results[1]};
 }
 
 CorunResult simulate_corun(const Module& self_module,
@@ -594,39 +377,11 @@ CorunResult simulate_corun(const Module& self_module,
                         peer_speed);
 }
 
-std::vector<SimResult> simulate_corun(const CorunSpec& spec,
-                                      CorunStats* stats) {
+std::vector<SimResult> simulate_corun(const CorunSpec& spec) {
   CODELAYOUT_PHASE("icache_corun_many", "cache",
                    "cache.icache_corun_many.wall_ns",
                    {"parties", std::uint64_t{spec.parties.size()}});
-  return run_corun_engine(spec.parties, spec.options, stats);
-}
-
-std::vector<SimResult> simulate_corun_many(
-    std::span<const PlannedParty> parties, const SimOptions& options,
-    CorunStats* stats) {
-  CorunSpec spec;
-  spec.parties.assign(parties.begin(), parties.end());
-  spec.options = options;
-  return simulate_corun(spec, stats);
-}
-
-std::vector<SimResult> simulate_corun_many(std::span<const CorunParty> parties,
-                                           const SimOptions& options,
-                                           CorunStats* stats) {
-  CL_CHECK_MSG(parties.size() >= 2, "need at least two co-runners");
-  std::vector<FetchPlan> plans;
-  CorunSpec spec;
-  spec.options = options;
-  plans.reserve(parties.size());
-  spec.parties.reserve(parties.size());
-  for (const CorunParty& p : parties) {
-    CL_CHECK(p.module && p.layout && p.trace);
-    CL_CHECK(p.speed > 0.0);
-    plans.emplace_back(*p.module, *p.layout, options.geometry().line_bytes);
-    spec.parties.push_back(CorunSpec::Party{&plans.back(), p.trace, p.speed});
-  }
-  return simulate_corun(spec, stats);
+  return run_corun_engine(spec.parties, spec.options);
 }
 
 Trace line_trace(const Module& module, const CodeLayout& layout,

@@ -17,16 +17,16 @@
 // one shared L2 (sharing moves down a level) and lights up the per-level
 // counters in SimResult.
 //
-// Every simulator exists in two forms: the module/layout entry points below
-// (which build a FetchPlan internally) and plan-based overloads for callers
-// that amortize one plan across many simulations (the Lab memoizes plans per
-// workload x optimizer, so every cell of a co-run matrix shares them).
-// Results are bit-identical between the two forms, and between the run-aware
-// fast paths and per-event replay — see DESIGN.md §8 (solo) and §11 (co-run).
+// Solo and two-way co-run simulation exist in two forms: module/layout entry
+// points (which build a FetchPlan internally) and plan-based overloads for
+// callers that amortize one plan across many simulations (the Lab memoizes
+// plans per workload x optimizer, so every cell of a co-run matrix shares
+// them); N-way co-run takes plans through a CorunSpec. Results are
+// bit-identical between the forms. Solo replay may collapse same-block runs
+// (DESIGN.md §8); co-run replays every round per event (§11).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cache/fetch_plan.hpp"
@@ -127,24 +127,9 @@ SimResult simulate_solo(const Module& module, const CodeLayout& layout,
 SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
                         const SimOptions& options = {});
 
-/// Fast-path accounting for one co-run simulation: interleaved rounds
-/// advanced in bulk by the run-aware collapse vs replayed per event (see
-/// DESIGN.md §11). Purely observational — the per-round statistics and RNG
-/// streams are bit-identical either way.
-struct CorunStats {
-  std::uint64_t rounds_fast = 0;      ///< rounds advanced by collapse windows
-  std::uint64_t rounds_fallback = 0;  ///< rounds replayed per event
-  std::uint64_t windows = 0;          ///< collapse windows entered
-
-  [[nodiscard]] std::uint64_t rounds() const {
-    return rounds_fast + rounds_fallback;
-  }
-};
-
 struct CorunResult {
-  SimResult self;     ///< the measured program: its full trace, replayed once
-  SimResult peer;     ///< the probe program: wraps around as needed
-  CorunStats stats{};  ///< collapse coverage of this simulation
+  SimResult self;  ///< the measured program: its full trace, replayed once
+  SimResult peer;  ///< the probe program: wraps around as needed
 };
 
 /// Interleaves the two streams block-by-block through one shared cache.
@@ -167,10 +152,10 @@ CorunResult simulate_corun(const FetchPlan& self_plan, const Trace& self_trace,
 /// N-way shared-cache co-run (extension of the paper's Sec. III-F
 /// conjecture: Power-class SMT runs 4-8 hardware threads per core).
 ///
-/// One request struct replaces the old simulate_corun_many overload pair:
-/// parties, speeds, hierarchy and flavour flags travel together, the wire
-/// protocol of the service serializes the same shape, and every legacy entry
-/// point below is a thin shim over this one.
+/// The request carries parties, speeds, hierarchy and flavour flags
+/// together; the service's wire protocol serializes the same shape. Parties
+/// name fetch plans, so callers amortize one plan per layout across many
+/// simulations, as the Lab does.
 ///
 /// Party 0 is the measured reference stream: it replays its full trace
 /// exactly once, fetches one block per round, and its fetch rate defines the
@@ -190,32 +175,7 @@ struct CorunSpec {
 };
 
 /// Simulates the spec's co-run: one SimResult per party, in party order.
-std::vector<SimResult> simulate_corun(const CorunSpec& spec,
-                                      CorunStats* stats = nullptr);
-
-/// Module/layout-based party for callers without a FetchPlan; a plan is
-/// built per party (deprecated shim path — prefer CorunSpec with plans the
-/// caller amortizes, as the Lab does).
-struct CorunParty {
-  const Module* module;
-  const CodeLayout* layout;
-  const Trace* trace;
-  double speed = 1.0;  ///< blocks per round relative to the measured stream
-};
-
-/// Plan-based party; same shape as CorunSpec::Party (kept as an alias so
-/// pre-CorunSpec call sites compile unchanged).
-using PlannedParty = CorunSpec::Party;
-
-/// Deprecated shims over simulate_corun(CorunSpec): bit-identical to the
-/// spec-based entry point (pinned by tests). New code should build a
-/// CorunSpec instead.
-std::vector<SimResult> simulate_corun_many(std::span<const CorunParty> parties,
-                                           const SimOptions& options = {},
-                                           CorunStats* stats = nullptr);
-std::vector<SimResult> simulate_corun_many(
-    std::span<const PlannedParty> parties, const SimOptions& options = {},
-    CorunStats* stats = nullptr);
+std::vector<SimResult> simulate_corun(const CorunSpec& spec);
 
 /// Expands a block trace to the cache-line trace induced by `layout` —
 /// the instruction footprint stream for the Eq. 2 metrics. Line symbols are

@@ -40,8 +40,7 @@ class SetAssocCache {
   bool access(std::uint64_t line) { return touch(line, true); }
 
   /// Installs without counting (prefetch fill). Returns true if already
-  /// resident. On a hit this is a pure recency touch — the co-run collapse
-  /// uses it to replay a window's last-touch order.
+  /// resident. On a hit this is a pure recency touch.
   bool prefill(std::uint64_t line) { return touch(line, false); }
 
   /// Residency probe: no recency update, no counting, no install.

@@ -345,20 +345,9 @@ const CorunResult& Lab::corun(const std::string& self_name,
     const double peer_cpi =
         options_.perf().base_cpi + peer.spec.data_stall_cpi;
     const double peer_speed = std::clamp(self_cpi / peer_cpi, 0.25, 4.0);
-    CorunResult result = simulate_corun(
-        self_plan, self.eval_blocks, peer_plan, peer.eval_blocks,
-        sim_options(measure, key.hierarchy), peer_speed);
-    MetricsRegistry& registry = MetricsRegistry::global();
-    if (registry.enabled()) {
-      // Per-pair collapse coverage, so bench --metrics-out dumps show which
-      // workload pairs the run-aware fast path actually engages on.
-      const std::string pair = self_name + "|" + peer_name;
-      registry.counter("lab.corun.rounds_fast." + pair)
-          .add(result.stats.rounds_fast);
-      registry.counter("lab.corun.rounds_fallback." + pair)
-          .add(result.stats.rounds_fallback);
-    }
-    return result;
+    return simulate_corun(self_plan, self.eval_blocks, peer_plan,
+                          peer.eval_blocks, sim_options(measure, key.hierarchy),
+                          peer_speed);
   });
 }
 

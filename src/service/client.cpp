@@ -194,8 +194,6 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
         if (response.status == JobStatus::kOk) {
           const CostReceipt& receipt = response.receipt;
           cost.events += receipt.events;
-          cost.rounds_fast += receipt.rounds_fast;
-          cost.rounds_fallback += receipt.rounds_fallback;
           cost.cache_probes += receipt.cache_probes;
           cost.l2_probes += receipt.l2_probes;
           cost.memo_hits += receipt.memo_hits;
@@ -228,8 +226,6 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
   report.latency = latency.summary();
   for (const LoadGenReport::Cost& cost : costs) {
     report.cost.events += cost.events;
-    report.cost.rounds_fast += cost.rounds_fast;
-    report.cost.rounds_fallback += cost.rounds_fallback;
     report.cost.cache_probes += cost.cache_probes;
     report.cost.l2_probes += cost.l2_probes;
     report.cost.memo_hits += cost.memo_hits;

@@ -74,8 +74,6 @@ struct LoadGenReport {
   /// and simulated work went. All-zero against a pre-v3 daemon.
   struct Cost {
     std::uint64_t events = 0;
-    std::uint64_t rounds_fast = 0;
-    std::uint64_t rounds_fallback = 0;
     std::uint64_t cache_probes = 0;
     std::uint64_t l2_probes = 0;
     std::uint64_t memo_hits = 0;

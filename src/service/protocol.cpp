@@ -314,8 +314,10 @@ std::string encode_response_payload(const JobResponse& response,
   if (version >= 3) {
     // v3 trailing fields: the cost receipt + introspection document.
     put_varint(out, response.receipt.events);
-    put_varint(out, response.receipt.rounds_fast);
-    put_varint(out, response.receipt.rounds_fallback);
+    // Retired slots (rounds_fast, rounds_fallback of the deleted co-run
+    // collapse): always 0, kept so reply bytes do not move.
+    put_varint(out, 0);
+    put_varint(out, 0);
     put_varint(out, response.receipt.cache_probes);
     put_varint(out, response.receipt.l2_probes);
     put_varint(out, response.receipt.memo_hits);
@@ -442,8 +444,9 @@ JobResponse decode_response_payload(std::string_view payload,
   response.trace_stats.checksum = in.varint();
   if (version >= 3) {
     response.receipt.events = in.varint();
-    response.receipt.rounds_fast = in.varint();
-    response.receipt.rounds_fallback = in.varint();
+    // The two retired slots: read and discarded.
+    static_cast<void>(in.varint());
+    static_cast<void>(in.varint());
     response.receipt.cache_probes = in.varint();
     response.receipt.l2_probes = in.varint();
     response.receipt.memo_hits = in.varint();

@@ -200,10 +200,13 @@ struct TraceStatsResult {
 /// response served from the daemon's cache, `cached` is true, the counts are
 /// the original computation's, and the timing fields are zero (the cache
 /// lookup itself is effectively free).
+///
+/// On the wire the v3 receipt also holds two retired varint slots between
+/// `events` and `cache_probes`: the fast and fallback co-run round counts of
+/// a deleted co-run fast path. Encoders write them as 0 and decoders read
+/// and discard them, so reply bytes match those of earlier daemons.
 struct CostReceipt {
   std::uint64_t events = 0;           ///< instructions + overhead simulated
-  std::uint64_t rounds_fast = 0;      ///< co-run rounds collapsed arithmetically
-  std::uint64_t rounds_fallback = 0;  ///< co-run rounds replayed per event
   std::uint64_t cache_probes = 0;     ///< L1I line probes across all results
   std::uint64_t l2_probes = 0;        ///< shared-L2 demand probes
   std::uint64_t memo_hits = 0;        ///< Lab memo cells served cached

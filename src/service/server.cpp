@@ -179,8 +179,6 @@ JobResponse LabExecutor::run(const JobRequest& request) {
             request.parties[1].workload, request.parties[1].optimizer,
             request.measure, request.hierarchy);
         response.results = {result.self, result.peer};
-        response.receipt.rounds_fast = result.stats.rounds_fast;
-        response.receipt.rounds_fallback = result.stats.rounds_fallback;
         return response;
       }
 
@@ -224,10 +222,7 @@ JobResponse LabExecutor::run(const JobRequest& request) {
         }
         spec.parties.push_back(p);
       }
-      CorunStats corun_stats;
-      response.results = simulate_corun(spec, &corun_stats);
-      response.receipt.rounds_fast = corun_stats.rounds_fast;
-      response.receipt.rounds_fallback = corun_stats.rounds_fallback;
+      response.results = simulate_corun(spec);
       return response;
     }
 
@@ -339,10 +334,6 @@ JobResponse LabExecutor::run(const JobRequest& request) {
                        request.measure, request.hierarchy);
         response.results.push_back(ab.self);
         response.results.push_back(ba.self);
-        response.receipt.rounds_fast += ab.stats.rounds_fast;
-        response.receipt.rounds_fast += ba.stats.rounds_fast;
-        response.receipt.rounds_fallback += ab.stats.rounds_fallback;
-        response.receipt.rounds_fallback += ba.stats.rounds_fallback;
       }
       return response;
     }
@@ -545,7 +536,6 @@ void ServiceServer::finish_job(QueuedJob job) {
   // Cost attribution: simulated-work counts fall out of the results (so the
   // receipt provably matches the SimResults it rides with), memo traffic out
   // of the ambient accumulator, timing out of this function's own clocks.
-  // The executor already stamped rounds_fast/rounds_fallback.
   CostReceipt& receipt = response.receipt;
   for (const SimResult& r : response.results) {
     receipt.events += r.instructions + r.overhead_instructions;

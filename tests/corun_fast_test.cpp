@@ -1,14 +1,13 @@
-// Equivalence suite for the run-aware co-run collapse (DESIGN.md §11).
+// Equivalence suite for the co-run engine (DESIGN.md §11).
 //
-// The co-run engine may bulk-advance whole windows of interleaved rounds
-// when every stream spins inside a run whose lines are resident. This suite
-// pins the claim that the collapse is a pure evaluation-order change: a
-// per-event reference engine — written out longhand against its own LRU
-// cache implementation, with the same namespaces, credit arithmetic, stall
-// debts, and forked RNG streams — must agree bit for bit on every SimResult
-// field, including the RNG-stream-sensitive wrong-path miss counts, over
-// the whole golden workload suite, many-party mixes with fractional speeds,
-// and degenerate cache geometries.
+// The production engine replays rounds through fetch plans and the packed
+// set-associative cache. An independent per-event reference engine —
+// written out longhand against its own LRU cache implementation, with the
+// same namespaces, credit arithmetic, stall debts, and forked RNG streams —
+// must agree bit for bit on every SimResult field, including the
+// RNG-stream-sensitive wrong-path miss counts, over the whole golden
+// workload suite, many-party mixes with fractional speeds, and degenerate
+// cache geometries.
 #include <algorithm>
 #include <cstdint>
 #include <future>
@@ -57,7 +56,7 @@ class RefCache {
   std::vector<std::vector<std::uint64_t>> ways_;
 };
 
-/// The pre-collapse per-event co-run stream: flat symbols, module/layout
+/// The reference per-event co-run stream: flat symbols, module/layout
 /// lookups per event, stall debt, and the stream's own forked RNG.
 class RefStream {
  public:
@@ -169,8 +168,8 @@ Trace prefix_events(const Trace& t, std::size_t n) {
   return out;
 }
 
-/// A suite workload with the spin knob turned up: long same-block runs, the
-/// shape the collapse is built for.
+/// A suite workload with the spin knob turned up: long same-block runs, so
+/// streams sit on one block across many rounds.
 WorkloadSpec spin_variant(const std::string& base, double prob,
                           double repeat) {
   WorkloadSpec spec = find_spec(base);
@@ -183,19 +182,21 @@ WorkloadSpec spin_variant(const std::string& base, double prob,
 struct Prepared {
   Module module;
   CodeLayout layout;
+  FetchPlan plan;  ///< for 64-byte lines, the line size of every test here
   Trace trace;
 
   Prepared(const WorkloadSpec& spec, std::uint64_t seed, std::uint64_t events,
            std::size_t prefix)
       : module(build_workload(spec)),
         layout(original_layout(module)),
+        plan(module, layout, kL1I.line_bytes),
         trace(prefix_events(
             profile(module, seed, {.max_events = events, .max_call_depth = 64})
                 .block_trace,
             prefix)) {}
 
-  [[nodiscard]] CorunParty party(double speed = 1.0) const {
-    return CorunParty{&module, &layout, &trace, speed};
+  [[nodiscard]] CorunSpec::Party party(double speed = 1.0) const {
+    return CorunSpec::Party{&plan, &trace, speed};
   }
   [[nodiscard]] RefParty ref_party(double speed = 1.0) const {
     return RefParty{&module, &layout, &trace, speed};
@@ -278,16 +279,16 @@ TEST(CorunFast, ManyPartySpinMixesMatchPerEventReplay) {
 
   for (const std::size_t parties : {2u, 3u, 4u}) {
     for (const bool hw : {false, true}) {
-      const SimOptions options = hw ? hardware_proxy_options() : SimOptions{};
-      std::vector<CorunParty> got_parties = {a.party()};
+      CorunSpec spec;
+      spec.options = hw ? hardware_proxy_options() : SimOptions{};
+      spec.parties = {a.party()};
       std::vector<RefParty> ref_parties = {a.ref_party()};
       for (std::size_t i = 0; i + 1 < parties; ++i) {
-        got_parties.push_back(peers[i]->party(speeds[i]));
+        spec.parties.push_back(peers[i]->party(speeds[i]));
         ref_parties.push_back(peers[i]->ref_party(speeds[i]));
       }
-      CorunStats stats;
-      const auto got = simulate_corun_many(got_parties, options, &stats);
-      const auto want = reference_corun(ref_parties, options);
+      const auto got = simulate_corun(spec);
+      const auto want = reference_corun(ref_parties, spec.options);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         SCOPED_TRACE("parties=" + std::to_string(parties) +
@@ -295,16 +296,12 @@ TEST(CorunFast, ManyPartySpinMixesMatchPerEventReplay) {
                      std::to_string(i));
         expect_sim_equal(got[i], want[i]);
       }
-      // Spin-heavy mixes must actually exercise the collapse.
-      EXPECT_GT(stats.rounds_fast, 0u);
-      EXPECT_GT(stats.windows, 0u);
     }
   }
 }
 
 TEST(CorunFast, FastPeerSpeedMatchesPerEventReplay) {
-  // speed > 1 makes peers take several steps per round; the round-replay
-  // rejection has to count them exactly.
+  // speed > 1 makes peers take several steps per round.
   const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 31, 20'000, 4'000);
   const Prepared b(spin_variant("403.gcc", 0.7, 48.0), 32, 30'000, 12'000);
   const SimOptions options = hardware_proxy_options();
@@ -348,44 +345,26 @@ TEST(CorunFast, DegenerateGeometriesMatchPerEventReplay) {
   }
 }
 
-// ---- Plan-based API ---------------------------------------------------------
+// ---- Entry points -----------------------------------------------------------
 
-TEST(CorunFast, PlannedPartiesMatchModuleLayoutParties) {
+TEST(CorunFast, EntryPointsAreBitIdentical) {
+  // The N-party spec, the two-way plan overload, and the two-way
+  // module/layout overload all drive the same engine.
   const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 51, 20'000, 5'000);
   const Prepared b(spin_variant("403.gcc", 0.7, 48.0), 52, 20'000, 8'000);
   const SimOptions options = hardware_proxy_options();
-  const FetchPlan plan_a(a.module, a.layout, options.geometry().line_bytes);
-  const FetchPlan plan_b(b.module, b.layout, options.geometry().line_bytes);
 
-  std::vector<CorunParty> legacy = {a.party(), b.party(1.3)};
-  std::vector<PlannedParty> planned = {PlannedParty{&plan_a, &a.trace, 1.0},
-                                       PlannedParty{&plan_b, &b.trace, 1.3}};
-  CorunStats legacy_stats, planned_stats;
-  const auto legacy_results =
-      simulate_corun_many(legacy, options, &legacy_stats);
-  const auto planned_results =
-      simulate_corun_many(planned, options, &planned_stats);
-  ASSERT_EQ(legacy_results.size(), planned_results.size());
-  for (std::size_t i = 0; i < legacy_results.size(); ++i) {
-    SCOPED_TRACE("party " + std::to_string(i));
-    expect_sim_equal(planned_results[i], legacy_results[i]);
-  }
-  EXPECT_EQ(planned_stats.rounds_fast, legacy_stats.rounds_fast);
-  EXPECT_EQ(planned_stats.rounds_fallback, legacy_stats.rounds_fallback);
-  EXPECT_EQ(planned_stats.windows, legacy_stats.windows);
-
-  // The two-way entry point is the same engine at two parties.
-  const CorunResult pair = simulate_corun(plan_a, a.trace, plan_b, b.trace,
-                                          options, 1.3);
-  expect_sim_equal(pair.self, legacy_results[0]);
-  expect_sim_equal(pair.peer, legacy_results[1]);
-  EXPECT_EQ(pair.stats.rounds_fast, legacy_stats.rounds_fast);
-}
-
-TEST(CorunFast, MeasuredPartyMustRunAtUnitSpeed) {
-  const Prepared a(spin_variant("470.lbm", 0.5, 24.0), 61, 10'000, 2'000);
-  std::vector<CorunParty> parties = {a.party(0.5), a.party()};
-  EXPECT_THROW(simulate_corun_many(parties, {}), ContractError);
+  const std::vector<SimResult> spec =
+      simulate_corun(CorunSpec{{a.party(), b.party(1.3)}, options});
+  const CorunResult planned =
+      simulate_corun(a.plan, a.trace, b.plan, b.trace, options, 1.3);
+  const CorunResult direct = simulate_corun(
+      a.module, a.layout, a.trace, b.module, b.layout, b.trace, options, 1.3);
+  ASSERT_EQ(spec.size(), 2u);
+  EXPECT_EQ(planned.self, spec[0]);
+  EXPECT_EQ(planned.peer, spec[1]);
+  EXPECT_EQ(direct.self, spec[0]);
+  EXPECT_EQ(direct.peer, spec[1]);
 }
 
 }  // namespace

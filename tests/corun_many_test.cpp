@@ -1,3 +1,6 @@
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/icache_sim.hpp"
@@ -25,23 +28,29 @@ Module loop_module(std::uint32_t n_blocks, std::uint32_t block_bytes) {
 struct Prepared {
   Module module;
   CodeLayout layout;
+  FetchPlan plan;  ///< for the default 64-byte lines
   Trace trace;
 
   explicit Prepared(std::uint32_t blocks, std::uint64_t seed,
                     std::uint64_t events = 20'000)
       : module(loop_module(blocks, 64)),
         layout(original_layout(module)),
+        plan(module, layout, kL1I.line_bytes),
         trace(profile(module, seed, {.max_events = events}).block_trace) {}
 
-  [[nodiscard]] CorunParty party(double speed = 1.0) const {
-    return CorunParty{&module, &layout, &trace, speed};
+  [[nodiscard]] CorunSpec::Party party(double speed = 1.0) const {
+    return CorunSpec::Party{&plan, &trace, speed};
   }
 };
 
+/// A co-run of `parties` under the default (simulated, flat L1) options.
+std::vector<SimResult> corun(std::vector<CorunSpec::Party> parties) {
+  return simulate_corun(CorunSpec{std::move(parties), SimOptions{}});
+}
+
 TEST(CorunMany, RequiresAtLeastTwoParties) {
   const Prepared a(16, 1);
-  std::vector<CorunParty> one = {a.party()};
-  EXPECT_THROW(simulate_corun_many(one, {}), ContractError);
+  EXPECT_THROW(corun({a.party()}), ContractError);
 }
 
 TEST(CorunMany, TwoWayMatchesPairwiseSimulation) {
@@ -49,8 +58,7 @@ TEST(CorunMany, TwoWayMatchesPairwiseSimulation) {
   const Prepared b(160, 2);
   const CorunResult pair = simulate_corun(a.module, a.layout, a.trace,
                                           b.module, b.layout, b.trace);
-  std::vector<CorunParty> parties = {a.party(), b.party()};
-  const auto many = simulate_corun_many(parties, {});
+  const auto many = corun({a.party(), b.party()});
   ASSERT_EQ(many.size(), 2u);
   EXPECT_EQ(many[0].demand_misses, pair.self.demand_misses);
   EXPECT_EQ(many[0].instructions, pair.self.instructions);
@@ -61,8 +69,7 @@ TEST(CorunMany, MeasuredStreamRunsExactlyItsTrace) {
   const Prepared a(16, 1, 5'000);
   const Prepared b(16, 2, 50'000);
   const Prepared c(16, 3, 50'000);
-  std::vector<CorunParty> parties = {a.party(), b.party(), c.party()};
-  const auto results = simulate_corun_many(parties, {});
+  const auto results = corun({a.party(), b.party(), c.party()});
   EXPECT_EQ(results[0].blocks, a.trace.size());
 }
 
@@ -72,11 +79,9 @@ TEST(CorunMany, MorePeersMoreInterference) {
   const Prepared b(160, 2);
   const Prepared c(160, 3);
   const Prepared d(160, 4);
-  std::vector<CorunParty> two = {a.party(), b.party()};
-  std::vector<CorunParty> four = {a.party(), b.party(), c.party(), d.party()};
-  const double with_one_peer = simulate_corun_many(two, {})[0].miss_ratio();
+  const double with_one_peer = corun({a.party(), b.party()})[0].miss_ratio();
   const double with_three_peers =
-      simulate_corun_many(four, {})[0].miss_ratio();
+      corun({a.party(), b.party(), c.party(), d.party()})[0].miss_ratio();
   EXPECT_GT(with_three_peers, with_one_peer);
 }
 
@@ -84,8 +89,7 @@ TEST(CorunMany, DistinctNamespacesPerParty) {
   // Identical programs: if namespaces collided, the shared cache would
   // dedupe lines and four 20KB programs would look like one.
   const Prepared a(320, 1);
-  std::vector<CorunParty> four = {a.party(), a.party(), a.party(), a.party()};
-  const auto results = simulate_corun_many(four, {});
+  const auto results = corun({a.party(), a.party(), a.party(), a.party()});
   // 4 x 20KB in 32KB: everyone misses substantially.
   EXPECT_GT(results[0].miss_ratio(), 0.01);
 }
@@ -93,68 +97,30 @@ TEST(CorunMany, DistinctNamespacesPerParty) {
 TEST(CorunMany, SpeedScalesPeerProgress) {
   const Prepared a(16, 1, 10'000);
   const Prepared b(16, 2, 10'000);
-  std::vector<CorunParty> slow = {a.party(), b.party(0.5)};
-  std::vector<CorunParty> fast = {a.party(), b.party(2.0)};
-  const auto r_slow = simulate_corun_many(slow, {});
-  const auto r_fast = simulate_corun_many(fast, {});
+  const auto r_slow = corun({a.party(), b.party(0.5)});
+  const auto r_fast = corun({a.party(), b.party(2.0)});
   EXPECT_GT(r_fast[1].blocks, r_slow[1].blocks * 3);
 }
 
 TEST(CorunMany, RejectsBadParty) {
   const Prepared a(16, 1);
-  std::vector<CorunParty> parties = {a.party(), a.party()};
+  std::vector<CorunSpec::Party> parties = {a.party(), a.party()};
   parties[1].speed = 0.0;
-  EXPECT_THROW(simulate_corun_many(parties, {}), ContractError);
+  EXPECT_THROW(corun(parties), ContractError);
   parties[1].speed = 1.0;
   parties[1].trace = nullptr;
-  EXPECT_THROW(simulate_corun_many(parties, {}), ContractError);
+  EXPECT_THROW(corun(parties), ContractError);
+  parties[1].trace = &a.trace;
+  parties[1].plan = nullptr;
+  EXPECT_THROW(corun(parties), ContractError);
 }
 
-// ---- CorunSpec: the consolidated request struct -----------------------------
-
-TEST(CorunSpec, ShimsAreBitIdenticalToSpec) {
-  const Prepared a(160, 1);
-  const Prepared b(160, 2);
-  const Prepared c(160, 3);
-  const SimOptions options = hardware_proxy_options();
-
-  // Reference: the consolidated entry point with caller-built plans.
-  const FetchPlan plan_a(a.module, a.layout, options.geometry().line_bytes);
-  const FetchPlan plan_b(b.module, b.layout, options.geometry().line_bytes);
-  const FetchPlan plan_c(c.module, c.layout, options.geometry().line_bytes);
-  CorunSpec spec;
-  spec.options = options;
-  spec.parties = {{&plan_a, &a.trace, 1.0},
-                  {&plan_b, &b.trace, 1.3},
-                  {&plan_c, &c.trace, 0.8}};
-  CorunStats spec_stats;
-  const auto from_spec = simulate_corun(spec, &spec_stats);
-
-  // Deprecated module/layout shim.
-  std::vector<CorunParty> raw = {a.party(), b.party(1.3), c.party(0.8)};
-  CorunStats raw_stats;
-  const auto from_raw = simulate_corun_many(raw, options, &raw_stats);
-
-  // Deprecated plan-based shim (PlannedParty aliases CorunSpec::Party).
-  std::vector<PlannedParty> planned = spec.parties;
-  CorunStats planned_stats;
-  const auto from_planned =
-      simulate_corun_many(planned, options, &planned_stats);
-
-  ASSERT_EQ(from_spec.size(), 3u);
-  EXPECT_EQ(from_spec, from_raw);
-  EXPECT_EQ(from_spec, from_planned);
-  EXPECT_EQ(spec_stats.rounds(), raw_stats.rounds());
-  EXPECT_EQ(spec_stats.rounds(), planned_stats.rounds());
-}
+// ---- CorunSpec contract -----------------------------------------------------
 
 TEST(CorunSpec, ValidatesMeasuredPartySpeed) {
   const Prepared a(16, 1);
-  const SimOptions options;
-  const FetchPlan plan(a.module, a.layout, options.geometry().line_bytes);
-  CorunSpec spec;
-  spec.parties = {{&plan, &a.trace, 2.0}, {&plan, &a.trace, 1.0}};
-  EXPECT_THROW(simulate_corun(spec), ContractError);
+  EXPECT_THROW(corun({a.party(2.0), a.party()}), ContractError);
+  EXPECT_THROW(corun({a.party(0.5), a.party()}), ContractError);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the Lab's parallel evaluation engine: the typed EvalKey/
 // EvalRequest API, LabOptions validation, per-key once-execution under
 // concurrent hammering, thread-count determinism of the experiment drivers,
-// and the per-stage metrics.
+// the per-stage metrics, and bounded metric names.
 #include <optional>
 #include <string>
 #include <thread>
@@ -14,6 +14,7 @@
 #include "harness/lab.hpp"
 #include "harness/options.hpp"
 #include "support/check.hpp"
+#include "support/registry.hpp"
 #include "workloads/spec.hpp"
 
 namespace codelayout {
@@ -342,6 +343,38 @@ TEST(LabEngineTest, CheckedBatchReportsMemoizedErrorToLaterRequesters) {
   EXPECT_EQ(again[0].error, first_error);
   // The failing compute ran once; the retry hit the memoized failure.
   EXPECT_EQ(lab.metrics().prepare.computed, 1u);
+}
+
+// ---- Observability ----------------------------------------------------------
+
+TEST(LabEngineTest, MetricNamesDoNotGrowWithWorkloads) {
+  // Instrument names are a fixed set: per-workload or per-pair detail
+  // belongs in span args, or an N x N co-run table would mint N^2 names.
+  struct EnableMetrics {
+    MetricsRegistry& registry = MetricsRegistry::global();
+    bool was_enabled = registry.enabled();
+    EnableMetrics() { registry.set_enabled(true); }
+    ~EnableMetrics() { registry.set_enabled(was_enabled); }
+  } metrics;
+
+  const std::vector<std::string> names = {"429.mcf", "458.sjeng"};
+  std::vector<EvalRequest> batch;
+  for (const std::string& self : names) {
+    for (const std::string& peer : names) {
+      batch.push_back(EvalRequest::corun(self, std::nullopt, peer,
+                                         std::nullopt, Measure::kHardware));
+    }
+  }
+  Lab lab(LabOptions{}.threads(2));
+  lab.evaluate_all(batch);
+  EXPECT_EQ(lab.metrics().corun.computed, 4u);
+
+  // The dump holds instrument names and numbers only, so a workload name
+  // anywhere in it sits inside an instrument name.
+  const std::string dump = metrics.registry.to_json();
+  for (const std::string& name : names) {
+    EXPECT_EQ(dump.find(name), std::string::npos) << name << " in " << dump;
+  }
 }
 
 }  // namespace

@@ -118,6 +118,59 @@ TEST(ServiceProtocol, ResponseRoundTrips) {
   EXPECT_EQ(decode_response_payload(encode_response_payload(error)), error);
 }
 
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+TEST(ServiceProtocol, CorunReplyBytesArePinned) {
+  // A kOk two-party co-run reply with a zeroed receipt, encoded at the
+  // current wire version. The literal was captured from the encoder while
+  // the receipt still carried the co-run round counters; their two retired
+  // slots must stay on the wire as zero varints, so dropping them (or any
+  // other reply-layout change) fails here.
+  JobResponse response;
+  response.id = 7;
+  response.status = JobStatus::kOk;
+  SimResult self;
+  self.instructions = 1234567;
+  self.overhead_instructions = 321;
+  self.line_probes = 456789;
+  self.demand_misses = 4321;
+  self.wrong_path_misses = 17;
+  self.blocks = 98765;
+  SimResult peer;
+  peer.instructions = 2345678;
+  peer.line_probes = 567890;
+  peer.demand_misses = 9876;
+  peer.blocks = 123456;
+  peer.l2_probes = 3000;
+  peer.l2_misses = 250;
+  response.results = {self, peer};
+
+  const std::string payload = encode_response_payload(response);
+  EXPECT_EQ(to_hex(payload),
+            "07" "00" "00" "02"                        // id, kOk, error, count
+            "87ad4b" "c102" "d5f01b" "e121" "11"       // self ...
+            "cd8306" "00" "00"                         //   ... blocks, L2
+            "ce958f01" "00" "d2d422" "944d" "00"       // peer ...
+            "c0c407" "b817" "fa01"                     //   ... blocks, L2
+            "0000000000"                               // layout summary
+            "00000000"                                 // trace stats
+            "00" "0000" "0000000000000000" "00"        // v3 receipt: events,
+                                                       // retired slots, ...
+            "0000" "0000000000000000"                  // v4 dispatch
+            "00" "00" "0000000000000000" "00" "00"     // v5 schedule ...
+            "0000");                                   //   ... predictor
+  EXPECT_EQ(decode_response_payload(payload), response);
+}
+
 TEST(ServiceProtocol, CanonicalKeyNormalizesIdAndPriority) {
   JobRequest a = solo_request("429.mcf", kBBAffinity, Measure::kHardware, 1);
   JobRequest b = solo_request("429.mcf", kBBAffinity, Measure::kHardware, 999);
@@ -1293,16 +1346,22 @@ TEST(ServiceServer, RecentJobsRingKeepsNewestCapped) {
   config.cache_enabled = true;
   ServiceServer server(config, std::make_unique<CountingExecutor>());
 
+  // Names are built by appending rather than `"w" + ...` to dodge a GCC 12
+  // -O3 -Wrestrict false positive (GCC PR105651) in std::operator+.
+  const auto name = [](std::size_t i) {
+    std::string out = "w";
+    out += std::to_string(i);
+    return out;
+  };
   const std::size_t total = ServiceServer::kRecentJobsCapacity + 8;
   for (std::size_t i = 1; i <= total; ++i) {
     const JobResponse response = server.call(
-        solo_request("w" + std::to_string(i), std::nullopt,
-                     Measure::kHardware, i));
+        solo_request(name(i), std::nullopt, Measure::kHardware, i));
     ASSERT_EQ(response.status, JobStatus::kOk);
   }
   // One repeat: served from the cache, still recorded in the ring.
-  const JobResponse repeat = server.call(solo_request(
-      "w" + std::to_string(total), std::nullopt, Measure::kHardware, 999));
+  const JobResponse repeat = server.call(
+      solo_request(name(total), std::nullopt, Measure::kHardware, 999));
   ASSERT_EQ(repeat.status, JobStatus::kOk);
   EXPECT_TRUE(repeat.receipt.cached);
 
