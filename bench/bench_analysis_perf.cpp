@@ -4,35 +4,23 @@
 // reduction is polynomial in the node count. Run standalone: prints
 // wall-clock per analysis over synthetic traces of growing length.
 //
-// A second mode measures the run-length-encoded trace core over the workload
-// suite: per-kernel events/s for the run-aware production kernels, paired
-// with per-event reference replays where the flat loop is cheap to restate
-// (LRU stack, reuse, I-cache sim), plus the run-compression ratio of every
-// trace. Spin variants (a polling loop grafted onto a suite workload) show
-// the collapse paths on traces with real same-block runs.
+// A second mode measures the analysis kernels over the workload suite:
+// per-kernel events/s and an FNV checksum of each kernel's result, paired
+// with per-event reference replays where a longhand loop exists (reuse,
+// I-cache sim).
 //
 // The suite also measures the parallel analysis front end: the `affinity`
 // and `trg_build` kernels run the production fan-out (affinity w-grid over a
 // shared pool; sharded TRG build) at every thread count in --sweep-threads,
 // reporting per-count throughput plus an FNV checksum of the result — equal
-// checksums across counts are the bit-identity proof, and CI asserts it.
-// Each measurement uses a pool of (threads - 1) workers because the calling
-// thread participates (help-first), keeping the OS thread count equal to the
-// nominal sweep value.
-//
-// Every dispatchable kernel is measured three ways — forced run-aware,
-// forced straight-line, and the dispatched cell production sees (auto, or
-// --force-path=run|flat) — with the two paths' checksums cross-checked in
-// process: a divergence exits 5, so the bench run itself is a cross-path
-// bit-identity proof. The JSON report records host_cores, the per-kernel
-// dispatch decision, both paths' throughput, and the per-workload count of
-// flat-view materializations inside the timed regions (asserted zero: the
-// lazy SoA view is hoisted once per trace, never rebuilt per sweep cell).
+// checksums across counts are the bit-identity proof: a sweep cell that
+// diverges from the serial result exits 5. Each measurement uses a pool of
+// (threads - 1) workers because the calling thread participates
+// (help-first), keeping the OS thread count equal to the nominal sweep
+// value. The JSON report records host_cores.
 //
 //   bench_analysis_perf --suite [--events N] [--json] [--sweep-threads 1,2,8]
-//   bench_analysis_perf --workload 470.lbm+spin [--events N] [--json]
 //   bench_analysis_perf --workload 429.mcf,458.sjeng --sweep-threads 1,2,8
-//   bench_analysis_perf --suite --force-path=flat --json
 //
 // Without these flags the google-benchmark harness runs as before.
 #include <benchmark/benchmark.h>
@@ -57,10 +45,8 @@
 #include "locality/footprint.hpp"
 #include "locality/lru_stack.hpp"
 #include "locality/reuse.hpp"
-#include "support/registry.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
-#include "trace/dispatch.hpp"
 #include "trg/graph.hpp"
 #include "trg/reduction.hpp"
 #include "workloads/spec.hpp"
@@ -146,7 +132,7 @@ void BM_FullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPipeline)->Arg(0)->Arg(1);
 
-// ---- Run-aware kernel suite mode --------------------------------------------
+// ---- Kernel suite mode ------------------------------------------------------
 
 /// One point of a thread-scaling sweep: throughput at `threads` OS threads
 /// plus the FNV checksum of the kernel's result at that width (equal
@@ -157,28 +143,21 @@ struct SweepPoint {
   std::uint64_t checksum = 0;
 };
 
-/// One measured kernel: dispatched-cell throughput, and optionally a
-/// per-event reference replay's throughput for the run-aware speedup.
-/// Parallel kernels additionally carry the thread sweep; for those,
-/// events_per_sec is the widest point and baseline_events_per_sec the
-/// single-thread point, so the reported speedup is the thread-scaling
-/// factor. Dispatchable kernels also carry both forced paths' throughput,
-/// the dispatch decision, and the (cross-path-asserted) result checksum.
+/// One measured kernel: throughput, the FNV checksum of its result, and
+/// optionally a per-event reference replay's throughput. Parallel kernels
+/// additionally carry the thread sweep; for those, events_per_sec is the
+/// widest point and baseline_events_per_sec the single-thread point, so the
+/// reported speedup is the thread-scaling factor.
 struct KernelReport {
   const char* name;
   double events_per_sec = 0.0;
   double baseline_events_per_sec = 0.0;  ///< 0 when no reference exists
-  double run_events_per_sec = 0.0;       ///< forced run-aware path
-  double flat_events_per_sec = 0.0;      ///< forced straight-line path
-  double auto_events_per_sec = 0.0;      ///< dispatched cell, same harness
-  double dispatch_ratio = 1.0;  ///< median paired chosen/other-path ratio
-  const char* dispatch = nullptr;        ///< "run"/"flat" dispatched decision
-  std::uint64_t checksum = 0;            ///< equal on both paths (asserted)
+  std::uint64_t checksum = 0;
   std::vector<SweepPoint> sweep{};
 };
 
-// FNV checksums of the parallel kernels' outputs (same scheme as the test
-// suite's golden hashes: FNV-1a over little-endian 64-bit words).
+// FNV checksums of the kernels' outputs (same scheme as the test suite's
+// golden hashes: FNV-1a over little-endian 64-bit words).
 
 constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
 
@@ -236,8 +215,8 @@ std::uint64_t hash_reuse_profile(const ReuseProfile& profile) {
 }
 
 std::uint64_t hash_footprint(const FootprintCurve& curve) {
-  // Bit patterns, not rounded values: the run/flat bit-identity claim is
-  // exact double equality, so the checksum must see every mantissa bit.
+  // Bit patterns, not rounded values: the checksum must see every mantissa
+  // bit of the curve.
   std::uint64_t h = fnv1a(kFnvSeed, curve.values().size());
   for (const double v : curve.values()) {
     h = fnv1a(h, std::bit_cast<std::uint64_t>(v));
@@ -245,9 +224,7 @@ std::uint64_t hash_footprint(const FootprintCurve& curve) {
   return h;
 }
 
-bool g_geometry_checksums_ok = true;
-bool g_path_checksums_ok = true;
-bool g_flat_view_hoisted = true;
+bool g_checksums_ok = true;
 
 /// One cache hierarchy of the icache kernel's --sweep-geometry axis.
 struct GeometryPoint {
@@ -260,11 +237,6 @@ struct GeometryPoint {
 struct WorkloadReport {
   std::string name;
   std::uint64_t events = 0;
-  std::uint64_t runs = 0;
-  double run_compression = 1.0;
-  /// Flat-view materializations inside the timed regions. Asserted zero:
-  /// both traces' SoA views are built once, before any measurement.
-  std::uint64_t flat_view_builds = 0;
   std::vector<KernelReport> kernels;
   std::vector<GeometryPoint> geometry_sweep;
 };
@@ -287,8 +259,9 @@ double measure_events_per_sec(std::uint64_t events, Fn&& fn,
          elapsed;
 }
 
-/// Bennett–Kruskal reuse, one Fenwick update/query per event — the
-/// pre-refactor loop restated as a reference baseline.
+/// Bennett–Kruskal reuse, one Fenwick update/query per event, without the
+/// kernel's fused mark move and live-mark counter — a longhand reference
+/// baseline.
 std::uint64_t per_event_reuse(const Trace& trace) {
   const std::span<const Symbol> symbols = trace.symbols();
   std::vector<std::int64_t> tree(trace.size() + 1, 0);
@@ -318,8 +291,9 @@ std::uint64_t per_event_reuse(const Trace& trace) {
   return checksum;
 }
 
-/// The pre-refactor per-event solo fetch loop as a reference baseline,
-/// accumulating the same statistics as the production kernel.
+/// A longhand per-event solo fetch loop over the module and layout (no fetch
+/// plan) as a reference baseline, accumulating the same statistics as the
+/// production kernel.
 SimResult per_event_solo(const Module& module, const CodeLayout& layout,
                          const Trace& trace, const SimOptions& options) {
   SetAssocCache cache(options.geometry());
@@ -351,164 +325,60 @@ SimResult per_event_solo(const Module& module, const CodeLayout& layout,
   return stats;
 }
 
-/// Sweeps `run(pool, checksum_out)` over the requested thread counts. Each
-/// count gets a pool of (threads - 1) workers — the calling thread
-/// participates via the help-first task sets, so `threads` is the true OS
-/// thread count — and threads == 1 runs the serial path (null pool).
+/// Measures one serial kernel: the checksum of its result, and its
+/// throughput as the best of three ~50 ms windows (a single window carries
+/// double-digit noise on small shared hosts). `invoke()` runs the kernel,
+/// `hash(result)` folds its output to 64 bits.
+template <typename Invoke, typename Hash>
+KernelReport measure_kernel(const char* name, std::uint64_t events,
+                            Invoke&& invoke, Hash&& hash) {
+  KernelReport report{.name = name};
+  report.checksum = hash(invoke());
+  for (int round = 0; round < 3; ++round) {
+    report.events_per_sec = std::max(
+        report.events_per_sec, measure_events_per_sec(events, [&] {
+          benchmark::DoNotOptimize(invoke());
+        }));
+  }
+  return report;
+}
+
+/// Sweeps `run(pool)` over the requested thread counts and attaches the
+/// sweep to `report`. Each count gets a pool of (threads - 1) workers — the
+/// calling thread participates via the help-first task sets, so `threads`
+/// is the true OS thread count — and threads == 1 runs the serial path
+/// (null pool). Every sweep cell must reproduce the serial checksum bit for
+/// bit; a divergence flags the run for exit code 5. Throughput convention:
+/// events_per_sec at the widest point, baseline at the narrowest.
 template <typename RunFn>
-std::vector<SweepPoint> sweep_kernel(std::uint64_t events,
-                                     const std::vector<unsigned>& thread_counts,
-                                     RunFn&& run) {
-  std::vector<SweepPoint> sweep;
-  sweep.reserve(thread_counts.size());
+void attach_sweep(KernelReport& report, std::uint64_t events,
+                  const std::vector<unsigned>& thread_counts, RunFn&& run) {
   for (const unsigned threads : thread_counts) {
     const std::unique_ptr<ThreadPool> pool =
         threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
     SweepPoint point{.threads = threads};
     point.events_per_sec = measure_events_per_sec(
         events, [&] { point.checksum = run(pool.get()); });
-    sweep.push_back(point);
-  }
-  return sweep;
-}
-
-/// Measures one dispatchable kernel three ways — forced run-aware, forced
-/// straight-line, and the dispatched (auto or --force-path) cell production
-/// sees — and cross-checks the two paths' checksums. `invoke(dispatch)`
-/// runs the kernel, `hash(result)` folds its output to 64 bits. A checksum
-/// divergence is a correctness bug: it flags the run for exit code 5.
-template <typename Invoke, typename Hash>
-KernelReport measure_paths(const char* name, DispatchKernel kernel,
-                           const Trace& trace, const AnalysisDispatch& base,
-                           std::uint64_t events, Invoke&& invoke,
-                           Hash&& hash) {
-  AnalysisDispatch run = base;
-  run.force = ForcedPath::kRun;
-  AnalysisDispatch flat = base;
-  flat.force = ForcedPath::kFlat;
-
-  KernelReport report{.name = name};
-  report.checksum = hash(invoke(run));
-  const std::uint64_t flat_checksum = hash(invoke(flat));
-  if (flat_checksum != report.checksum) {
-    std::fprintf(stderr,
-                 "FATAL: %s: run/flat paths diverge (run 0x%016llx, flat "
-                 "0x%016llx)\n",
-                 name, static_cast<unsigned long long>(report.checksum),
-                 static_cast<unsigned long long>(flat_checksum));
-    g_path_checksums_ok = false;
-  }
-  // The three timed cells are measured interleaved over three rounds and
-  // the best round kept per cell: a single ~50 ms sample carries
-  // double-digit noise on small shared hosts. The per-round run/flat
-  // samples are also kept individually — the dispatch floor compares the
-  // two paths, and comparing the maxima of independently drawn noisy
-  // samples flakes on near-ties (the loser's best draw beats the winner's
-  // by more than the floor margin). Adjacent samples from the same round
-  // share the host's throttle state, so the per-round *ratio* is far more
-  // stable than either absolute rate; the floor gates on its median.
-  std::vector<double> run_samples;
-  std::vector<double> flat_samples;
-  // Alternate which path goes first within a round so any systematic
-  // first-vs-second advantage (frequency ramp, cache warmth) cancels
-  // across the median instead of biasing the ratio one way.
-  const auto paired_round = [&](double window) {
-    const bool run_first = (run_samples.size() % 2) == 0;
-    const auto measure_run = [&] {
-      run_samples.push_back(measure_events_per_sec(
-          events, [&] { benchmark::DoNotOptimize(invoke(run)); }, window));
-    };
-    const auto measure_flat = [&] {
-      flat_samples.push_back(measure_events_per_sec(
-          events, [&] { benchmark::DoNotOptimize(invoke(flat)); }, window));
-    };
-    if (run_first) {
-      measure_run();
-      measure_flat();
-    } else {
-      measure_flat();
-      measure_run();
-    }
-  };
-  for (int round = 0; round < 3; ++round) {
-    paired_round(0.05);
-    report.auto_events_per_sec =
-        std::max(report.auto_events_per_sec,
-                 measure_events_per_sec(
-                     events, [&] { benchmark::DoNotOptimize(invoke(base)); }));
-  }
-  const KernelPath chosen = choose_path(base, kernel, trace);
-  report.dispatch = kernel_path_name(chosen);
-  std::vector<double>& chosen_samples =
-      chosen == KernelPath::kRunAware ? run_samples : flat_samples;
-  std::vector<double>& other_samples =
-      chosen == KernelPath::kRunAware ? flat_samples : run_samples;
-  const auto median_ratio = [&] {
-    std::vector<double> ratios;
-    for (std::size_t i = 0; i < chosen_samples.size(); ++i) {
-      ratios.push_back(chosen_samples[i] / other_samples[i]);
-    }
-    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                     ratios.end());
-    return ratios[ratios.size() / 2];
-  };
-  // If the unchosen path paces the chosen one round for round, the
-  // decision looks wrong — a mistuned threshold, or a near-tie where the
-  // short windows can't separate the paths. Give that comparison better
-  // data: two more paired rounds at 4x the window, and two further at
-  // 8x when the median still sits inside the floor's decision band.
-  // Near-ties converge to parity; a genuinely misdispatched kernel keeps
-  // failing the floor no matter how long it is measured.
-  if (median_ratio() < 1.0) {
-    paired_round(0.2);
-    paired_round(0.2);
-    if (median_ratio() < 0.97) {
-      paired_round(0.4);
-      paired_round(0.4);
-    }
-  }
-  report.run_events_per_sec =
-      *std::max_element(run_samples.begin(), run_samples.end());
-  report.flat_events_per_sec =
-      *std::max_element(flat_samples.begin(), flat_samples.end());
-  report.dispatch_ratio = median_ratio();
-  // The dispatched cell executes exactly the chosen path's code (plus one
-  // O(1) compression comparison), so its samples pool with that forced
-  // cell's: auto's headline rate is the chosen path's best.
-  report.auto_events_per_sec = std::max(
-      report.auto_events_per_sec,
-      *std::max_element(chosen_samples.begin(), chosen_samples.end()));
-  report.events_per_sec = report.auto_events_per_sec;
-  return report;
-}
-
-/// Attaches a thread sweep to a dispatchable kernel's report: throughput
-/// convention (events_per_sec at the widest point, baseline at the
-/// narrowest) plus the cross-thread/cross-path checksum assertion — every
-/// sweep cell must reproduce the forced-path checksum bit for bit.
-void attach_sweep(KernelReport& report, std::vector<SweepPoint> sweep) {
-  for (const SweepPoint& point : sweep) {
     if (point.checksum != report.checksum) {
       std::fprintf(stderr,
                    "FATAL: %s: %u-thread sweep cell diverges from the "
-                   "forced-path result (0x%016llx vs 0x%016llx)\n",
+                   "serial result (0x%016llx vs 0x%016llx)\n",
                    report.name, point.threads,
                    static_cast<unsigned long long>(point.checksum),
                    static_cast<unsigned long long>(report.checksum));
-      g_path_checksums_ok = false;
+      g_checksums_ok = false;
     }
+    report.sweep.push_back(point);
   }
-  report.baseline_events_per_sec = sweep.front().events_per_sec;
-  report.events_per_sec = sweep.back().events_per_sec;
-  report.sweep = std::move(sweep);
+  report.baseline_events_per_sec = report.sweep.front().events_per_sec;
+  report.events_per_sec = report.sweep.back().events_per_sec;
 }
 
 WorkloadReport measure_workload(const WorkloadSpec& spec,
                                 std::uint64_t max_events,
                                 const std::vector<unsigned>& sweep_threads,
                                 const std::vector<HierarchySpec>&
-                                    sweep_geometries,
-                                const AnalysisDispatch& base) {
+                                    sweep_geometries) {
   const Module module = build_workload(spec);
   const std::uint64_t events = std::min(max_events, spec.profile_events);
   const Trace trace =
@@ -517,112 +387,65 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
   const CodeLayout layout = original_layout(module);
   const Symbol space = trace.symbol_space();
   const Trace trimmed = trace.trimmed();
-  // Materialize both traces' flat views outside the timed regions, then pin
-  // that no timed region ever rebuilds one (the counter delta is asserted
-  // zero below): a sweep cell paying the O(n) build would be charged for
-  // work the production engine does once per trace.
-  (void)trace.symbols();
-  (void)trimmed.symbols();
-  MetricsRegistry& registry = MetricsRegistry::global();
-  const std::uint64_t builds_before =
-      registry.counter("trace.flat_view.builds").value();
 
   WorkloadReport report{.name = spec.name,
                         .events = trace.size(),
-                        .runs = trace.run_count(),
-                        .run_compression = trace.run_compression(),
-                        .flat_view_builds = 0,
                         .kernels = {},
                         .geometry_sweep = {}};
   const auto n = trace.size();
 
-  KernelReport lru = measure_paths(
-      "lru_stack", DispatchKernel::kLruStack, trace, base, n,
-      [&](const AnalysisDispatch& d) {
+  report.kernels.push_back(measure_kernel(
+      "lru_stack", n,
+      [&] {
         LruStack stack(space);
-        return replay_lru_hits(trace, stack, d);
+        return replay_lru_hits(trace, stack);
       },
-      [](std::uint64_t hits) { return fnv1a(kFnvSeed, hits); });
-  // The straight-line path *is* the per-event reference for LRU (one touch
-  // per event), so the flat cell doubles as the baseline.
-  lru.baseline_events_per_sec = lru.flat_events_per_sec;
-  report.kernels.push_back(lru);
+      [](std::uint64_t hits) { return fnv1a(kFnvSeed, hits); }));
 
-  KernelReport reuse = measure_paths(
-      "reuse", DispatchKernel::kReuse, trace, base, n,
-      [&](const AnalysisDispatch& d) { return compute_reuse(trace, d); },
-      hash_reuse_profile);
+  KernelReport reuse = measure_kernel(
+      "reuse", n, [&] { return compute_reuse(trace); }, hash_reuse_profile);
   reuse.baseline_events_per_sec = measure_events_per_sec(
       n, [&] { benchmark::DoNotOptimize(per_event_reuse(trace)); });
   report.kernels.push_back(reuse);
 
-  report.kernels.push_back(measure_paths(
-      "footprint", DispatchKernel::kFootprint, trace, base, n,
-      [&](const AnalysisDispatch& d) {
-        return FootprintCurve::compute(trace, {}, d);
-      },
+  report.kernels.push_back(measure_kernel(
+      "footprint", n, [&] { return FootprintCurve::compute(trace); },
       hash_footprint));
 
   const TrgConfig trg_config{.window_entries =
                                  trg_window_entries(32 * 1024, 64)};
-  report.kernels.push_back(measure_paths(
-      "trg", DispatchKernel::kTrg, trace, base, n,
-      [&](const AnalysisDispatch& d) {
-        return Trg::build(trace,
-                          TrgConfig{.window_entries = trg_config.window_entries,
-                                    .dispatch = d});
-      },
+  report.kernels.push_back(measure_kernel(
+      "trg", n, [&] { return Trg::build(trace, trg_config); },
       [](const Trg& graph) { return hash_trg(graph); }));
 
   // Parallel analysis front end: the same production entry points the Lab
-  // drives, swept over thread counts with the dispatched configuration. The
-  // forced-path serial cells come first; every sweep cell's checksum must
-  // then match them (attach_sweep), which is the bit-identity proof across
-  // both axes at once.
-  KernelReport affinity = measure_paths(
-      "affinity", DispatchKernel::kAffinity, trimmed, base, n,
-      [&](const AnalysisDispatch& d) {
-        AffinityConfig config;
-        config.dispatch = d;
-        return analyze_affinity(trimmed, config);
-      },
-      [](const AffinityHierarchy& h) { return hash_hierarchy(h); });
-  attach_sweep(affinity,
-               sweep_kernel(n, sweep_threads, [&](ThreadPool* pool) {
-                 AffinityConfig config;
-                 config.pool = pool;
-                 config.dispatch = base;
-                 return hash_hierarchy(analyze_affinity(trimmed, config));
-               }));
+  // drives, swept over thread counts. Every sweep cell's checksum must
+  // match the serial result (attach_sweep).
+  KernelReport affinity{
+      .name = "affinity",
+      .checksum = hash_hierarchy(analyze_affinity(trimmed))};
+  attach_sweep(affinity, n, sweep_threads, [&](ThreadPool* pool) {
+    AffinityConfig config;
+    config.pool = pool;
+    return hash_hierarchy(analyze_affinity(trimmed, config));
+  });
   report.kernels.push_back(std::move(affinity));
 
-  KernelReport trg_build = measure_paths(
-      "trg_build", DispatchKernel::kTrg, trace, base, n,
-      [&](const AnalysisDispatch& d) {
-        return Trg::build(trace,
-                          TrgConfig{.window_entries = trg_config.window_entries,
-                                    .dispatch = d});
-      },
-      [](const Trg& graph) { return hash_trg(graph); });
-  attach_sweep(trg_build,
-               sweep_kernel(n, sweep_threads, [&](ThreadPool* pool) {
-                 return hash_trg(Trg::build(
-                     trace,
-                     TrgConfig{.window_entries = trg_config.window_entries,
-                               .pool = pool, .dispatch = base}));
-               }));
+  KernelReport trg_build{
+      .name = "trg_build",
+      .checksum = hash_trg(Trg::build(trace, trg_config))};
+  attach_sweep(trg_build, n, sweep_threads, [&](ThreadPool* pool) {
+    TrgConfig config = trg_config;
+    config.pool = pool;
+    return hash_trg(Trg::build(trace, config));
+  });
   report.kernels.push_back(std::move(trg_build));
 
-  // Bare-LRU simulation (the paper's Pin-simulator flavour): no per-event
-  // wrong-path draws, so a run collapses to O(1) in the fast path.
+  // Bare-LRU simulation (the paper's Pin-simulator flavour).
   const SimOptions sim_options{};
-  KernelReport sim = measure_paths(
-      "icache_sim", DispatchKernel::kIcacheSolo, trace, base, n,
-      [&](const AnalysisDispatch& d) {
-        SimOptions options = sim_options;
-        options.dispatch = d;
-        return simulate_solo(module, layout, trace, options);
-      },
+  KernelReport sim = measure_kernel(
+      "icache_sim", n,
+      [&] { return simulate_solo(module, layout, trace, sim_options); },
       hash_sim_result);
   sim.baseline_events_per_sec = measure_events_per_sec(n, [&] {
     benchmark::DoNotOptimize(per_event_solo(module, layout, trace, sim_options));
@@ -635,7 +458,6 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
   for (const HierarchySpec& hierarchy : sweep_geometries) {
     SimOptions options;
     options.hierarchy = hierarchy;
-    options.dispatch = base;
     GeometryPoint point{.geometry = hierarchy.to_string()};
     const SimResult pinned = simulate_solo(module, layout, trace, options);
     point.checksum = hash_sim_result(pinned);
@@ -647,62 +469,28 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
         std::fprintf(stderr, "FATAL: %s: icache checksum not deterministic "
                              "under geometry %s\n",
                      spec.name.c_str(), point.geometry.c_str());
-        g_geometry_checksums_ok = false;
+        g_checksums_ok = false;
       }
     });
     report.geometry_sweep.push_back(std::move(point));
   }
-
-  report.flat_view_builds =
-      registry.counter("trace.flat_view.builds").value() - builds_before;
-  if (report.flat_view_builds != 0) {
-    std::fprintf(stderr,
-                 "FATAL: %s: %llu flat-view build(s) inside the timed "
-                 "regions — the SoA view must be hoisted, not rebuilt per "
-                 "cell\n",
-                 spec.name.c_str(),
-                 static_cast<unsigned long long>(report.flat_view_builds));
-    g_flat_view_hoisted = false;
-  }
   return report;
-}
-
-/// Bench-local spin variants (not part of spec_suite): a polling/latch loop
-/// grafted onto a suite workload, producing the long same-block runs the
-/// run-aware fast paths collapse.
-WorkloadSpec spin_variant(const std::string& base) {
-  WorkloadSpec spec = find_spec(base);
-  spec.name = base + "+spin";
-  spec.spin_prob = 0.7;
-  spec.spin_repeat = 48.0;
-  return spec;
 }
 
 void print_report(const WorkloadReport& r, bool json, bool first) {
   if (json) {
-    std::printf("%s  {\"workload\": \"%s\", \"events\": %llu, \"runs\": %llu,"
-                " \"run_compression\": %.3f, \"flat_view_builds\": %llu,"
+    std::printf("%s  {\"workload\": \"%s\", \"events\": %llu,"
                 " \"kernels\": [",
                 first ? "" : ",\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.events),
-                static_cast<unsigned long long>(r.runs), r.run_compression,
-                static_cast<unsigned long long>(r.flat_view_builds));
+                static_cast<unsigned long long>(r.events));
     for (std::size_t i = 0; i < r.kernels.size(); ++i) {
       const KernelReport& k = r.kernels[i];
-      std::printf("%s{\"name\": \"%s\", \"events_per_sec\": %.0f",
-                  i ? ", " : "", k.name, k.events_per_sec);
-      if (k.dispatch != nullptr) {
-        // Checksums as hex strings: 64-bit values do not survive the
-        // double-precision number path of most JSON consumers.
-        std::printf(", \"dispatch\": \"%s\", \"run_events_per_sec\": %.0f,"
-                    " \"flat_events_per_sec\": %.0f,"
-                    " \"auto_events_per_sec\": %.0f,"
-                    " \"dispatch_ratio\": %.3f,"
-                    " \"checksum\": \"0x%016llx\"",
-                    k.dispatch, k.run_events_per_sec, k.flat_events_per_sec,
-                    k.auto_events_per_sec, k.dispatch_ratio,
-                    static_cast<unsigned long long>(k.checksum));
-      }
+      // Checksums as hex strings: 64-bit values do not survive the
+      // double-precision number path of most JSON consumers.
+      std::printf("%s{\"name\": \"%s\", \"events_per_sec\": %.0f,"
+                  " \"checksum\": \"0x%016llx\"",
+                  i ? ", " : "", k.name, k.events_per_sec,
+                  static_cast<unsigned long long>(k.checksum));
       if (k.baseline_events_per_sec > 0.0) {
         std::printf(", \"baseline_events_per_sec\": %.0f, \"speedup\": %.2f",
                     k.baseline_events_per_sec,
@@ -713,9 +501,8 @@ void print_report(const WorkloadReport& r, bool json, bool first) {
         for (std::size_t j = 0; j < k.sweep.size(); ++j) {
           const SweepPoint& p = k.sweep[j];
           std::printf("%s{\"threads\": %u, \"events_per_sec\": %.0f,"
-                      " \"dispatch\": \"%s\", \"checksum\": \"0x%016llx\"}",
+                      " \"checksum\": \"0x%016llx\"}",
                       j ? ", " : "", p.threads, p.events_per_sec,
-                      k.dispatch != nullptr ? k.dispatch : "run",
                       static_cast<unsigned long long>(p.checksum));
         }
         std::printf("]");
@@ -738,15 +525,12 @@ void print_report(const WorkloadReport& r, bool json, bool first) {
     std::printf("}");
     return;
   }
-  std::printf("%-18s %10llu events  %8llu runs  compression %6.2fx\n",
-              r.name.c_str(), static_cast<unsigned long long>(r.events),
-              static_cast<unsigned long long>(r.runs), r.run_compression);
+  std::printf("%-18s %10llu events\n", r.name.c_str(),
+              static_cast<unsigned long long>(r.events));
   for (const KernelReport& k : r.kernels) {
-    std::printf("    %-12s %12.0f events/s", k.name, k.events_per_sec);
-    if (k.dispatch != nullptr) {
-      std::printf("  [%s: run %11.0f, flat %11.0f]", k.dispatch,
-                  k.run_events_per_sec, k.flat_events_per_sec);
-    }
+    std::printf("    %-12s %12.0f events/s  checksum 0x%016llx", k.name,
+                k.events_per_sec,
+                static_cast<unsigned long long>(k.checksum));
     if (k.baseline_events_per_sec > 0.0) {
       std::printf(k.sweep.empty()
                       ? "   (per-event %12.0f, speedup %5.2fx)"
@@ -770,8 +554,7 @@ void print_report(const WorkloadReport& r, bool json, bool first) {
   }
 }
 
-/// "429.mcf,458.sjeng+spin" -> specs; "+spin" selects the bench-local spin
-/// variant of the base workload.
+/// "429.mcf,458.sjeng" -> specs.
 std::vector<WorkloadSpec> parse_workloads(const std::string& list) {
   std::vector<WorkloadSpec> specs;
   std::size_t start = 0;
@@ -779,14 +562,7 @@ std::vector<WorkloadSpec> parse_workloads(const std::string& list) {
     std::size_t comma = list.find(',', start);
     if (comma == std::string::npos) comma = list.size();
     const std::string name = list.substr(start, comma - start);
-    if (!name.empty()) {
-      const auto plus = name.rfind("+spin");
-      if (plus != std::string::npos && plus == name.size() - 5) {
-        specs.push_back(spin_variant(name.substr(0, plus)));
-      } else {
-        specs.push_back(find_spec(name));
-      }
-    }
+    if (!name.empty()) specs.push_back(find_spec(name));
     start = comma + 1;
   }
   return specs;
@@ -830,50 +606,28 @@ std::vector<HierarchySpec> parse_geometry_list(const std::string& list) {
   return specs;
 }
 
-const char* forced_path_label(ForcedPath force) {
-  switch (force) {
-    case ForcedPath::kRun: return "run";
-    case ForcedPath::kFlat: return "flat";
-    case ForcedPath::kAuto: break;
-  }
-  return "auto";
-}
-
 int run_suite_mode(const std::string& workload, std::uint64_t max_events,
                    bool json, const std::vector<unsigned>& sweep_threads,
-                   const std::vector<HierarchySpec>& sweep_geometries,
-                   const AnalysisDispatch& dispatch) {
-  // The flat-view hoist assertion reads the trace.flat_view.builds counter,
-  // which only accrues with metrics on.
-  MetricsRegistry::global().set_enabled(true);
-  std::vector<WorkloadSpec> specs;
-  if (!workload.empty()) {
-    specs = parse_workloads(workload);
-  } else {
-    specs = spec_suite();
-    specs.push_back(spin_variant("470.lbm"));
-    specs.push_back(spin_variant("403.gcc"));
-  }
+                   const std::vector<HierarchySpec>& sweep_geometries) {
+  const std::vector<WorkloadSpec> specs =
+      workload.empty() ? spec_suite() : parse_workloads(workload);
   if (json) {
     // host_cores gates cross-machine throughput comparison downstream
     // (tools/bench_compare.py refuses to compare throughput across core
     // counts; checksums stay exact everywhere).
     std::printf("{\"bench\": \"analysis_perf\", \"host_cores\": %u,"
-                " \"force_path\": \"%s\", \"workloads\": [\n",
-                std::thread::hardware_concurrency(),
-                forced_path_label(dispatch.force));
+                " \"workloads\": [\n",
+                std::thread::hardware_concurrency());
   }
   bool first = true;
   for (const WorkloadSpec& spec : specs) {
-    print_report(measure_workload(spec, max_events, sweep_threads,
-                                  sweep_geometries, dispatch),
-                 json, first);
+    print_report(
+        measure_workload(spec, max_events, sweep_threads, sweep_geometries),
+        json, first);
     first = false;
   }
   if (json) std::printf("\n]}\n");
-  return g_geometry_checksums_ok && g_path_checksums_ok && g_flat_view_hoisted
-             ? 0
-             : 5;
+  return g_checksums_ok ? 0 : 5;
 }
 
 }  // namespace
@@ -885,12 +639,12 @@ int main(int argc, char** argv) {
   std::string sweep;
   std::uint64_t max_events = ~std::uint64_t{0};
   std::vector<std::string> leftover;
-  CliOptions cli(argv[0], "run-aware analysis kernel throughput");
+  CliOptions cli(argv[0], "analysis kernel throughput");
   cli.flag("--suite", &suite, "events/s suite mode (implied by the "
                               "flags below); default is google-benchmark");
   cli.flag("--json", &json, "suite mode with the machine-readable report");
   cli.option("--workload", &workload, "A,B,...",
-             "suite mode over the named workloads (+spin variants allowed)");
+             "suite mode over the named workloads");
   cli.option_u64("--events", &max_events, 1, ~std::uint64_t{0}, "N",
                  "truncate each trace to N events");
   std::string sweep_geometry;
@@ -899,29 +653,14 @@ int main(int argc, char** argv) {
   cli.option("--sweep-geometry", &sweep_geometry, "G1,G2,...",
              "suite mode: run the icache kernel under these hierarchies "
              "(SIZE/ASSOC/LINE[+l2=SIZE/ASSOC/LINE])");
-  std::string force_path;
-  cli.option("--force-path", &force_path, "run|flat|auto",
-             "suite mode: pin the dispatched cell to one kernel path "
-             "(default auto, or CODELAYOUT_FORCE_PATH)");
   cli.passthrough(&leftover);  // --benchmark_* flags pass through
   cli.parse_or_exit(argc, argv);
-  AnalysisDispatch dispatch;
-  if (!force_path.empty()) {
-    const std::optional<ForcedPath> parsed = parse_forced_path(force_path);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "--force-path wants run|flat|auto, got \"%s\"\n",
-                   force_path.c_str());
-      return 2;
-    }
-    dispatch.force = *parsed;
-  }
-  suite =
-      suite || json || !workload.empty() || !sweep.empty() ||
-      !sweep_geometry.empty() || !force_path.empty();
+  suite = suite || json || !workload.empty() || !sweep.empty() ||
+          !sweep_geometry.empty();
   if (suite) {
     return run_suite_mode(workload, max_events, json,
                           parse_thread_counts(sweep.empty() ? "1" : sweep),
-                          parse_geometry_list(sweep_geometry), dispatch);
+                          parse_geometry_list(sweep_geometry));
   }
 
   std::vector<char*> bench_argv{argv[0]};

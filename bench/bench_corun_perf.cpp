@@ -253,7 +253,6 @@ struct PreparedWorkloadBench {
                        .max_call_depth = 64})
                   .block_trace) {
     sim_plan = std::make_unique<FetchPlan>(module, layout, kL1I.line_bytes);
-    (void)trace.symbols();  // materialize outside the timed regions
   }
 
   [[nodiscard]] RefParty ref_party(double speed = 1.0) const {
@@ -283,8 +282,6 @@ struct PairReport {
   std::string self;
   std::string peer;
   std::uint64_t events = 0;  ///< blocks executed per two-way simulation
-  double self_compression = 1.0;
-  double peer_compression = 1.0;
   std::vector<KernelReport> kernels;
   std::vector<GeometryPoint> geometry_sweep;
 };
@@ -484,8 +481,6 @@ PairReport measure_pair(const PreparedWorkloadBench& a,
   PairReport report{.self = a.name,
                     .peer = b.name,
                     .events = 0,
-                    .self_compression = a.trace.run_compression(),
-                    .peer_compression = b.trace.run_compression(),
                     .kernels = {},
                     .geometry_sweep = {}};
 
@@ -539,11 +534,9 @@ std::string json_report(const std::vector<PairReport>& pairs) {
     const PairReport& r = pairs[p];
     append_format(out,
                   "%s  {\"self\": \"%s\", \"peer\": \"%s\", \"events\": %llu,"
-                  " \"self_run_compression\": %.3f,"
-                  " \"peer_run_compression\": %.3f, \"kernels\": [",
+                  " \"kernels\": [",
                   p ? ",\n" : "", r.self.c_str(), r.peer.c_str(),
-                  static_cast<unsigned long long>(r.events),
-                  r.self_compression, r.peer_compression);
+                  static_cast<unsigned long long>(r.events));
     for (std::size_t i = 0; i < r.kernels.size(); ++i) {
       const KernelReport& k = r.kernels[i];
       append_format(out, "%s{\"name\": \"%s\", \"events_per_sec\": %.0f",
@@ -597,10 +590,8 @@ std::string json_report(const std::vector<PairReport>& pairs) {
 }
 
 void print_text(const PairReport& r) {
-  std::printf("%s vs %s  (%llu blocks/sim, compression %.2fx / %.2fx)\n",
-              r.self.c_str(), r.peer.c_str(),
-              static_cast<unsigned long long>(r.events), r.self_compression,
-              r.peer_compression);
+  std::printf("%s vs %s  (%llu blocks/sim)\n", r.self.c_str(),
+              r.peer.c_str(), static_cast<unsigned long long>(r.events));
   for (const KernelReport& k : r.kernels) {
     std::printf("    %-14s %12.0f events/s", k.name, k.events_per_sec);
     if (k.baseline_events_per_sec > 0.0) {

@@ -124,9 +124,6 @@ std::string json_report(const LoadGenOptions& load, const LoadGenReport& report,
   json.field("exec_wall_ms",
              static_cast<double>(report.cost.wall_nanos) / 1e6);
   json.field("cached_jobs", report.cost.cached_jobs);
-  // v4 receipts: adaptive-dispatch decisions summed over every kOk response.
-  json.field("dispatch_run", report.cost.dispatch_run);
-  json.field("dispatch_flat", report.cost.dispatch_flat);
   // v5 receipts: closed-form predictor work summed over every kOk response.
   json.field("predict_calls", report.cost.predict_calls);
   json.field("profile_memo_hits", report.cost.profile_memo_hits);

@@ -100,7 +100,7 @@ std::string render_stats_table(const std::string& stats) {
 
 std::string render_recent_table(const std::string& doc) {
   TextTable table({"id", "kind", "status", "trace_id", "queue_wait",
-                   "wall", "cached", "dispatch", "compress", "predict"});
+                   "wall", "cached", "predict"});
   // Walk the "recent" array object by object; the documents contain no
   // nested braces inside these objects.
   std::size_t pos = doc.find("\"recent\":[");
@@ -124,14 +124,6 @@ std::string render_recent_table(const std::string& doc) {
            fmt_fixed(static_cast<double>(find_u64(job, "wall_ns")) / 1e6, 3) +
                " ms",
            find_raw(job, "cached"),
-           // Adaptive-dispatch attribution (wire v4): how many kernels took
-           // the run-aware vs straight-line path, and the compression ratio
-           // the decisions were based on.
-           std::to_string(find_u64(job, "dispatch_run")) + "r/" +
-               std::to_string(find_u64(job, "dispatch_flat")) + "f",
-           fmt_fixed(std::strtod(find_raw(job, "run_compression").c_str(),
-                                 nullptr),
-                     3),
            // Predictor attribution (wire v5): closed-form predictions the
            // job ran vs solo-profile memo hits it was served.
            std::to_string(find_u64(job, "predict_calls")) + "p/" +

@@ -62,15 +62,15 @@ class WindowSet {
   std::vector<Symbol> present_;
 };
 
-/// Per-symbol occurrence positions in one contiguous arena: the trimmed
-/// trace has exactly one event per run, so per-symbol counts are known up
-/// front and every symbol's positions live in a pre-sized slice (appended in
-/// time order, hence sorted) instead of one heap vector per symbol.
+/// Per-symbol occurrence positions in one contiguous arena: per-symbol
+/// counts are known up front, so every symbol's positions live in a
+/// pre-sized slice (appended in time order, hence sorted) instead of one
+/// heap vector per symbol.
 class OccurrenceArena {
  public:
   OccurrenceArena(const Trace& trimmed, Symbol space)
-      : offsets_(space + 1, 0), len_(space, 0), data_(trimmed.run_count()) {
-    for (const Run& r : trimmed.runs()) ++offsets_[r.symbol + 1];
+      : offsets_(space + 1, 0), len_(space, 0), data_(trimmed.size()) {
+    for (const Symbol s : trimmed.symbols()) ++offsets_[s + 1];
     for (Symbol s = 0; s < space; ++s) offsets_[s + 1] += offsets_[s];
   }
 
@@ -90,17 +90,14 @@ class OccurrenceArena {
   std::vector<std::uint32_t> data_;
 };
 
-/// The affinity pass body, templated on the event accessor (`at(t)` returns
-/// the symbol of trimmed event t). The two instantiations read the same
-/// events from different layouts: the Run array (8 bytes/event, symbol +
-/// length) or the packed flat view (4 bytes/event) — the credit updates and
-/// the result are identical.
-template <typename At>
-std::vector<std::uint64_t> affine_pairs_scan(const Trace& trimmed,
-                                             std::uint32_t w, At&& at) {
+}  // namespace
+
+std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
+                                           std::uint32_t w) {
   CL_CHECK(trimmed.is_trimmed());
   CL_CHECK(w >= 2);
-  const std::size_t n = trimmed.size();
+  const std::span<const Symbol> symbols = trimmed.symbols();
+  const std::size_t n = symbols.size();
   const Symbol space = trimmed.symbol_space();
 
   // Two-pointer window [left, t]: the maximal range ending at t whose
@@ -114,10 +111,10 @@ std::vector<std::uint64_t> affine_pairs_scan(const Trace& trimmed,
   FlatKeyMap<PairRec> pairs;
 
   for (std::size_t t = 0; t < n; ++t) {
-    const Symbol s = at(t);
+    const Symbol s = symbols[t];
     window.add(s);
     while (window.distinct() > w) {
-      window.remove(at(left));
+      window.remove(symbols[left]);
       ++left;
     }
 
@@ -165,44 +162,16 @@ std::vector<std::uint64_t> affine_pairs_scan(const Trace& trimmed,
   return out;
 }
 
-}  // namespace
-
-std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
-                                           std::uint32_t w) {
-  return affine_pairs_at(trimmed, w, KernelPath::kRunAware);
-}
-
-std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
-                                           std::uint32_t w, KernelPath path) {
-  if (path == KernelPath::kStraightLine) {
-    const std::span<const Symbol> symbols = trimmed.symbols();
-    return affine_pairs_scan(trimmed, w,
-                             [symbols](std::size_t t) { return symbols[t]; });
-  }
-  // A trimmed trace has all-length-1 runs, so runs()[t].symbol is O(1)
-  // random access to event t without materializing the flat view.
-  const std::span<const Run> events = trimmed.runs();
-  return affine_pairs_scan(
-      trimmed, w, [events](std::size_t t) { return events[t].symbol; });
-}
-
 AffinityHierarchy analyze_affinity(const Trace& trace,
                                    const AffinityConfig& config) {
   CL_CHECK_MSG(config.valid(), "invalid affinity w grid");
   const Trace trimmed = trace.is_trimmed() ? trace : trace.trimmed();
   const std::size_t grid = config.w_values.size();
 
-  // One dispatch decision covers the whole w grid; the flat view is
-  // materialized here, before the fan-out, so no worker pays for (or races
-  // on) the build inside a timed pass.
-  const KernelPath path =
-      choose_path(config.dispatch, DispatchKernel::kAffinity, trimmed);
-  if (path == KernelPath::kStraightLine) (void)trimmed.symbols();
-
   if (config.pool == nullptr || grid < 2) {
     return detail::build_hierarchy(
         trimmed, config.w_values,
-        [&](std::uint32_t w) { return affine_pairs_at(trimmed, w, path); });
+        [&](std::uint32_t w) { return affine_pairs_at(trimmed, w); });
   }
 
   // Fan the independent per-w passes out over the shared pool and fold the
@@ -218,7 +187,7 @@ AffinityHierarchy analyze_affinity(const Trace& trace,
     const std::uint32_t w = config.w_values[slot];
     CODELAYOUT_PHASE("affinity_w", "analysis", "analysis.affinity_w.wall_ns",
                      {"w", w});
-    results[slot] = affine_pairs_at(trimmed, w, path);
+    results[slot] = affine_pairs_at(trimmed, w);
   });
 
   MetricsRegistry& registry = MetricsRegistry::global();

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "affinity/hierarchy.hpp"
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -37,12 +36,7 @@ struct AffinityConfig {
   /// bit-identical at any pool size (the passes are exact, not approximate).
   ThreadPool* pool = nullptr;
 
-  /// Run-aware vs straight-line event access (trace/dispatch.hpp). Affinity
-  /// operates on the trimmed trace, whose compression is exactly 1.0, and the
-  /// auto decision (threshold 1.0) takes the run-aware path: the kernel is
-  /// compute-bound per event, and the run loop paces at or above the flat
-  /// restatement on every suite workload. Decided once per analyze_affinity
-  /// call, before the w-grid fan-out.
+  /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
   AnalysisDispatch dispatch{};
 
   [[nodiscard]] bool valid() const {
@@ -59,12 +53,6 @@ struct AffinityConfig {
 /// stack-based pass. Keys are (min << 32) | max.
 std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
                                            std::uint32_t w);
-
-/// Same pass with an explicit event-access path: kRunAware random-accesses
-/// runs()[t].symbol, kStraightLine reads the packed flat view. Results are
-/// identical; only the memory layout the scan reads differs.
-std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
-                                           std::uint32_t w, KernelPath path);
 
 /// Builds the full affinity hierarchy over the trace (trimmed internally).
 AffinityHierarchy analyze_affinity(const Trace& trace,

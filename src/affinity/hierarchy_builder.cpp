@@ -37,15 +37,12 @@ AffinityHierarchy build_hierarchy(
 
   // Leaf nodes: one singleton group per distinct symbol, at w = 1 every
   // block is its own group (Definition 5).
-  // Trimmed traces have all-length-1 runs; iterate them with a position
-  // counter instead of materializing the flat view.
   std::unordered_map<Symbol, std::uint64_t> first_seen;
   std::unordered_map<Symbol, std::uint64_t> occurrences;
-  std::uint64_t pos = 0;
-  for (const Run& r : trimmed.runs()) {
-    first_seen.try_emplace(r.symbol, pos);
-    ++occurrences[r.symbol];
-    pos += r.length;
+  const std::span<const Symbol> symbols = trimmed.symbols();
+  for (std::uint64_t pos = 0; pos < symbols.size(); ++pos) {
+    first_seen.try_emplace(symbols[pos], pos);
+    ++occurrences[symbols[pos]];
   }
 
   std::vector<AffinityGroup> nodes;

@@ -3,17 +3,15 @@
 #include <span>
 #include <vector>
 
-#include "support/registry.hpp"
 #include "support/rng.hpp"
 #include "support/trace_recorder.hpp"
 
 namespace codelayout {
 namespace {
 
-/// One fetch stream: a program replaying its block trace under a layout.
-/// The replay cursor walks the trace's run storage directly: (run index,
-/// offset within the run), so no flat event vector is ever materialized.
-/// All per-block facts come from the FetchPlan — one flat load per event.
+/// One co-run fetch stream: a program replaying its block trace under a
+/// layout. The replay cursor is one event index into the trace. All
+/// per-block facts come from the FetchPlan — one flat load per event.
 ///
 /// Streams fetch through a CacheLevel front. Under the flat default the
 /// front has no next level, access() returns 0/1, and the accounting is the
@@ -25,7 +23,7 @@ class FetchStream {
               std::uint64_t line_namespace, const SimOptions& options,
               std::uint64_t rng_stream)
       : plan_(plan.blocks().data()),
-        runs_(trace.runs()),
+        symbols_(trace.symbols()),
         namespace_(line_namespace),
         options_(options),
         track_l2_(options.hierarchy.multi_level()),
@@ -40,14 +38,14 @@ class FetchStream {
 
   /// Executes the next block against `cache`; wraps at the trace end.
   /// Returns true when this step consumed the last event of the trace.
-  /// When `stall_on_miss` is set, demand misses accrue fetch-slot debt and
-  /// subsequent step() calls are consumed by stalling instead of fetching.
-  bool step(CacheLevel& cache, bool stall_on_miss = false) {
-    if (stall_on_miss && stall_debt_ >= 1.0) {
+  /// Demand misses accrue fetch-slot debt, and subsequent step() calls are
+  /// consumed by stalling instead of fetching.
+  bool step(CacheLevel& cache) {
+    if (stall_debt_ >= 1.0) {
       stall_debt_ -= 1.0;
       return false;
     }
-    const BlockPlan& bp = plan_[runs_[run_idx_].symbol];
+    const BlockPlan& bp = plan_[symbols_[next_]];
 
     ++stats_.blocks;
     stats_.instructions += bp.instr_count;
@@ -62,7 +60,7 @@ class FetchStream {
           ++stats_.l2_probes;
           if (depth > 1) ++stats_.l2_misses;
         }
-        if (stall_on_miss) stall_debt_ += options_.miss_stall_blocks;
+        stall_debt_ += options_.miss_stall_blocks;
         if (options_.next_line_prefetch) cache.prefill(line + 1);
       }
     }
@@ -74,115 +72,24 @@ class FetchStream {
       if (cache.access(line) != 0) ++stats_.wrong_path_misses;
     }
 
-    return advance(1);
-  }
-
-  /// Solo fast path: consumes the rest of the current run in one shot — one
-  /// set of tag probes plus counted hits. Returns true when this call
-  /// consumed the last event of the trace.
-  ///
-  /// Collapse argument: the run touches line ids [first_line, first_line +
-  /// line_count] (demand lines plus the wrong-path line plus any next-line
-  /// prefill target), i.e. line_count + 1 consecutive ids. When that fits in
-  /// the front level's set count, every id maps to a distinct set, so
-  /// nothing the run accesses can evict the run's own lines — after the
-  /// first iteration all demand probes of iterations 2..r are guaranteed
-  /// front-level hits (generating no downstream traffic), and the per-set
-  /// LRU recency order after the run matches flat replay (at most one of the
-  /// run's lines per set, and nothing else enters those sets meanwhile).
-  /// Wrong-path coin flips still happen once per event, keeping the RNG
-  /// stream — and therefore every later draw — identical to flat replay.
-  /// Only usable for solo simulation: co-run interleaves streams per event.
-  bool step_run(CacheLevel& cache) {
-    const Run run = runs_[run_idx_];
-    const std::uint64_t count = run.length - run_pos_;
-    const BlockPlan& bp = plan_[run.symbol];
-
-    if (count > 1 &&
-        bp.line_count + std::uint64_t{1} > options_.hierarchy.l1.sets()) {
-      // Degenerate geometry (block wider than the set array): the run's own
-      // lines can conflict with each other, so replay it per event.
-      ++fallback_runs_;
-      bool wrapped = false;
-      for (std::uint64_t i = 0; i < count; ++i) wrapped = step(cache);
-      return wrapped;
-    }
-    ++fast_runs_;
-
-    // First iteration: the only one that can take demand misses.
-    ++stats_.blocks;
-    stats_.instructions += bp.instr_count;
-    stats_.overhead_instructions += bp.overhead_instrs;
-    for (std::uint32_t i = 0; i < bp.line_count; ++i) {
-      const std::uint64_t line = namespace_ + bp.first_line + i;
-      ++stats_.line_probes;
-      const std::uint32_t depth = cache.access(line);
-      if (depth != 0) {
-        ++stats_.demand_misses;
-        if (track_l2_) {
-          ++stats_.l2_probes;
-          if (depth > 1) ++stats_.l2_misses;
-        }
-        if (options_.next_line_prefetch) cache.prefill(line + 1);
-      }
-    }
-    const bool branchy = options_.wrong_path_rate > 0.0 && bp.branchy != 0;
-    const std::uint64_t wrong_line = namespace_ + bp.first_line + bp.line_count;
-    if (branchy && rng_.chance(options_.wrong_path_rate)) {
-      if (cache.access(wrong_line) != 0) ++stats_.wrong_path_misses;
-    }
-
-    // Iterations 2..count: bulk-counted hits; only the wrong-path draws
-    // remain per event.
-    const std::uint64_t rest = count - 1;
-    stats_.blocks += rest;
-    stats_.instructions += rest * bp.instr_count;
-    stats_.overhead_instructions += rest * bp.overhead_instrs;
-    stats_.line_probes += rest * bp.line_count;
-    if (branchy) {
-      for (std::uint64_t i = 0; i < rest; ++i) {
-        if (rng_.chance(options_.wrong_path_rate)) {
-          if (cache.access(wrong_line) != 0) ++stats_.wrong_path_misses;
-        }
-      }
-    }
-
-    return advance(count);
-  }
-
-  [[nodiscard]] const SimResult& stats() const { return stats_; }
-  /// Runs consumed by the O(1) solo collapse vs replayed per event
-  /// (degenerate geometry).
-  [[nodiscard]] std::uint64_t fast_runs() const { return fast_runs_; }
-  [[nodiscard]] std::uint64_t fallback_runs() const { return fallback_runs_; }
-
- private:
-  /// Moves the run cursor forward `n` events; `n` must not overrun the
-  /// current run. Returns true when the trace wrapped.
-  bool advance(std::uint64_t n) {
-    run_pos_ += n;
-    CL_DCHECK(run_pos_ <= runs_[run_idx_].length);
-    if (run_pos_ == runs_[run_idx_].length) {
-      run_pos_ = 0;
-      if (++run_idx_ == runs_.size()) {
-        run_idx_ = 0;
-        return true;
-      }
+    if (++next_ == symbols_.size()) {
+      next_ = 0;
+      return true;
     }
     return false;
   }
 
+  [[nodiscard]] const SimResult& stats() const { return stats_; }
+
+ private:
   const BlockPlan* plan_;
-  std::span<const Run> runs_;
+  std::span<const Symbol> symbols_;
   std::uint64_t namespace_;
   SimOptions options_;
   bool track_l2_;
   Rng rng_;
-  std::size_t run_idx_ = 0;
-  std::uint64_t run_pos_ = 0;
+  std::size_t next_ = 0;  ///< index of the next event to fetch
   double stall_debt_ = 0.0;
-  std::uint64_t fast_runs_ = 0;
-  std::uint64_t fallback_runs_ = 0;
   SimResult stats_;
 };
 
@@ -220,11 +127,11 @@ std::vector<SimResult> run_corun_engine(
   }
 
   for (;;) {
-    const bool done = streams[0].step(hier.front(0), /*stall_on_miss=*/true);
+    const bool done = streams[0].step(hier.front(0));
     for (std::size_t i = 1; i < P; ++i) {
       credit[i] += parties[i].speed;
       while (credit[i] >= 1.0) {
-        streams[i].step(hier.front(i), /*stall_on_miss=*/true);
+        streams[i].step(hier.front(i));
         credit[i] -= 1.0;
       }
     }
@@ -242,8 +149,7 @@ std::vector<SimResult> run_corun_engine(
 SimOptions hardware_proxy_options(std::uint64_t seed) {
   return SimOptions{.next_line_prefetch = true,
                     .wrong_path_rate = 0.08,
-                    .seed = seed,
-                    .dispatch = {}};
+                    .seed = seed};
 }
 
 std::vector<LevelStats> level_breakdown(const SimResult& sim,
@@ -273,11 +179,12 @@ double amat(const SimResult& sim, const HierarchySpec& hierarchy) {
 
 namespace {
 
-/// Straight-line solo replay: the per-event loop of FetchStream::step()
-/// unrolled over the flat SoA view — no run-cursor bookkeeping, one plan
-/// load and a tight probe loop per event. The probe sequence, prefills, and
-/// wrong-path draws (Rng(seed).fork(1), namespace 0) are exactly step()'s,
-/// so the result is bit-identical to the run-collapse replay.
+/// Solo replay: the per-event loop of FetchStream::step() specialized for
+/// one stream — no stall debt, no line namespace, no wrap-around cursor; one
+/// plan load and a tight probe loop per event. The probe sequence, prefills,
+/// and wrong-path draws (Rng(seed).fork(1)) are exactly step()'s. Kept
+/// beside step() because it replays the suite's traces faster than a
+/// step() loop (DESIGN.md §15).
 SimResult solo_flat(const FetchPlan& plan, const Trace& trace,
                     const SimOptions& options) {
   CL_CHECK(trace.is_block());
@@ -324,23 +231,8 @@ SimResult solo_flat(const FetchPlan& plan, const Trace& trace,
 SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
                         const SimOptions& options) {
   CODELAYOUT_PHASE("icache_solo", "cache", "cache.icache_solo.wall_ns",
-                   {"events", std::uint64_t{trace.size()}},
-                   {"runs", std::uint64_t{trace.run_count()}});
-  if (choose_path(options.dispatch, DispatchKernel::kIcacheSolo, trace) ==
-      KernelPath::kStraightLine) {
-    return solo_flat(plan, trace, options);
-  }
-  CacheHierarchy hier(options.hierarchy);
-  FetchStream stream(plan, trace, /*line_namespace=*/0, options,
-                     /*rng_stream=*/1);
-  while (!stream.step_run(hier.front(0))) {
-  }
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("cache.solo.runs_fast").add(stream.fast_runs());
-    registry.counter("cache.solo.runs_fallback").add(stream.fallback_runs());
-  }
-  return stream.stats();
+                   {"events", std::uint64_t{trace.size()}});
+  return solo_flat(plan, trace, options);
 }
 
 SimResult simulate_solo(const Module& module, const CodeLayout& layout,
@@ -389,21 +281,11 @@ Trace line_trace(const Module& module, const CodeLayout& layout,
   (void)module;
   CL_CHECK(block_trace.is_block());
   Trace out(Trace::Granularity::kBlock);
-  out.reserve(block_trace.run_count() * 2);
-  // Run transducer: one lines_of lookup per run. A single-line block's
-  // repeats coalesce into one run in O(1); multi-line blocks genuinely emit
-  // their line sequence per repeat (the boundary lines differ, so trimming
-  // keeps them), matching the flat expansion exactly.
-  for (const Run& r : block_trace.runs()) {
-    const auto span = layout.lines_of(BlockId(r.symbol), line_bytes);
-    if (span.line_count == 1) {
-      out.push_run(static_cast<Symbol>(span.first_line), r.length);
-      continue;
-    }
-    for (std::uint32_t rep = 0; rep < r.length; ++rep) {
-      for (std::uint32_t l = 0; l < span.line_count; ++l) {
-        out.push_symbol(static_cast<Symbol>(span.first_line + l));
-      }
+  out.reserve(block_trace.size() * 2);
+  for (const Symbol s : block_trace.symbols()) {
+    const auto span = layout.lines_of(BlockId(s), line_bytes);
+    for (std::uint32_t l = 0; l < span.line_count; ++l) {
+      out.push_symbol(static_cast<Symbol>(span.first_line + l));
     }
   }
   return out.trimmed();

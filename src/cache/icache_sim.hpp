@@ -22,8 +22,7 @@
 // callers that amortize one plan across many simulations (the Lab memoizes
 // plans per workload x optimizer, so every cell of a co-run matrix shares
 // them); N-way co-run takes plans through a CorunSpec. Results are
-// bit-identical between the forms. Solo replay may collapse same-block runs
-// (DESIGN.md §8); co-run replays every round per event (§11).
+// bit-identical between the forms. Both replay one event at a time.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,6 @@
 #include "cache/set_assoc.hpp"
 #include "ir/module.hpp"
 #include "layout/layout.hpp"
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -54,10 +52,7 @@ struct SimOptions {
   /// thread stalls and yields fetch slots, throttling its own pollution.
   double miss_stall_blocks = 2.0;
   std::uint64_t seed = 1;
-  /// Solo-path selection between the run-collapse FetchStream replay and a
-  /// straight-line flat-view loop (trace/dispatch.hpp). Results and RNG
-  /// streams are bit-identical; co-run always interleaves per round and is
-  /// unaffected.
+  /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
   AnalysisDispatch dispatch{};
 
   /// The front (L1) geometry — the level fetch plans are built for.

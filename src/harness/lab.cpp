@@ -88,7 +88,6 @@ SimOptions Lab::sim_options(Measure measure,
   SimOptions options = measure == Measure::kHardware ? hardware_proxy_options()
                                                      : SimOptions{};
   options.hierarchy = hierarchy;
-  options.dispatch = options_.pipeline().dispatch;
   return options;
 }
 

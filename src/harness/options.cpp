@@ -38,11 +38,6 @@ void LabOptions::validate() const {
     problems.push_back(
         "affinity w_values must be a non-empty ascending grid of values >= 2");
   }
-  if (!pipeline_.dispatch.valid()) {
-    problems.push_back(
-        "dispatch thresholds must all be finite and >= 1 (compression ratios "
-        "are never below 1)");
-  }
   if (!(perf_.base_cpi > 0.0)) {
     problems.push_back("base_cpi must be positive");
   }

@@ -77,7 +77,6 @@ std::vector<Symbol> model_sequence(const PreparedWorkload& prepared,
                                          : "block"});
     AffinityConfig affinity = config.affinity;
     if (affinity.pool == nullptr) affinity.pool = config.analysis_pool;
-    affinity.dispatch = config.dispatch;
     return analyze_affinity(trace, affinity).layout_order();
   }
   const std::uint32_t assumed_bytes =
@@ -87,8 +86,7 @@ std::vector<Symbol> model_sequence(const PreparedWorkload& prepared,
   TrgConfig trg_config{
       .window_entries = trg_window_entries(config.trg_cache_bytes,
                                            assumed_bytes),
-      .pool = config.analysis_pool,
-      .dispatch = config.dispatch};
+      .pool = config.analysis_pool};
   const Trg graph = [&] {
     CODELAYOUT_PHASE("trg_build", "pipeline", "pipeline.trg_build.wall_ns",
                      {"window", trg_config.window_entries});

@@ -63,9 +63,7 @@ struct PipelineConfig {
   /// participates. Non-owning; nullptr = serial. Model outputs are
   /// bit-identical either way (the parallel decompositions are exact).
   ThreadPool* analysis_pool = nullptr;
-  /// Kernel path selection (run-aware vs straight-line; trace/dispatch.hpp),
-  /// copied into every model and simulator config this pipeline drives.
-  /// Outputs are bit-identical on either path.
+  /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
   AnalysisDispatch dispatch{};
 };
 

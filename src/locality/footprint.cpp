@@ -9,8 +9,7 @@
 namespace codelayout {
 
 FootprintCurve FootprintCurve::compute(const Trace& trace,
-                                       std::span<const std::uint32_t> weights,
-                                       const AnalysisDispatch& dispatch) {
+                                       std::span<const std::uint32_t> weights) {
   const std::size_t n = trace.size();
   const Symbol space = trace.symbol_space();
   if (!weights.empty()) {
@@ -32,47 +31,17 @@ FootprintCurve FootprintCurve::compute(const Trace& trace,
   std::vector<std::uint64_t> first(space, ~std::uint64_t{0});
   double total_weight = 0.0;
 
-  if (choose_path(dispatch, DispatchKernel::kFootprint, trace) ==
-      KernelPath::kStraightLine) {
-    // Straight-line pass over the flat SoA view: a repeat event's gap is 0
-    // (last[s] == t - 1), so the gap_mass/total_weight additions happen at
-    // exactly the positions — and in exactly the order — the run-aware pass
-    // produces; the double accumulation is bit-identical.
-    const std::span<const Symbol> symbols = trace.symbols();
-    for (std::size_t t = 0; t < symbols.size(); ++t) {
-      const Symbol s = symbols[t];
-      if (last[s] == ~std::uint64_t{0}) {
-        first[s] = t;
-        total_weight += weight_of(s);
-      } else {
-        const std::uint64_t gap = t - last[s] - 1;  // positions without s
-        if (gap > 0) gap_mass[gap] += weight_of(s);
-      }
-      last[s] = t;
+  const std::span<const Symbol> symbols = trace.symbols();
+  for (std::size_t t = 0; t < symbols.size(); ++t) {
+    const Symbol s = symbols[t];
+    if (last[s] == ~std::uint64_t{0}) {
+      first[s] = t;
+      total_weight += weight_of(s);
+    } else {
+      const std::uint64_t gap = t - last[s] - 1;  // positions without s
+      if (gap > 0) gap_mass[gap] += weight_of(s);
     }
-  } else {
-    // Run-aware pass: within a run every gap is 0 (the symbol occupies each
-    // consecutive position), so only the run's first event can contribute a
-    // gap, and the run collapses to one O(1) update.
-    std::size_t t = 0;  // event index of the current run's first event
-    for (const Run& r : trace.runs()) {
-      const Symbol s = r.symbol;
-      if (last[s] == ~std::uint64_t{0}) {
-        first[s] = t;
-        total_weight += weight_of(s);
-      } else {
-        const std::uint64_t gap = t - last[s] - 1;  // positions without s
-        if (gap > 0) gap_mass[gap] += weight_of(s);
-      }
-      last[s] = t + r.length - 1;
-      t += r.length;
-    }
-    MetricsRegistry& registry = MetricsRegistry::global();
-    if (registry.enabled()) {
-      registry.counter("locality.footprint.runs").add(trace.run_count());
-      registry.counter("locality.footprint.collapsed_events")
-          .add(n - trace.run_count());
-    }
+    last[s] = t;
   }
   for (Symbol s = 0; s < space; ++s) {
     if (first[s] == ~std::uint64_t{0}) continue;  // never accessed
@@ -127,7 +96,7 @@ void FootprintBuilder::probe(Symbol s) {
       if (gap < kDenseGaps) {
         gap_mass_[gap] += 1;
       } else {
-        large_gaps_.push_back({static_cast<std::uint32_t>(gap), 1});
+        large_gaps_.push_back(static_cast<std::uint32_t>(gap));
       }
     }
   }
@@ -136,52 +105,19 @@ void FootprintBuilder::probe(Symbol s) {
   ++position_;
 }
 
-void FootprintBuilder::span(Symbol first, std::uint32_t count,
-                            std::uint64_t repeats) {
-  if (count == 0 || repeats == 0) return;
+void FootprintBuilder::span(Symbol first, std::uint32_t count) {
+  if (count == 0) return;
   ++spans_;
   // No single gap count can exceed the pre-trim event total, so this bound
   // keeps the 32-bit histogram cells exact (checked before any increment).
-  raw_events_ += std::uint64_t{count} * repeats;
+  raw_events_ += count;
   CL_CHECK_MSG(raw_events_ <= ~std::uint32_t{0},
                "footprint stream exceeds 2^32 events; widen the gap counts");
-  if (count == 1) {
-    // All `repeats` occurrences trim to (at most) one window position; it
-    // vanishes entirely when the previous event was the same symbol.
-    if (prev_ == first) {
-      collapsed_events_ += repeats;
-    } else {
-      probe(first);
-      collapsed_events_ += repeats - 1;
-    }
-    return;
-  }
-  // First repetition probes each line against whatever came before; the
-  // span's leading line merges into the previous event when it repeats it
-  // (exactly the event Trace::trimmed() would drop).
+  // The span's leading symbol merges into the previous event when it repeats
+  // it (exactly the event Trace::trimmed() would drop).
   const bool skip_lead = prev_ == first;
   if (skip_lead) ++collapsed_events_;
   for (std::uint32_t l = skip_lead ? 1 : 0; l < count; ++l) probe(first + l);
-  if (repeats == 1) return;
-  // Repetitions 2..R: the seam between repetitions never trims (the last and
-  // first lines differ), so every line's reuse gap is exactly count - 1 —
-  // the other lines of the span sit between consecutive occurrences — and
-  // the whole tail collapses to one gap-histogram bump. Masses stay exact
-  // integers, so the curve is bit-identical to probing event by event.
-  const std::uint64_t gap = count - 1;
-  const auto bump = static_cast<std::uint32_t>((repeats - 1) * count);
-  if (gap < kDenseGaps) {
-    gap_mass_[gap] += bump;
-  } else {
-    large_gaps_.push_back({static_cast<std::uint32_t>(gap), bump});
-  }
-  const std::uint64_t tail_events = (repeats - 1) * count;
-  for (std::uint32_t l = 0; l < count; ++l) {
-    last_[first + l] = position_ + tail_events - count + l;
-  }
-  position_ += tail_events;
-  prev_ = first + count - 1;
-  collapsed_events_ += tail_events;
 }
 
 FootprintCurve FootprintBuilder::finish() && {
@@ -190,7 +126,7 @@ FootprintCurve FootprintBuilder::finish() && {
   // index above n holds zero mass — no gap exceeds n - 1); widen it to the
   // full gap range and fold in the deferred large gaps and boundary gaps.
   gap_mass_.resize(n + 1, 0);
-  for (const DeferredGap& d : large_gaps_) gap_mass_[d.gap] += d.mass;
+  for (const std::uint32_t gap : large_gaps_) gap_mass_[gap] += 1;
   for (Symbol s = 0; s < first_.size(); ++s) {
     if (first_[s] == ~std::uint64_t{0}) continue;  // never streamed
     const std::uint64_t head_gap = first_[s];

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -28,13 +27,9 @@ class FootprintCurve {
   /// Computes fp(w) for w = 0..trace length. `weights[s]` is the footprint
   /// contribution of symbol s (e.g. its size in cache lines or bytes);
   /// defaults to 1 (footprint in distinct symbols, as the paper
-  /// approximates). The gap pass dispatches between the run-aware collapse
-  /// and a straight-line flat-view scan (trace/dispatch.hpp); the double
-  /// accumulation order is identical either way, so the curve is
-  /// bit-identical on both paths.
+  /// approximates).
   static FootprintCurve compute(const Trace& trace,
-                                std::span<const std::uint32_t> weights = {},
-                                const AnalysisDispatch& dispatch = {});
+                                std::span<const std::uint32_t> weights = {});
 
   /// fp at (possibly fractional) window length, linearly interpolated and
   /// clamped to [0, n].
@@ -76,14 +71,13 @@ class FootprintCurve {
 /// of materializing it: perfmodel's solo profiles feed cache-line fetch
 /// streams straight from the fetch plan's per-block line spans. Consecutive
 /// duplicate symbols collapse to one window position exactly as
-/// Trace::trimmed() would drop them, and gap masses are exact integer-valued
-/// doubles (unit weights), so the finished curve is bit-identical to
-/// FootprintCurve::compute over the trimmed flat trace — the span collapse
-/// only changes the order exact integers are summed in.
+/// Trace::trimmed() would drop them, and gap masses are exact integer counts
+/// (unit weights), so the finished curve is bit-identical to
+/// FootprintCurve::compute over the trimmed flat trace.
 ///
 ///   FootprintBuilder builder(space);
-///   for (run : block_trace.runs())
-///     builder.span(plan.first_line, plan.line_count, run.length);
+///   for (block : block_trace.symbols())
+///     builder.span(plan.first_line, plan.line_count);
 ///   FootprintCurve curve = std::move(builder).finish();
 class FootprintBuilder {
  public:
@@ -91,14 +85,10 @@ class FootprintBuilder {
   /// space of the virtual trace).
   explicit FootprintBuilder(Symbol space);
 
-  /// Appends `repeats` back-to-back occurrences of the `count` consecutive
-  /// symbols [first, first + count): the line sequence of one code block
-  /// executed `repeats` times. A repeated multi-line span collapses to one
-  /// O(count) update — after trimming, every line's reuse gap inside the
-  /// repetition is exactly count - 1 — and a single-symbol span collapses to
-  /// at most one window position, so the kernel runs in O(runs * span_width),
-  /// independent of repeat counts.
-  void span(Symbol first, std::uint32_t count, std::uint64_t repeats);
+  /// Appends the `count` consecutive symbols [first, first + count): the
+  /// line sequence of one code block execution. The leading symbol merges
+  /// into the previous window position when it repeats it.
+  void span(Symbol first, std::uint32_t count);
 
   /// Trimmed window positions streamed so far (the virtual trace length).
   [[nodiscard]] std::uint64_t positions() const { return position_; }
@@ -116,11 +106,6 @@ class FootprintBuilder {
   /// trace-length-sized array keeps the stream compute-bound.
   static constexpr std::uint64_t kDenseGaps = 32768;
 
-  struct DeferredGap {
-    std::uint32_t gap;
-    std::uint32_t mass;
-  };
-
   void probe(Symbol s);
 
   std::uint64_t position_ = 0;
@@ -132,8 +117,8 @@ class FootprintBuilder {
   /// Unit-weight masses are exact counts; 32-bit cells halve the histogram's
   /// random-write traffic and cannot overflow while raw_events_ fits
   /// (checked per span).
-  std::vector<std::uint32_t> gap_mass_;   ///< gaps < kDenseGaps
-  std::vector<DeferredGap> large_gaps_;   ///< gaps >= kDenseGaps, unmerged
+  std::vector<std::uint32_t> gap_mass_;    ///< gaps < kDenseGaps
+  std::vector<std::uint32_t> large_gaps_;  ///< gaps >= kDenseGaps, unmerged
   std::vector<std::uint64_t> first_;
   std::vector<std::uint64_t> last_;
 };

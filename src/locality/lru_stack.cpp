@@ -91,15 +91,9 @@ void LruStack::push_front(Symbol s) {
   if (tail_ == kNil) tail_ = s;
 }
 
-std::uint64_t replay_lru_hits(const Trace& trace, LruStack& stack,
-                              const AnalysisDispatch& dispatch) {
+std::uint64_t replay_lru_hits(const Trace& trace, LruStack& stack) {
   std::uint64_t hits = 0;
-  if (choose_path(dispatch, DispatchKernel::kLruStack, trace) ==
-      KernelPath::kStraightLine) {
-    for (const Symbol s : trace.symbols()) hits += stack.touch(s) ? 1 : 0;
-  } else {
-    for (const Run& r : trace.runs()) hits += stack.touch_run(r.symbol, r.length);
-  }
+  for (const Symbol s : trace.symbols()) hits += stack.touch(s) ? 1 : 0;
   return hits;
 }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "support/check.hpp"
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -30,16 +29,6 @@ class LruStack {
 
   /// Moves `s` to the top. Returns true when `s` was already resident.
   bool touch(Symbol s);
-
-  /// Equivalent to `count` consecutive touch(s) calls in O(1): after the
-  /// first touch `s` sits on top, so the remaining count-1 touches are
-  /// early-return hits. Returns the number of touches that found `s`
-  /// resident. No-op (returning 0) when count == 0.
-  std::uint64_t touch_run(Symbol s, std::uint64_t count) {
-    if (count == 0) return 0;
-    const bool was_resident = touch(s);
-    return (was_resident ? 1 : 0) + (count - 1);
-  }
 
   /// Calls `fn(symbol)` for the top `k` resident symbols, topmost first
   /// (including the current top).
@@ -109,12 +98,7 @@ class LruStack {
 };
 
 /// Replays the whole trace through `stack` and returns the number of touches
-/// that found their symbol resident. Dispatches between the run-aware
-/// touch_run collapse and a straight-line per-event loop over the flat view
-/// (trace/dispatch.hpp); touch_run(s, n) is defined as n consecutive
-/// touch(s) calls, so the hit count and final stack state are identical on
-/// both paths.
-std::uint64_t replay_lru_hits(const Trace& trace, LruStack& stack,
-                              const AnalysisDispatch& dispatch = {});
+/// that found their symbol resident.
+std::uint64_t replay_lru_hits(const Trace& trace, LruStack& stack);
 
 }  // namespace codelayout

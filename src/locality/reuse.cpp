@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.hpp"
-#include "support/registry.hpp"
 
 namespace codelayout {
 namespace {
@@ -51,68 +50,17 @@ class Fenwick {
   std::vector<std::int64_t> tree_;
 };
 
-/// Calls on_access(distance, time, count) once per run segment: the run's
-/// first event (count 1), then its remaining events as one bulk segment.
-///
-/// Run-aware collapse: within a run of length r, events 2..r each reuse the
-/// symbol at the immediately preceding position, so their reuse distance is 0
-/// and reuse time is 1 — no Fenwick query needed. The symbol's mark moves
-/// straight to the run's last position, preserving the flat-scan invariant
-/// (one mark per seen symbol, at its latest access) at every run boundary, so
-/// the first-event query of the next run sees the exact flat-scan state.
-/// O((R + D) log N) for R runs and D distinct symbols instead of O(N log N).
-/// Both scans track the live mark count in a scalar instead of querying the
-/// Fenwick total: exactly one mark exists per seen symbol, so `active` is
-/// the same integer marks.total() would return, without the O(log n) walk.
+/// Calls on_access(distance, time) once per event, in order. Tracks the
+/// live mark count in a scalar instead of querying the Fenwick total:
+/// exactly one mark exists per seen symbol (at its latest access), so
+/// `active` is the same integer marks.total() would return, without the
+/// O(log n) walk.
 template <typename PerAccess>
 void scan_reuse(const Trace& trace, PerAccess&& on_access) {
-  const Symbol space = trace.symbol_space();
-  Fenwick marks(trace.size());
-  std::vector<std::uint64_t> last(space, kColdReuse);
-  std::uint64_t active = 0;  // distinct symbols seen == marks in the tree
-
-  std::size_t t = 0;  // event index of the current run's first event
-  std::uint64_t collapsed = 0;  // events served by the run collapse
-  for (const Run& r : trace.runs()) {
-    const std::uint64_t prev = last[r.symbol];
-    std::uint64_t distance = kColdReuse;
-    std::uint64_t time = kColdReuse;
-    const std::size_t t_last = t + r.length - 1;
-    if (prev != kColdReuse) {
-      // Distinct symbols accessed strictly after prev: marks in (prev, t).
-      distance = active - static_cast<std::uint64_t>(marks.prefix(prev + 1));
-      time = t - prev;
-      marks.move_mark(prev, t_last);
-    } else {
-      marks.add(t_last, +1);
-      ++active;
-    }
-    last[r.symbol] = t_last;
-    on_access(distance, time, std::uint64_t{1});
-    if (r.length > 1) {
-      on_access(0, 1, r.length - 1);
-      collapsed += r.length - 1;
-    }
-    t += r.length;
-  }
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("locality.reuse.runs").add(trace.run_count());
-    registry.counter("locality.reuse.collapsed_events").add(collapsed);
-  }
-}
-
-/// Straight-line twin of scan_reuse: one Fenwick transaction per event over
-/// the flat SoA view, no run bookkeeping. Emits the identical (distance,
-/// time) sequence — a run's repeat events see prev == t - 1, whose window
-/// (prev, t) is empty, so their distance/time come out 0/1 exactly like the
-/// collapse — making every downstream accumulation bit-identical.
-template <typename PerAccess>
-void scan_reuse_flat(const Trace& trace, PerAccess&& on_access) {
   const std::span<const Symbol> symbols = trace.symbols();
   Fenwick marks(trace.size());
   std::vector<std::uint64_t> last(trace.symbol_space(), kColdReuse);
-  std::uint64_t active = 0;
+  std::uint64_t active = 0;  // distinct symbols seen == marks in the tree
 
   for (std::size_t t = 0; t < symbols.size(); ++t) {
     const Symbol s = symbols[t];
@@ -121,26 +69,15 @@ void scan_reuse_flat(const Trace& trace, PerAccess&& on_access) {
       marks.add(t, +1);
       ++active;
       last[s] = t;
-      on_access(kColdReuse, kColdReuse, std::uint64_t{1});
+      on_access(kColdReuse, kColdReuse);
       continue;
     }
+    // Distinct symbols accessed strictly after prev: marks in (prev, t).
     const std::uint64_t distance =
         active - static_cast<std::uint64_t>(marks.prefix(prev + 1));
     marks.move_mark(prev, t);
     last[s] = t;
-    on_access(distance, t - prev, std::uint64_t{1});
-  }
-}
-
-/// Dispatch shim: one decision per trace, then the chosen scan.
-template <typename PerAccess>
-void scan_reuse_dispatch(const Trace& trace, const AnalysisDispatch& dispatch,
-                         PerAccess&& on_access) {
-  if (choose_path(dispatch, DispatchKernel::kReuse, trace) ==
-      KernelPath::kStraightLine) {
-    scan_reuse_flat(trace, on_access);
-  } else {
-    scan_reuse(trace, on_access);
+    on_access(distance, t - prev);
   }
 }
 
@@ -165,38 +102,32 @@ double ReuseProfile::mean_distance() const {
   return n ? sum / static_cast<double>(n) : 0.0;
 }
 
-ReuseProfile compute_reuse(const Trace& trace,
-                           const AnalysisDispatch& dispatch) {
+ReuseProfile compute_reuse(const Trace& trace) {
   ReuseProfile profile;
   profile.total_accesses = trace.size();
-  scan_reuse_dispatch(
-      trace, dispatch,
-      [&](std::uint64_t distance, std::uint64_t time, std::uint64_t count) {
-        if (distance == kColdReuse) {
-          profile.cold_accesses += count;
-          return;
-        }
-        if (profile.distance_histogram.size() <= distance) {
-          profile.distance_histogram.resize(distance + 1, 0);
-        }
-        profile.distance_histogram[distance] += count;
-        if (profile.time_histogram.size() <= time) {
-          profile.time_histogram.resize(time + 1, 0);
-        }
-        profile.time_histogram[time] += count;
-      });
+  scan_reuse(trace, [&](std::uint64_t distance, std::uint64_t time) {
+    if (distance == kColdReuse) {
+      ++profile.cold_accesses;
+      return;
+    }
+    if (profile.distance_histogram.size() <= distance) {
+      profile.distance_histogram.resize(distance + 1, 0);
+    }
+    ++profile.distance_histogram[distance];
+    if (profile.time_histogram.size() <= time) {
+      profile.time_histogram.resize(time + 1, 0);
+    }
+    ++profile.time_histogram[time];
+  });
   return profile;
 }
 
-std::vector<std::uint64_t> per_access_reuse_distances(
-    const Trace& trace, const AnalysisDispatch& dispatch) {
+std::vector<std::uint64_t> per_access_reuse_distances(const Trace& trace) {
   std::vector<std::uint64_t> out;
   out.reserve(trace.size());
-  scan_reuse_dispatch(
-      trace, dispatch,
-      [&](std::uint64_t distance, std::uint64_t, std::uint64_t count) {
-        out.insert(out.end(), count, distance);
-      });
+  scan_reuse(trace, [&](std::uint64_t distance, std::uint64_t) {
+    out.push_back(distance);
+  });
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include <limits>
 #include <vector>
 
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -38,15 +37,11 @@ struct ReuseProfile {
   [[nodiscard]] double mean_distance() const;
 };
 
-/// Computes both histograms in one pass. Dispatches between the run-aware
-/// collapse and a straight-line flat-view scan (trace/dispatch.hpp); the
-/// histograms are bit-identical on both paths.
-ReuseProfile compute_reuse(const Trace& trace,
-                           const AnalysisDispatch& dispatch = {});
+/// Computes both histograms in one pass.
+ReuseProfile compute_reuse(const Trace& trace);
 
 /// Per-access reuse distances (kColdReuse for cold accesses); used by
 /// property tests to cross-check the histogram path.
-std::vector<std::uint64_t> per_access_reuse_distances(
-    const Trace& trace, const AnalysisDispatch& dispatch = {});
+std::vector<std::uint64_t> per_access_reuse_distances(const Trace& trace);
 
 }  // namespace codelayout

@@ -123,14 +123,11 @@ SoloProfile build_solo_profile(std::string workload, const FetchPlan& plan,
   // from the plan's per-block line spans — the line trace itself is never
   // materialized.
   FootprintBuilder builder(static_cast<Symbol>(line_space));
-  for (const Run& run : eval_blocks.runs()) {
-    const BlockPlan& block = plan.block(BlockId(run.symbol));
-    profile.instructions +=
-        static_cast<std::uint64_t>(block.instr_count) * run.length;
-    profile.overhead_instructions +=
-        static_cast<std::uint64_t>(block.overhead_instrs) * run.length;
-    builder.span(static_cast<Symbol>(block.first_line), block.line_count,
-                 run.length);
+  for (const Symbol s : eval_blocks.symbols()) {
+    const BlockPlan& block = plan.block(BlockId(s));
+    profile.instructions += block.instr_count;
+    profile.overhead_instructions += block.overhead_instrs;
+    builder.span(static_cast<Symbol>(block.first_line), block.line_count);
   }
   profile.line_probes = builder.positions();
   profile.lines = std::move(builder).finish();

@@ -201,8 +201,6 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
           cost.bytes_decoded += receipt.bytes_decoded;
           cost.queue_wait_nanos += receipt.queue_wait_nanos;
           cost.wall_nanos += receipt.wall_nanos;
-          cost.dispatch_run += receipt.dispatch_run;
-          cost.dispatch_flat += receipt.dispatch_flat;
           cost.predict_calls += receipt.predict_calls;
           cost.profile_memo_hits += receipt.profile_memo_hits;
           if (receipt.cached) ++cost.cached_jobs;

@@ -82,9 +82,6 @@ struct LoadGenReport {
     std::uint64_t queue_wait_nanos = 0;
     std::uint64_t wall_nanos = 0;
     std::uint64_t cached_jobs = 0;  ///< responses served from the cache
-    /// v4: adaptive-dispatch decisions summed over every kOk response.
-    std::uint64_t dispatch_run = 0;
-    std::uint64_t dispatch_flat = 0;
     /// v5: closed-form predictor work summed over every kOk response.
     std::uint64_t predict_calls = 0;
     std::uint64_t profile_memo_hits = 0;

@@ -329,10 +329,11 @@ std::string encode_response_payload(const JobResponse& response,
     put_string(out, response.introspect);
   }
   if (version >= 4) {
-    // v4 trailing fields: adaptive-dispatch attribution.
-    put_varint(out, response.receipt.dispatch_run);
-    put_varint(out, response.receipt.dispatch_flat);
-    put_double(out, response.receipt.run_compression);
+    // Retired v4 slots (dispatch_run, dispatch_flat, run_compression of the
+    // deleted kernel dispatch): always 0, kept so reply bytes do not move.
+    put_varint(out, 0);
+    put_varint(out, 0);
+    put_double(out, 0.0);
   }
   if (version >= 5) {
     // v5 trailing fields: the co-schedule assignment + predictor attribution.
@@ -460,9 +461,10 @@ JobResponse decode_response_payload(std::string_view payload,
     response.introspect = in.str();
   }
   if (version >= 4) {
-    response.receipt.dispatch_run = in.varint();
-    response.receipt.dispatch_flat = in.varint();
-    response.receipt.run_compression = in.f64();
+    // The three retired v4 slots: read and discarded.
+    static_cast<void>(in.varint());
+    static_cast<void>(in.varint());
+    static_cast<void>(in.f64());
   }
   if (version >= 5) {
     const std::uint64_t pair_count = in.varint();

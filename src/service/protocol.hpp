@@ -35,12 +35,13 @@
 // Responses to v1/v2 requests are still stamped with the *request's* wire
 // version and omit every v3 field, so old clients see byte-identical frames.
 //
-// v3 -> v4 (adaptive dispatch): the CostReceipt grew trailing
-// dispatch_run/dispatch_flat varints (kernel-path decisions the job's
-// analyses made; see trace/dispatch.hpp) and a run_compression double (the
-// events-per-run ratio of the dispatched traces — what the decisions were
-// based on). The request payload is unchanged, so v4 cache keys equal v3
-// keys; responses to <= v3 requests omit the fields byte-for-byte.
+// v3 -> v4 (adaptive dispatch): the CostReceipt grew two trailing varints
+// and a double: the kernel-path decision counts (dispatch_run,
+// dispatch_flat) and the events-per-run ratio (run_compression) of a
+// since-deleted dispatch layer. The three slots are retired: encoders write
+// 0, 0, 0.0 and decoders read and discard them (see CostReceipt). The
+// request payload is unchanged, so v4 cache keys equal v3 keys; responses to
+// <= v3 requests omit the slots byte-for-byte.
 //
 // v4 -> v5 (co-scheduling): a new JobKind::kCoSchedule runs the analytic
 // co-scheduler (perfmodel/scheduler.hpp) over the request's `parties` as a
@@ -201,10 +202,12 @@ struct TraceStatsResult {
 /// the original computation's, and the timing fields are zero (the cache
 /// lookup itself is effectively free).
 ///
-/// On the wire the v3 receipt also holds two retired varint slots between
-/// `events` and `cache_probes`: the fast and fallback co-run round counts of
-/// a deleted co-run fast path. Encoders write them as 0 and decoders read
-/// and discard them, so reply bytes match those of earlier daemons.
+/// On the wire the receipt also holds five retired slots, which encoders
+/// write as 0 and decoders read and discard, so reply bytes match those of
+/// earlier daemons: two v3 varints between `events` and `cache_probes` (the
+/// fast and fallback co-run round counts of a deleted co-run fast path),
+/// and the v4 trailer of two varints and a double (dispatch_run,
+/// dispatch_flat and run_compression of the deleted kernel dispatch).
 struct CostReceipt {
   std::uint64_t events = 0;           ///< instructions + overhead simulated
   std::uint64_t cache_probes = 0;     ///< L1I line probes across all results
@@ -215,15 +218,6 @@ struct CostReceipt {
   std::uint64_t queue_wait_nanos = 0;
   std::uint64_t wall_nanos = 0;       ///< execute wall time (0 when cached)
   bool cached = false;
-  /// v4: adaptive-dispatch decisions the job's analysis kernels made
-  /// (trace/dispatch.hpp) — how many chose the run-aware vs the
-  /// straight-line path.
-  std::uint64_t dispatch_run = 0;
-  std::uint64_t dispatch_flat = 0;
-  /// v4: events-per-run ratio aggregated over the dispatched traces (the
-  /// number the decisions compared against kernel thresholds); 0 when the
-  /// job dispatched nothing.
-  double run_compression = 0.0;
   /// v5: closed-form predictor attribution — predict_corun evaluations this
   /// job ran, and solo-profile memo lookups served without a kernel pass.
   std::uint64_t predict_calls = 0;

@@ -229,14 +229,14 @@ JobResponse LabExecutor::run(const JobRequest& request) {
     case JobKind::kTraceStats: {
       const Trace& trace = request.trace;
       response.trace_stats.events = trace.size();
-      response.trace_stats.runs = trace.run_count();
       response.trace_stats.distinct_symbols = trace.distinct_count();
       std::uint64_t h = fnv1a(kFnvSeed, trace.size());
       h = fnv1a(h, trace.is_block() ? 0 : 1);
-      for (const Run& run : trace.runs()) {
-        h = fnv1a(h, run.symbol);
-        h = fnv1a(h, run.length);
-      }
+      trace.for_each_run([&](Symbol symbol, std::uint64_t length) {
+        ++response.trace_stats.runs;
+        h = fnv1a(h, symbol);
+        h = fnv1a(h, length);
+      });
       response.trace_stats.checksum = h;
       return response;
     }
@@ -421,9 +421,6 @@ void ServiceServer::submit(JobRequest request,
       }
       push_recent(RecentJob{request.id, request.kind, hit->status,
                             request.trace_id, 0, 0, true,
-                            hit->receipt.dispatch_run,
-                            hit->receipt.dispatch_flat,
-                            hit->receipt.run_compression,
                             hit->receipt.predict_calls,
                             hit->receipt.profile_memo_hits});
       deliver(std::move(*hit));
@@ -547,18 +544,6 @@ void ServiceServer::finish_job(QueuedJob job) {
   receipt.bytes_decoded = job.request_bytes;
   receipt.queue_wait_nanos = queue_wait;
   receipt.wall_nanos = wall;
-  // v4: kernel-path decisions plus the events-per-run ratio they compared
-  // against the thresholds, aggregated over every trace the job dispatched.
-  receipt.dispatch_run = cost.dispatch_run.load(std::memory_order_relaxed);
-  receipt.dispatch_flat = cost.dispatch_flat.load(std::memory_order_relaxed);
-  const std::uint64_t dispatched_events =
-      cost.dispatch_events.load(std::memory_order_relaxed);
-  const std::uint64_t dispatched_runs =
-      cost.dispatch_runs.load(std::memory_order_relaxed);
-  receipt.run_compression =
-      dispatched_runs ? static_cast<double>(dispatched_events) /
-                            static_cast<double>(dispatched_runs)
-                      : 0.0;
   // v5: closed-form predictor attribution out of the same accumulator.
   receipt.predict_calls = cost.predict_calls.load(std::memory_order_relaxed);
   receipt.profile_memo_hits =
@@ -574,9 +559,7 @@ void ServiceServer::finish_job(QueuedJob job) {
   response.id = job.request.id;
   push_recent(RecentJob{job.request.id, job.request.kind, response.status,
                         job.request.trace_id, queue_wait, wall, false,
-                        receipt.dispatch_run, receipt.dispatch_flat,
-                        receipt.run_compression, receipt.predict_calls,
-                        receipt.profile_memo_hits});
+                        receipt.predict_calls, receipt.profile_memo_hits});
   {
     // Count the completion before the response leaves the building: a
     // client that has its answer must see it reflected in a stats snapshot
@@ -682,9 +665,6 @@ JobResponse ServiceServer::introspect_response(const JobRequest& request) {
             .field("queue_wait_ns", job.queue_wait_nanos)
             .field("wall_ns", job.wall_nanos)
             .field("cached", job.cached)
-            .field("dispatch_run", job.dispatch_run)
-            .field("dispatch_flat", job.dispatch_flat)
-            .field("run_compression", job.run_compression)
             .field("predict_calls", job.predict_calls)
             .field("profile_memo_hits", job.profile_memo_hits)
             .end_object();

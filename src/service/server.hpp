@@ -140,15 +140,10 @@ class ServiceServer {
     std::uint64_t queue_wait_nanos = 0;
     std::uint64_t wall_nanos = 0;
     bool cached = false;
-    /// Adaptive-dispatch attribution (trace/dispatch.hpp): path decisions the
-    /// job's kernels made and the compression ratio they were based on. A
-    /// cache-answered job carries the original computation's values.
-    std::uint64_t dispatch_run = 0;
-    std::uint64_t dispatch_flat = 0;
-    double run_compression = 0.0;
     /// Closed-form predictor attribution (perfmodel/corun_predictor.hpp):
     /// predict_corun evaluations the job ran and solo-profile memo lookups
-    /// it answered without a kernel pass.
+    /// it answered without a kernel pass. A cache-answered job carries the
+    /// original computation's values.
     std::uint64_t predict_calls = 0;
     std::uint64_t profile_memo_hits = 0;
   };

@@ -1,6 +1,6 @@
 // Central metrics registry: named counters, gauges, and log-bucketed latency
 // histograms shared by the evaluation engine, the thread pool, and the
-// run-aware analysis kernels.
+// analysis kernels.
 //
 // Registration (name -> instrument) takes a mutex once per call site; every
 // update after that is a relaxed atomic on the cached reference, so the hot

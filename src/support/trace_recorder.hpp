@@ -67,13 +67,6 @@ struct SpanArg {
 struct CostCounters {
   std::atomic<std::uint64_t> memo_hits{0};    ///< memo lookups served cached
   std::atomic<std::uint64_t> memo_misses{0};  ///< memo cells computed
-  // Adaptive-dispatch attribution (trace/dispatch.hpp): decisions per path,
-  // plus the event/run totals of the dispatched traces — the service receipt
-  // derives its run_compression field from their ratio.
-  std::atomic<std::uint64_t> dispatch_run{0};   ///< run-aware path chosen
-  std::atomic<std::uint64_t> dispatch_flat{0};  ///< straight-line path chosen
-  std::atomic<std::uint64_t> dispatch_events{0};
-  std::atomic<std::uint64_t> dispatch_runs{0};
   // Analytic co-run screening attribution (perfmodel/corun_predictor.hpp):
   // closed-form predictions evaluated for this job, and how many of the solo
   // profiles they consumed came from the Lab's memo instead of a fresh

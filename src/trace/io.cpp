@@ -83,31 +83,16 @@ std::uint32_t get_varint32(std::istream& is, const char* what) {
 
 }  // namespace
 
-std::vector<RlePair> rle_encode(const Trace& trace) {
-  const std::span<const Run> runs = trace.runs();
-  return std::vector<RlePair>(runs.begin(), runs.end());
-}
-
-Trace rle_decode(const std::vector<RlePair>& pairs, Trace::Granularity g) {
-  Trace out(g);
-  out.reserve(pairs.size());
-  for (const RlePair& p : pairs) {
-    CL_CHECK_MSG(p.length > 0, "zero-length run in RLE stream");
-    out.push_run(p.symbol, p.length);
-  }
-  return out;
-}
-
 void write_trace(std::ostream& os, const Trace& trace) {
   put_u32(os, kMagic);
   put_u32(os, kVersion);
   put_u32(os, trace.is_block() ? 0u : 1u);
   put_u64(os, trace.size());
   put_u64(os, trace.run_count());
-  for (const Run& r : trace.runs()) {
-    put_varint(os, r.symbol);
-    put_varint(os, r.length);
-  }
+  trace.for_each_run([&](Symbol symbol, std::uint64_t length) {
+    put_varint(os, symbol);
+    put_varint(os, length);
+  });
   CL_CHECK_MSG(os.good(), "trace write failed");
 }
 
@@ -121,10 +106,16 @@ Trace read_trace(std::istream& is) {
                                      : Trace::Granularity::kFunction;
   const std::uint64_t events = get_u64(is);
   const std::uint64_t pairs = get_u64(is);
-  // A hostile header can declare any run count; never trust it for an
-  // allocation. Each pair costs >= 2 stream bytes, so a short stream runs out
-  // of bytes (-> truncation error) long before the decoder allocates much.
+  // Expanding the runs costs 4 bytes per event, so the declared event count
+  // is capped before anything is stored; the run lengths below must then sum
+  // to exactly that count. A hostile header can also declare any run count;
+  // never trust it for an allocation. Each pair costs >= 2 stream bytes, so
+  // a short stream runs out of bytes (-> truncation error) first.
+  CL_CHECK_MSG(events <= kMaxTraceEvents,
+               "trace declares " << events << " events, above the "
+                                 << kMaxTraceEvents << "-event decode cap");
   Trace out(gran);
+  out.reserve(events);
   std::uint64_t decoded = 0;
   for (std::uint64_t i = 0; i < pairs; ++i) {
     Symbol symbol;
@@ -137,8 +128,8 @@ Trace read_trace(std::istream& is) {
       length = get_varint32(is, "run length");
     }
     CL_CHECK_MSG(length > 0, "zero-length run in trace stream");
-    // Guard the running sum before it can wrap: the remaining capacity check
-    // also rejects streams whose true total overflows 64 bits.
+    // Checked against the remaining count, so the running sum never passes
+    // the declared total.
     CL_CHECK_MSG(length <= events - decoded,
                  "run lengths exceed declared event count");
     out.push_run(symbol, length);

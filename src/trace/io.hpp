@@ -1,36 +1,32 @@
 // Trace serialization (paper Sec. II-F "Instrumentation" records traces and a
 // symbol mapping to files between the profiling run and the analysis).
 //
-// Format v2: magic, version, granularity, event count, run count, then
-// LEB128-varint (symbol, length) pairs taken straight from the Trace's run
-// storage — no decode/re-encode round trip on either side. RLE + varints
-// exploit loop-heavy traces' repetitiveness. v1 streams (fixed-width u32
-// pairs) remain readable.
+// Format v2: magic, version, granularity, event count, run count, then one
+// LEB128-varint (symbol, length) pair per maximal run. The run-length pairs
+// are an encoding only: write_trace derives them from the flat event
+// sequence as it writes, and read_trace expands them back. v1 streams
+// (fixed-width u32 pairs) remain readable.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "trace/trace.hpp"
 
 namespace codelayout {
 
-/// Run-length encoding of a symbol sequence. A Trace already stores its runs;
-/// the serialized pair format is the same struct.
-using RlePair = Run;
-
-std::vector<RlePair> rle_encode(const Trace& trace);
-
-/// Rebuilds a trace from RLE pairs. Throws ContractError on a zero-length
-/// run (no valid encoder emits one).
-Trace rle_decode(const std::vector<RlePair>& pairs, Trace::Granularity g);
+/// Largest event count read_trace accepts: 64 MiB of symbols, the service's
+/// frame cap, and about 20x the largest trace the workload suite builds.
+/// Decoding costs 4 bytes per declared event, so without a cap a few bytes
+/// of run-length encoding could make a reader allocate gigabytes.
+inline constexpr std::uint64_t kMaxTraceEvents = std::uint64_t{1} << 24;
 
 /// Writes/reads the binary trace format. read_trace throws ContractError on a
-/// corrupt or hostile stream: bad magic, unsupported version, truncated
-/// payload or varint, varint overflow, zero-length run, or a run-length sum
-/// that mismatches (or overflows past) the declared event count.
+/// corrupt or hostile stream: bad magic, unsupported version, a declared
+/// event count above kMaxTraceEvents, truncated payload or varint, varint
+/// overflow, zero-length run, or a run-length sum that mismatches (or
+/// overflows past) the declared event count.
 void write_trace(std::ostream& os, const Trace& trace);
 Trace read_trace(std::istream& is);
 

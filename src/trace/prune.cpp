@@ -1,9 +1,6 @@
 #include "trace/prune.hpp"
 
 #include <algorithm>
-#include <unordered_set>
-
-#include "support/registry.hpp"
 
 namespace codelayout {
 
@@ -22,29 +19,22 @@ PruneResult prune_to_hot(const Trace& trace, std::size_t top_k) {
   });
   if (order.size() > top_k) order.resize(top_k);
 
-  std::unordered_set<Symbol> hot(order.begin(), order.end());
+  std::vector<std::uint8_t> hot(counts.size(), 0);
+  for (const Symbol s : order) hot[s] = 1;
 
   PruneResult result{.trace = Trace(trace.granularity()),
                      .hot_set = std::move(order),
                      .kept_events = 0,
                      .total_events = trace.size()};
-  result.trace.reserve(trace.run_count());
-  // Single-pass run transducer: each run is kept or dropped whole (one hot-set
-  // probe per run), and push_run re-coalesces across dropped gaps.
-  std::uint64_t runs_kept = 0;
-  for (const Run& r : trace.runs()) {
-    if (hot.contains(r.symbol)) {
-      result.trace.push_run(r.symbol, r.length);
-      result.kept_events += r.length;
-      ++runs_kept;
+  result.trace.reserve(trace.size());
+  for (const Symbol s : trace.symbols()) {
+    // Dropping cold events can leave equal hot symbols adjacent; they
+    // collapse here, exactly as re-trimming would collapse them.
+    if (hot[s] == 0) continue;
+    ++result.kept_events;
+    if (result.trace.empty() || result.trace.symbols().back() != s) {
+      result.trace.push_symbol(s);
     }
-  }
-  result.trace = result.trace.trimmed();
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("trace.prune.runs_kept").add(runs_kept);
-    registry.counter("trace.prune.runs_dropped")
-        .add(trace.run_count() - runs_kept);
   }
   return result;
 }
@@ -54,24 +44,10 @@ Trace sample_windows(const Trace& trace, std::size_t window_len,
   CL_CHECK(window_len > 0);
   CL_CHECK(stride >= window_len);
   Trace out(trace.granularity());
-  out.reserve(trace.run_count());
-  // Run transducer over [start, start + window_len) windows: walk runs once,
-  // clipping each run to the window it overlaps. Because stride >= window_len
-  // the windows are disjoint and ordered, so one forward pass suffices.
-  std::size_t run_start = 0;           // event index of the current run
-  std::size_t window_start = 0;        // event index of the current window
-  for (const Run& r : trace.runs()) {
-    const std::size_t run_end = run_start + r.length;
-    while (window_start < run_end) {
-      const std::size_t window_end =
-          std::min(window_start + window_len, trace.size());
-      const std::size_t lo = std::max(run_start, window_start);
-      const std::size_t hi = std::min(run_end, window_end);
-      if (lo < hi) out.push_run(r.symbol, hi - lo);
-      if (run_end < window_end) break;  // run exhausted inside this window
-      window_start += stride;
-    }
-    run_start = run_end;
+  const std::span<const Symbol> symbols = trace.symbols();
+  for (std::size_t start = 0; start < symbols.size(); start += stride) {
+    const std::size_t end = std::min(start + window_len, symbols.size());
+    for (std::size_t i = start; i < end; ++i) out.push_symbol(symbols[i]);
   }
   return out.trimmed();
 }

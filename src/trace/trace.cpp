@@ -1,109 +1,58 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <unordered_set>
 
 #include "ir/module.hpp"
-#include "support/registry.hpp"
 
 namespace codelayout {
 
-namespace {
-/// Guards flat-view materialization. A static mutex (rather than a per-trace
-/// one) keeps Trace trivially copyable/movable; contention only happens on
-/// the first symbols() call per trace, after which readers take the lock just
-/// long enough to copy the shared_ptr.
-std::mutex g_flat_mutex;
-}  // namespace
-
-std::span<const Symbol> Trace::symbols() const {
-  std::lock_guard<std::mutex> lock(g_flat_mutex);
-  if (!flat_) {
-    auto flat = std::make_shared<std::vector<Symbol>>();
-    flat->reserve(size_);
-    for (const Run& r : runs_) flat->insert(flat->end(), r.length, r.symbol);
-    flat_ = std::move(flat);
-    // Each materialization is O(events); the bench asserts at most one per
-    // workload per run (hoisted out of every timed region).
-    MetricsRegistry& registry = MetricsRegistry::global();
-    if (registry.enabled()) registry.counter("trace.flat_view.builds").add(1);
-  }
-  return *flat_;
-}
-
-void Trace::push_run(Symbol s, std::uint64_t count) {
-  if (count == 0) return;
-  if (flat_) flat_.reset();
-  size_ += count;
-  if (!runs_.empty()) {
-    Run& back = runs_.back();
-    if (back.symbol == s && back.length != kMaxRunLength) {
-      const std::uint64_t room = kMaxRunLength - back.length;
-      const std::uint32_t take =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(room, count));
-      back.length += take;
-      count -= take;
-    }
-  }
-  while (count > 0) {
-    const std::uint32_t take = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kMaxRunLength, count));
-    runs_.push_back(Run{s, take});
-    count -= take;
-  }
+std::size_t Trace::run_count() const {
+  std::size_t runs = 0;
+  for_each_run([&](Symbol, std::uint64_t) { ++runs; });
+  return runs;
 }
 
 Trace Trace::trimmed() const {
   Trace out(granularity_);
-  out.runs_.reserve(runs_.size());
-  for (const Run& r : runs_) {
-    // kMaxRunLength splits can leave adjacent runs with equal symbols; they
-    // still collapse to one trimmed event.
-    if (!out.runs_.empty() && out.runs_.back().symbol == r.symbol) continue;
-    out.runs_.push_back(Run{r.symbol, 1});
+  out.symbols_.reserve(symbols_.size());
+  for (const Symbol s : symbols_) {
+    if (out.symbols_.empty() || out.symbols_.back() != s) {
+      out.symbols_.push_back(s);
+    }
   }
-  out.size_ = out.runs_.size();
   return out;
 }
 
 bool Trace::is_trimmed() const {
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].length != 1) return false;
-    if (i > 0 && runs_[i].symbol == runs_[i - 1].symbol) return false;
-  }
-  return true;
+  return std::adjacent_find(symbols_.begin(), symbols_.end()) ==
+         symbols_.end();
 }
 
 std::size_t Trace::distinct_count() const {
-  std::unordered_set<Symbol> seen;
-  seen.reserve(runs_.size());
-  for (const Run& r : runs_) seen.insert(r.symbol);
+  std::unordered_set<Symbol> seen(symbols_.begin(), symbols_.end());
   return seen.size();
 }
 
 Symbol Trace::symbol_space() const {
   Symbol max = 0;
-  for (const Run& r : runs_) max = std::max(max, r.symbol + 1);
+  for (const Symbol s : symbols_) max = std::max(max, s + 1);
   return max;
 }
 
 std::vector<std::uint64_t> Trace::occurrence_counts() const {
   std::vector<std::uint64_t> counts(symbol_space(), 0);
-  for (const Run& r : runs_) counts[r.symbol] += r.length;
+  for (const Symbol s : symbols_) ++counts[s];
   return counts;
 }
 
 Trace project_to_functions(const Trace& block_trace, const Module& module) {
   CL_CHECK(block_trace.is_block());
   Trace out(Trace::Granularity::kFunction);
-  out.reserve(block_trace.run_count() / 4);
+  out.reserve(block_trace.size() / 4);
   FuncId last;
-  // Single-pass run transducer: a run of one block maps to (at most) one
-  // function event regardless of its length, so the projection is
-  // O(run_count) with no flat replay.
-  for (const Run& r : block_trace.runs()) {
-    const FuncId f = module.block(BlockId(r.symbol)).parent;
+  for (const Symbol s : block_trace.symbols()) {
+    const FuncId f = module.block(BlockId(s)).parent;
     if (!(f == last)) {
       out.push(f);
       last = f;

@@ -6,17 +6,12 @@
 // implementation across both granularities; the typed push/at accessors keep
 // granularity mix-ups out of client code.
 //
-// Storage is run-length encoded: the event sequence is kept as maximal
-// (symbol, length) runs, the representation the paper's loop-heavy I-cache
-// traces compress well under (Sec. II-F records gcc's test-input trace at
-// 8 GB flat). Push paths coalesce repeats in O(1), every analysis kernel
-// iterates runs() and collapses a run of length r into O(1) work, and the
-// serialization in trace/io writes the runs directly. symbols() remains as a
-// compatibility view that materializes the flat sequence on first use.
+// Storage is one flat vector, 4 bytes per event, and every analysis kernel
+// makes one per-event pass over symbols(). Run-length (symbol, length) pairs
+// exist only as the serialized encoding in trace/io (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,20 +23,19 @@ namespace codelayout {
 /// Untyped code-block symbol; the value of a BlockId or FuncId.
 using Symbol = std::uint32_t;
 
-/// One maximal run of a trace: `length` consecutive events of `symbol`.
-struct Run {
-  Symbol symbol;
-  std::uint32_t length;
-
-  friend bool operator==(const Run&, const Run&) = default;
+/// An empty placeholder. The benchmark harness (perfbench/walk.cpp) copies
+/// PipelineConfig::dispatch into AffinityConfig, TrgConfig and SimOptions,
+/// so those four `dispatch` members stay until it stops. Every kernel has
+/// exactly one implementation, so there is nothing to choose: the struct
+/// carries no data and every value compares equal.
+struct AnalysisDispatch {
+  friend bool operator==(const AnalysisDispatch&,
+                         const AnalysisDispatch&) = default;
 };
 
 class Trace {
  public:
   enum class Granularity { kBlock, kFunction };
-
-  /// Longest representable run; longer repeats split into adjacent runs.
-  static constexpr std::uint32_t kMaxRunLength = ~std::uint32_t{0};
 
   explicit Trace(Granularity g) : granularity_(g) {}
 
@@ -50,35 +44,29 @@ class Trace {
     return granularity_ == Granularity::kBlock;
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return symbols_.size(); }
+  [[nodiscard]] bool empty() const { return symbols_.empty(); }
 
-  /// The run-length decomposition of the event sequence. Runs are maximal
-  /// (adjacent runs carry distinct symbols) except across kMaxRunLength
-  /// splits, and every length is >= 1.
-  [[nodiscard]] std::span<const Run> runs() const { return runs_; }
-  [[nodiscard]] std::size_t run_count() const { return runs_.size(); }
+  /// The event sequence.
+  [[nodiscard]] std::span<const Symbol> symbols() const { return symbols_; }
 
-  /// Events per run — the RLE compression ratio of this trace (1.0 when no
-  /// symbol repeats consecutively; large for loop-heavy traces).
-  [[nodiscard]] double run_compression() const {
-    return runs_.empty() ? 1.0
-                         : static_cast<double>(size_) /
-                               static_cast<double>(runs_.size());
+  /// Calls `fn(symbol, length)` for every maximal run of equal consecutive
+  /// symbols, in order: the decomposition the serialized encoding and the
+  /// service's trace statistics are defined over. O(size).
+  template <typename Fn>
+  void for_each_run(Fn&& fn) const {
+    for (std::size_t i = 0; i < symbols_.size();) {
+      std::size_t j = i + 1;
+      while (j < symbols_.size() && symbols_[j] == symbols_[i]) ++j;
+      fn(symbols_[i], static_cast<std::uint64_t>(j - i));
+      i = j;
+    }
   }
 
-  /// Flat compatibility view of the event sequence, materialized lazily on
-  /// first use and cached. Concurrent calls on a const Trace are safe;
-  /// mutation invalidates the cache and must be externally exclusive, like
-  /// any other write.
-  [[nodiscard]] std::span<const Symbol> symbols() const;
+  /// Number of maximal runs (1 per event on a trimmed trace). O(size).
+  [[nodiscard]] std::size_t run_count() const;
 
-  void reserve(std::size_t n) { runs_.reserve(n); }
-  void clear() {
-    runs_.clear();
-    size_ = 0;
-    flat_.reset();
-  }
+  void reserve(std::size_t n) { symbols_.reserve(n); }
 
   void push(BlockId b) {
     CL_DCHECK(granularity_ == Granularity::kBlock);
@@ -90,37 +78,26 @@ class Trace {
     CL_DCHECK(f.valid());
     push_symbol(f.value);
   }
-  void push_symbol(Symbol s) {
-    if (flat_) flat_.reset();
-    ++size_;
-    if (!runs_.empty()) {
-      Run& back = runs_.back();
-      if (back.symbol == s && back.length != kMaxRunLength) {
-        ++back.length;
-        return;
-      }
-    }
-    runs_.push_back(Run{s, 1});
-  }
+  void push_symbol(Symbol s) { symbols_.push_back(s); }
 
-  /// Appends `count` consecutive events of `s` in O(1) (plus splits for
-  /// counts beyond kMaxRunLength). No-op when count == 0.
-  void push_run(Symbol s, std::uint64_t count);
+  /// Appends `count` consecutive events of `s`.
+  void push_run(Symbol s, std::size_t count) {
+    symbols_.insert(symbols_.end(), count, s);
+  }
 
   [[nodiscard]] BlockId block_at(std::size_t i) const {
     CL_DCHECK(granularity_ == Granularity::kBlock);
-    return BlockId(symbols()[i]);
+    return BlockId(symbols_[i]);
   }
   [[nodiscard]] FuncId function_at(std::size_t i) const {
     CL_DCHECK(granularity_ == Granularity::kFunction);
-    return FuncId(symbols()[i]);
+    return FuncId(symbols_[i]);
   }
 
   /// Trimmed trace (Definition 1): collapses runs of the same symbol.
-  /// O(run_count).
   [[nodiscard]] Trace trimmed() const;
 
-  /// True when no two consecutive symbols are equal (every run has length 1).
+  /// True when no two consecutive symbols are equal.
   [[nodiscard]] bool is_trimmed() const;
 
   /// Number of distinct symbols.
@@ -133,20 +110,11 @@ class Trace {
   /// symbol_space().
   [[nodiscard]] std::vector<std::uint64_t> occurrence_counts() const;
 
-  /// Event-sequence equality. The run decomposition is canonical for any
-  /// trace built through the push/push_run API, so this compares runs.
-  friend bool operator==(const Trace& a, const Trace& b) {
-    return a.granularity_ == b.granularity_ && a.size_ == b.size_ &&
-           a.runs_ == b.runs_;
-  }
+  friend bool operator==(const Trace&, const Trace&) = default;
 
  private:
   Granularity granularity_;
-  std::vector<Run> runs_;
-  std::size_t size_ = 0;
-  /// Lazily materialized flat view (see symbols()). Copies share the cache;
-  /// mutation drops only the mutated trace's reference.
-  mutable std::shared_ptr<const std::vector<Symbol>> flat_;
+  std::vector<Symbol> symbols_;
 };
 
 /// Projects a block trace to the function trace of the same run (trimmed per

@@ -23,23 +23,18 @@ inline std::uint64_t edge_key(Symbol a, Symbol b) {
 struct BuildShard {
   std::vector<Symbol> nodes;
   FlatKeyMap<Trg::Weight> edges;
-  std::uint64_t warmup_scanned_runs = 0;
+  std::uint64_t warmup_scanned_events = 0;
 };
 
 /// Processes events [lo, hi) against `stack` (already in the exact serial
 /// state at lo), recording nodes in first-appearance order and edge credits
-/// for events inside the chunk. Templated on the event accessor: the
-/// run-aware path feeds one event per run (repeats are stack no-ops — the
-/// symbol is already on top, so for_above yields nothing and touch
-/// early-returns), the straight-line path feeds every flat-view event; both
-/// drive the stack through the same transactions, so the shard is identical.
-template <typename At>
-void shard_scan(At&& at, std::size_t lo, std::size_t hi, LruStack& stack,
-                std::uint32_t window_entries, Symbol space,
-                BuildShard& shard) {
+/// for events inside the chunk.
+void shard_scan(std::span<const Symbol> symbols, std::size_t lo,
+                std::size_t hi, LruStack& stack, std::uint32_t window_entries,
+                Symbol space, BuildShard& shard) {
   std::vector<std::uint8_t> noted(space, 0);
   for (std::size_t j = lo; j < hi; ++j) {
-    const Symbol a = at(j);
+    const Symbol a = symbols[j];
     if (!noted[a]) {
       noted[a] = 1;
       shard.nodes.push_back(a);
@@ -61,13 +56,13 @@ void shard_scan(At&& at, std::size_t lo, std::size_t hi, LruStack& stack,
   }
 }
 
-/// Reconstructs the serial stack state at run index `lo`: the state of a
+/// Reconstructs the serial stack state at event index `lo`: the state of a
 /// weight-capped LRU stack is the maximal <=cap prefix of the recency
 /// (last-occurrence) order of the preceding events, so a backward scan that
 /// collects each symbol at its first (most recent) sighting, stopping at the
 /// cap, recovers it exactly — no forward replay of the prefix needed. TRG
 /// stacks use unit weights, so the cap is a plain entry count.
-std::uint64_t warm_start(std::span<const Run> runs, std::size_t lo,
+std::uint64_t warm_start(std::span<const Symbol> symbols, std::size_t lo,
                          std::uint32_t window_entries, Symbol space,
                          LruStack& stack) {
   std::vector<Symbol> recent;  // topmost first
@@ -75,7 +70,7 @@ std::uint64_t warm_start(std::span<const Run> runs, std::size_t lo,
   std::size_t scanned = 0;
   for (std::size_t j = lo; j-- > 0 && recent.size() < window_entries;) {
     ++scanned;
-    const Symbol s = runs[j].symbol;
+    const Symbol s = symbols[j];
     if (seen[s]) continue;
     seen[s] = 1;
     recent.push_back(s);
@@ -114,37 +109,23 @@ Trg Trg::build(const Trace& trace, const TrgConfig& config) {
   const Symbol space = trace.symbol_space();
   if (space == 0) return graph;
 
-  // The TRG is defined over the trimmed trace, but a run's repeat events are
-  // stack no-ops (the symbol is already on top: for_above yields nothing,
-  // touch early-returns, no eviction pressure changes), so iterating one
-  // event per run of the untrimmed trace — O(run_count) — builds the
-  // identical graph without materializing a trimmed copy. Chunking the run
-  // array also means a shard boundary can never split a run.
-  const std::span<const Run> runs = trace.runs();
-  // Path decision and flat-view materialization happen once, before any
-  // shard fan-out, so workers never race on (or pay for) the build.
-  const KernelPath path =
-      choose_path(config.dispatch, DispatchKernel::kTrg, trace);
-  const std::span<const Symbol> symbols = path == KernelPath::kStraightLine
-                                              ? trace.symbols()
-                                              : std::span<const Symbol>{};
+  // The TRG is defined over the trimmed trace, but a repeat event is a
+  // stack no-op (the symbol is already on top: for_above yields nothing,
+  // touch early-returns, no eviction pressure changes), so scanning the
+  // untrimmed trace builds the identical graph without a trimmed copy.
+  const std::span<const Symbol> symbols = trace.symbols();
   std::size_t shard_count = config.shards;
   if (shard_count == 0) {
     shard_count = config.pool == nullptr ? 1 : config.pool->size() + 1;
   }
-  shard_count = std::min<std::size_t>(shard_count, runs.size());
+  shard_count = std::min<std::size_t>(shard_count, symbols.size());
   std::uint64_t warmup_scanned = 0;
 
   if (shard_count <= 1) {
     LruStack stack(space);
     BuildShard whole;
-    if (path == KernelPath::kStraightLine) {
-      shard_scan([symbols](std::size_t j) { return symbols[j]; }, 0,
-                 symbols.size(), stack, config.window_entries, space, whole);
-    } else {
-      shard_scan([runs](std::size_t j) { return runs[j].symbol; }, 0,
-                 runs.size(), stack, config.window_entries, space, whole);
-    }
+    shard_scan(symbols, 0, symbols.size(), stack, config.window_entries,
+               space, whole);
     for (const Symbol s : whole.nodes) graph.note_node(s);
     whole.edges.for_each([&](std::uint64_t key, const Weight& w) {
       graph.edges_[key] = w;
@@ -152,68 +133,40 @@ Trg Trg::build(const Trace& trace, const TrgConfig& config) {
   } else {
     std::vector<BuildShard> shards(shard_count);
     const auto chunk_begin = [&](std::size_t k) {
-      return runs.size() * k / shard_count;
+      return symbols.size() * k / shard_count;
     };
-    // Chunk boundaries live in run space on both paths (a boundary can never
-    // split a run); the straight-line shards additionally need the event
-    // offset of each boundary, computed by one linear pass over the runs.
-    std::vector<std::uint64_t> event_begin;
-    if (path == KernelPath::kStraightLine) {
-      event_begin.resize(shard_count + 1);
-      std::uint64_t events = 0;
-      std::size_t next_run = 0;
-      for (std::size_t k = 0; k <= shard_count; ++k) {
-        const std::size_t boundary = chunk_begin(k);
-        for (; next_run < boundary; ++next_run) {
-          events += runs[next_run].length;
-        }
-        event_begin[k] = events;
-      }
-    }
     ParallelTaskSet tasks(config.pool, shard_count, [&](std::size_t k) {
       CODELAYOUT_PHASE("trg_shard", "analysis", "analysis.trg_shard.wall_ns",
                        {"shard", std::uint64_t{k}});
       const std::size_t lo = chunk_begin(k);
-      const std::size_t hi = chunk_begin(k + 1);
       LruStack stack(space);
-      // warm_start reconstructs the serial stack at run boundary lo, which
-      // is also the state at flat event event_begin[k] (the run's first
-      // event), so both scans start from the identical stack.
-      shards[k].warmup_scanned_runs =
-          warm_start(runs, lo, config.window_entries, space, stack);
-      if (path == KernelPath::kStraightLine) {
-        shard_scan([symbols](std::size_t j) { return symbols[j]; },
-                   static_cast<std::size_t>(event_begin[k]),
-                   static_cast<std::size_t>(event_begin[k + 1]), stack,
-                   config.window_entries, space, shards[k]);
-      } else {
-        shard_scan([runs](std::size_t j) { return runs[j].symbol; }, lo, hi,
-                   stack, config.window_entries, space, shards[k]);
-      }
+      shards[k].warmup_scanned_events =
+          warm_start(symbols, lo, config.window_entries, space, stack);
+      shard_scan(symbols, lo, chunk_begin(k + 1), stack,
+                 config.window_entries, space, shards[k]);
     });
     // Fold in chunk order as shards complete: concatenating the chunk-local
     // first-appearance lists and keeping each symbol's first sighting
     // reproduces the serial first-appearance order (a symbol credited from
     // warm-up residency necessarily occurred in an earlier chunk), and edge
-    // weights add because every event belongs to exactly one chunk.
+    // weights add because every event belongs to exactly one chunk. A
+    // boundary inside a run of one symbol is harmless: the chunk's first
+    // event finds that symbol on top of the warm-started stack, a no-op.
     for (std::size_t k = 0; k < shard_count; ++k) {
       tasks.wait(k);
       for (const Symbol s : shards[k].nodes) graph.note_node(s);
       shards[k].edges.for_each([&](std::uint64_t key, const Weight& w) {
         graph.edges_[key] += w;
       });
-      warmup_scanned += shards[k].warmup_scanned_runs;
+      warmup_scanned += shards[k].warmup_scanned_events;
     }
   }
 
   graph.ensure_adjacency();
   MetricsRegistry& registry = MetricsRegistry::global();
   if (registry.enabled()) {
-    registry.counter("trg.build.runs").add(trace.run_count());
-    registry.counter("trg.build.collapsed_events")
-        .add(trace.size() - trace.run_count());
     registry.counter("trg.build.shards").add(shard_count);
-    registry.counter("trg.build.warmup_runs").add(warmup_scanned);
+    registry.counter("trg.build.warmup_events").add(warmup_scanned);
   }
   return graph;
 }

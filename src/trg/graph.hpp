@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "support/flat_map.hpp"
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -52,10 +51,7 @@ struct TrgConfig {
   /// forced counts to pin chunk-boundary behaviour.
   std::uint32_t shards = 0;
 
-  /// Run-aware (one stack transaction per run) vs straight-line (one per
-  /// event over the flat view) scanning; see trace/dispatch.hpp. Decided
-  /// once per build; shard boundaries stay run-aligned on both paths and the
-  /// graph is bit-identical.
+  /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
   AnalysisDispatch dispatch{};
 };
 

@@ -37,9 +37,10 @@ FuncId build_hot_function(Module& m, const WorkloadSpec& spec, Rng& rng,
     BlockId br;
     // Optionally precede the diamond with a call-free self-looping spin
     // block (a polling/latch loop): it re-executes with no callee events in
-    // between, so the trace records a long same-block run — the pattern the
-    // run-length trace core compresses. The spin_prob > 0 short-circuit
-    // keeps the RNG stream of spin-free specs untouched.
+    // between, so the trace records a long same-block run — the
+    // repeat-heavy pattern tests use to exercise every kernel on real
+    // repeats. The spin_prob > 0 short-circuit keeps the RNG stream of
+    // spin-free specs untouched.
     if (spec.spin_prob > 0.0 && rng.chance(spec.spin_prob)) {
       const BlockId sp = m.add_block(f, kSpinBytes);
       m.add_edge(prev, sp, 1.0, /*fallthrough=*/true);

@@ -28,7 +28,7 @@ using testing::make_trace;
 
 /// Zipf-skewed random trace with bursts (runs), the shape the real
 /// workloads produce: hot symbols recur, and repeated symbols form runs so
-/// run-array chunk boundaries land next to long runs.
+/// TRG shard boundaries land inside and next to runs.
 Trace random_trace(std::uint64_t seed, std::size_t events, Symbol space,
                    double burstiness = 0.3) {
   Rng rng(seed);

@@ -154,16 +154,11 @@ std::vector<SimResult> reference_corun(const std::vector<RefParty>& parties,
 
 // ---- Fixtures ---------------------------------------------------------------
 
-/// First `n` events of `t`, preserving the run structure.
+/// First `n` events of `t`, untrimmed.
 Trace prefix_events(const Trace& t, std::size_t n) {
   Trace out(t.granularity());
-  std::size_t taken = 0;
-  for (const Run& r : t.runs()) {
-    if (taken >= n) break;
-    const auto want =
-        static_cast<std::uint64_t>(std::min<std::size_t>(r.length, n - taken));
-    out.push_run(r.symbol, want);
-    taken += want;
+  for (const Symbol s : t.symbols().first(std::min(n, t.size()))) {
+    out.push_symbol(s);
   }
   return out;
 }

@@ -1,10 +1,9 @@
-// Regenerates tests/golden_suite.inc — the pre-refactor golden checksums the
-// run-equivalence suite (trace_runs_test) compares against.
+// Regenerates tests/golden_suite.inc — the golden checksums the equivalence
+// suite (trace_runs_test) compares against.
 //
-// The table currently checked in was captured from the flat-vector Trace
-// implementation (seed state, before the run-length-encoded core), so the
-// golden test proves the run-aware kernels reproduce the original outputs bit
-// for bit. Only regenerate this table when an intentional behaviour change
+// The table currently checked in was captured from the original flat-vector
+// Trace implementation, so the golden test proves the kernels reproduce the
+// original outputs bit for bit. Only regenerate this table when an intentional behaviour change
 // lands (and say so in the commit): `./tests/golden_capture >
 // tests/golden_suite.inc`.
 #include <cstdio>

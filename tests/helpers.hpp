@@ -32,9 +32,9 @@ inline Trace make_trace(const std::vector<Symbol>& symbols) {
 /// B1..B5 encoded as symbols 1..5.
 inline Trace fig1_trace() { return make_trace({1, 4, 2, 4, 2, 3, 5, 1, 4}); }
 
-/// Rebuilds `t` by replaying its flat event sequence one push_symbol at a
-/// time — the reference construction path the run-equivalence suite compares
-/// run-built traces and kernels against.
+/// Rebuilds `t` by replaying its event sequence one push_symbol at a time —
+/// the reference construction path the equivalence suite compares traces
+/// built by the profiler and the I/O decoder against.
 inline Trace flat_replay(const Trace& t) {
   Trace out(t.granularity());
   for (Symbol s : t.symbols()) out.push_symbol(s);
@@ -45,9 +45,9 @@ inline Trace flat_replay(const Trace& t) {
 //
 // FNV-1a over the little-endian bytes of each 64-bit word. Used by the golden
 // equivalence suite (trace_runs_test) to pin every kernel's output: the
-// checksums in golden_suite.inc were captured from the flat-vector Trace
-// implementation before the run-length refactor, so a matching hash proves the
-// run-aware fast paths reproduce the original results bit for bit.
+// checksums in golden_suite.inc were captured from an earlier flat-vector
+// Trace implementation, so a matching hash proves the kernels reproduce the
+// original results bit for bit.
 
 inline constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
 

@@ -56,7 +56,9 @@ FootprintCurve reference_curve(const std::vector<Span>& spans,
 FootprintCurve builder_curve(const std::vector<Span>& spans, Symbol space,
                              std::uint64_t* positions = nullptr) {
   FootprintBuilder builder(space);
-  for (const Span& s : spans) builder.span(s.first, s.count, s.repeats);
+  for (const Span& s : spans) {
+    for (std::uint64_t r = 0; r < s.repeats; ++r) builder.span(s.first, s.count);
+  }
   if (positions != nullptr) *positions = builder.positions();
   return std::move(builder).finish();
 }
@@ -71,7 +73,7 @@ TEST_P(FootprintBuilderRandomTest, BitIdenticalToTrimmedCompute) {
   const std::uint64_t n = 10 + rng.below(60);
   for (std::uint64_t i = 0; i < n; ++i) {
     // Overlapping spans exercise the trimming seam between adjacent blocks
-    // sharing a boundary line; repeats exercise the O(1) tail collapse.
+    // sharing a boundary line; repeats exercise back-to-back executions.
     const Span s{static_cast<Symbol>(rng.below(40)),
                  static_cast<std::uint32_t>(1 + rng.below(6)),
                  1 + rng.below(5)};
@@ -89,10 +91,10 @@ TEST_P(FootprintBuilderRandomTest, BitIdenticalToTrimmedCompute) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FootprintBuilderRandomTest,
                          ::testing::Values(2, 3, 5, 7, 11, 13, 17, 19));
 
-TEST(FootprintBuilder, RepeatedSpanCollapsesWithoutChangingTheCurve) {
+TEST(FootprintBuilder, RepeatedSpanKeepsEveryRepetition) {
   // One 4-line block executed 1000 times: the seam never trims (last line !=
-  // first line), so every repetition survives; the builder's histogram bump
-  // must equal event-by-event probing.
+  // first line), so every repetition survives, and the curve must equal the
+  // reference's.
   const std::vector<Span> spans = {{0, 4, 1000}};
   std::uint64_t trimmed_length = 0;
   std::uint64_t positions = 0;
@@ -137,8 +139,7 @@ TEST(FootprintBuilder, LargeGapsTakeTheDeferredPath) {
 
 TEST(FootprintBuilder, EmptyStream) {
   FootprintBuilder builder(8);
-  builder.span(0, 0, 5);  // zero-width span is a no-op
-  builder.span(3, 2, 0);  // zero repeats too
+  builder.span(0, 0);  // zero-width span is a no-op
   EXPECT_EQ(builder.positions(), 0u);
   const FootprintCurve curve = std::move(builder).finish();
   EXPECT_EQ(curve.trace_length(), 0u);

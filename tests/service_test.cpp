@@ -165,7 +165,7 @@ TEST(ServiceProtocol, CorunReplyBytesArePinned) {
             "00000000"                                 // trace stats
             "00" "0000" "0000000000000000" "00"        // v3 receipt: events,
                                                        // retired slots, ...
-            "0000" "0000000000000000"                  // v4 dispatch
+            "0000" "0000000000000000"                  // v4 retired slots
             "00" "00" "0000000000000000" "00" "00"     // v5 schedule ...
             "0000");                                   //   ... predictor
   EXPECT_EQ(decode_response_payload(payload), response);
@@ -326,59 +326,6 @@ TEST(ServiceProtocol, Version1PayloadsStillDecode) {
       decode_response_payload(response_payload, /*version=*/1);
   EXPECT_EQ(decoded_response, response);
   EXPECT_THROW((void)decode_response_payload(response_payload), ContractError);
-}
-
-TEST(ServiceProtocol, V4DispatchReceiptRoundTripsAndV3StaysByteIdentical) {
-  // v4 appended dispatch_run/dispatch_flat varints and a run_compression
-  // double to the CostReceipt tail. They must round-trip at v4, and the v3
-  // encoding of the same response must be byte-identical to a v4 encoding
-  // with the fields zeroed (i.e. strictly appended, version-gated).
-  JobResponse response;
-  response.id = 17;
-  response.status = JobStatus::kOk;
-  response.receipt.events = 4096;
-  response.receipt.wall_nanos = 1234;
-  response.receipt.dispatch_run = 5;
-  response.receipt.dispatch_flat = 2;
-  response.receipt.run_compression = 3.125;
-
-  const std::string v4 = encode_response_payload(response, 4);
-  const JobResponse decoded = decode_response_payload(v4, 4);
-  EXPECT_EQ(decoded, response);
-  EXPECT_EQ(decoded.receipt.dispatch_run, 5u);
-  EXPECT_EQ(decoded.receipt.dispatch_flat, 2u);
-  EXPECT_EQ(decoded.receipt.run_compression, 3.125);
-
-  // A v3 response omits the v4 tail byte-for-byte: the v3 encoding equals
-  // the v4 encoding of the same response with the dispatch fields cleared,
-  // truncated by the appended tail (2 one-byte varints + an 8-byte double).
-  const std::string v3 = encode_response_payload(response, 3);
-  JobResponse cleared = response;
-  cleared.receipt.dispatch_run = 0;
-  cleared.receipt.dispatch_flat = 0;
-  cleared.receipt.run_compression = 0.0;
-  std::string v4_cleared = encode_response_payload(cleared, 4);
-  ASSERT_GT(v4_cleared.size(), 10u);
-  EXPECT_EQ(v3, v4_cleared.substr(0, v4_cleared.size() - 10));
-  const JobResponse v3_decoded = decode_response_payload(v3, 3);
-  EXPECT_EQ(v3_decoded.receipt.dispatch_run, 0u);
-  EXPECT_EQ(v3_decoded.receipt.dispatch_flat, 0u);
-  EXPECT_EQ(v3_decoded.receipt.run_compression, 0.0);
-
-  // Truncating anywhere inside the v4 tail must throw, never half-decode.
-  for (std::size_t cut = 1; cut <= 10; ++cut) {
-    EXPECT_THROW(static_cast<void>(decode_response_payload(
-                     std::string_view(v4).substr(0, v4.size() - cut), 4)),
-                 ContractError)
-        << "cut " << cut;
-  }
-
-  // The request payload is unchanged v3 -> v4, so cache keys were stable
-  // across that version bump: a v4 request encoding equals the v3 one.
-  const JobRequest request =
-      solo_request("429.mcf", kBBAffinity, Measure::kHardware, 7);
-  EXPECT_EQ(encode_request_payload(request, /*version=*/4),
-            encode_request_payload(request, /*version=*/3));
 }
 
 TEST(ServiceProtocol, V5CoScheduleRoundTripsAndV4StaysByteIdentical) {
@@ -1167,8 +1114,8 @@ TEST(ServiceProtocol, RejectsHostileV3Tails) {
   flagged.receipt.cached = true;
   std::string bad_cached = encode_response_payload(flagged);
   // The cached byte is followed by the (empty varint-length) introspect
-  // string, the v4 tail (two one-byte zero varints plus an 8-byte
-  // run_compression double), and the empty v5 tail (two zero counts, an
+  // string, the retired v4 slots (two one-byte zero varints plus an 8-byte
+  // double), and the empty v5 tail (two zero counts, an
   // 8-byte double, refine_passes, the verified count, and two predictor
   // varints) — 25 trailing bytes.
   bad_cached[bad_cached.size() - 26] = '\x02';
@@ -1384,12 +1331,9 @@ TEST(ServiceServer, RecentJobsRingKeepsNewestCapped) {
   EXPECT_NE(doc.introspect.find("\"count\":32"), std::string::npos)
       << doc.introspect;
   EXPECT_NE(doc.introspect.find("\"id\":999"), std::string::npos);
-  // v4 dispatch attribution is part of every ring entry (zero for the
-  // CountingExecutor, which never touches an analysis kernel).
-  EXPECT_NE(doc.introspect.find("\"dispatch_run\":"), std::string::npos)
+  // The retired v4 dispatch fields are gone from the ring entries.
+  EXPECT_EQ(doc.introspect.find("dispatch"), std::string::npos)
       << doc.introspect;
-  EXPECT_NE(doc.introspect.find("\"dispatch_flat\":"), std::string::npos);
-  EXPECT_NE(doc.introspect.find("\"run_compression\":"), std::string::npos);
   // v5 predictor attribution rides the same ring entries.
   EXPECT_NE(doc.introspect.find("\"predict_calls\":"), std::string::npos);
   EXPECT_NE(doc.introspect.find("\"profile_memo_hits\":"), std::string::npos);

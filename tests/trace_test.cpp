@@ -1,4 +1,6 @@
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -143,21 +145,29 @@ TEST(Sample, RejectsStrideBelowWindow) {
   EXPECT_THROW(sample_windows(t, 4, 2), ContractError);
 }
 
-// ---------- RLE & IO ----------------------------------------------------------
+// ---------- IO ----------------------------------------------------------------
 
-TEST(Rle, EncodeDecodeRoundtrip) {
+TEST(TraceIo, RunLengthPairsRoundtrip) {
+  // The v2 stream stores one (symbol, length) varint pair per maximal run
+  // after a 28-byte header whose last field is the run count.
   const Trace t = make_trace({1, 1, 1, 2, 3, 3, 1});
-  const auto rle = rle_encode(t);
-  ASSERT_EQ(rle.size(), 4u);
-  EXPECT_EQ(rle[0].symbol, 1u);
-  EXPECT_EQ(rle[0].length, 3u);
-  EXPECT_EQ(rle_decode(rle, Trace::Granularity::kBlock), t);
+  std::stringstream ss;
+  write_trace(ss, t);
+  const std::string bytes = ss.str();
+  ASSERT_EQ(bytes.size(), 28u + 8u);
+  std::uint64_t runs = 0;
+  std::memcpy(&runs, bytes.data() + 20, sizeof(runs));
+  EXPECT_EQ(runs, 4u);
+  EXPECT_EQ(bytes.substr(28), std::string("\x01\x03\x02\x01\x03\x02\x01\x01"));
+  EXPECT_EQ(read_trace(ss), t);
 }
 
-TEST(Rle, EmptyTrace) {
+TEST(TraceIo, EmptyTraceRoundtrip) {
   const Trace t(Trace::Granularity::kBlock);
-  EXPECT_TRUE(rle_encode(t).empty());
-  EXPECT_TRUE(rle_decode({}, Trace::Granularity::kBlock).empty());
+  std::stringstream ss;
+  write_trace(ss, t);
+  EXPECT_EQ(ss.str().size(), 28u);
+  EXPECT_EQ(read_trace(ss), t);
 }
 
 TEST(TraceIo, StreamRoundtrip) {
@@ -289,8 +299,9 @@ TEST(TraceIoHostile, RunLengthsExceedingEventCountThrow) {
 }
 
 TEST(TraceIoHostile, RunLengthSumOverflowIsRejected) {
-  // Two near-max runs whose true sum wraps 64 bits; the remaining-capacity
-  // check must fire instead of the sum silently wrapping past `events`.
+  // Two near-max runs whose true sum wraps 64 bits: rejected (by the event
+  // cap, before the remaining-capacity check would fire) instead of the sum
+  // silently wrapping past `events`.
   std::string s = header(2, ~std::uint64_t{0} - 2, 2);
   append_varint(s, 1);
   append_varint(s, ~std::uint32_t{0});
@@ -316,6 +327,22 @@ TEST(TraceIoHostile, HugeDeclaredRunCountDoesNotPreallocate) {
   append_varint(s, 1);
   std::stringstream ss(s);
   EXPECT_THROW(read_trace(ss), ContractError);
+}
+
+TEST(TraceIoHostile, DeclaredEventCountAboveDecodeCapThrows) {
+  // 34 bytes declaring one run of 2^32 - 1 events: expanding it would store
+  // 16 GiB of symbols. The cap must reject the header before any storage.
+  std::string s = header(2, /*events=*/~std::uint32_t{0}, /*pairs=*/1);
+  append_varint(s, 1);
+  append_varint(s, ~std::uint32_t{0});
+  ASSERT_EQ(s.size(), 34u);
+  EXPECT_NE(thrown_message(s).find("decode cap"), std::string::npos);
+  // The cap itself is still accepted.
+  std::string at_cap = header(2, kMaxTraceEvents, 1);
+  append_varint(at_cap, 1);
+  append_varint(at_cap, kMaxTraceEvents);
+  std::stringstream ss(at_cap);
+  EXPECT_EQ(read_trace(ss).size(), kMaxTraceEvents);
 }
 
 TEST(TraceIoHostile, UnsupportedVersionThrows) {

@@ -4,7 +4,7 @@
 Usage:
     bench_compare.py --baseline BENCH_x.json --fresh fresh_x.json \
                      [--baseline ... --fresh ...] [--threshold 0.5] \
-                     [--dispatch-floor 0.95] [--scaling-floor 8:2]
+                     [--scaling-floor 8:2] [--predictor-floor 0.05:50]
 
 Walks the baseline document and, for every metric it recognizes, checks the
 fresh run against it:
@@ -23,13 +23,6 @@ comparable across machines — while checksums stay exact.
 Two floors check the fresh run against itself (no baseline needed; --fresh
 alone works):
 
-  * --dispatch-floor R: adaptive dispatch is never materially slower than
-    the better forced path. Gated on each kernel's paired dispatch_ratio
-    (median over interleaved rounds of chosen/other path rate): the
-    per-kernel median across workloads must be >= R and every single cell
-    >= R - 0.05 (the tail guard — misdispatch measures far below it,
-    near-tie cells wobble a few percent from code-placement luck). Older
-    files without dispatch_ratio fall back to a per-cell peak-rate check;
   * --scaling-floor T:R: every swept kernel must reach R x its 1-thread
     throughput at T threads. Skipped (with a note) when the fresh host has
     fewer than max(4, T) cores — thread scaling on an oversubscribed or
@@ -203,75 +196,6 @@ class Gate:
         else:
             self.skipped += 1
 
-    def check_dispatch_floor(self, path, doc, ratio):
-        """Dispatched path >= ratio * the better forced path for every
-        kernel that reports both. Intra-file, so core counts are moot.
-
-        Prefers the bench's paired estimate (dispatch_ratio: the median
-        over interleaved rounds of chosen-path rate / other-path rate) —
-        adjacent samples share the host's throttle state, so the paired
-        ratio is robust where comparing independently-measured peak rates
-        flakes on near-ties. Paired ratios are gated two ways: the
-        per-kernel *median across workloads* must clear the floor (a
-        mistuned threshold drags every cell, so the median catches it
-        without flaking on single-cell noise), and every individual cell
-        must clear floor - 0.05 (a genuinely misdispatched cell measures
-        0.3-0.8x, far below any tail guard; near-tie kernels wobble a few
-        percent per workload from code-placement luck — the effect this
-        codebase exists to study). Falls back to the per-cell peak-rate
-        comparison for older files without the field."""
-        cell_floor = ratio - 0.05
-        paired_by_kernel = {}
-        for label, kernel in iter_kernels(doc):
-            if ("run_events_per_sec" not in kernel
-                    or "flat_events_per_sec" not in kernel):
-                continue
-            paired = kernel.get("dispatch_ratio")
-            if isinstance(paired, (int, float)):
-                name = kernel.get("name", "?")
-                paired_by_kernel.setdefault(name, []).append(paired)
-                self.checked += 1
-                if paired < cell_floor:
-                    self.failures.append(
-                        f"{path}[{label}].{name}: dispatched path runs at "
-                        f"{paired:.3f}x the other path (tail guard "
-                        f"{cell_floor:.2f}, chose "
-                        f"{kernel.get('dispatch', '?')})")
-                continue
-            best = max(kernel["run_events_per_sec"],
-                       kernel["flat_events_per_sec"])
-            if best <= 0:
-                continue
-            # Prefer the dispatched cell measured by the same interleaved
-            # harness as the forced cells; fall back to the 1-thread sweep
-            # point (older files) or the headline rate.
-            auto = kernel.get("auto_events_per_sec")
-            if auto is None:
-                sweep = kernel.get("sweep")
-                if sweep:
-                    auto = next((p["events_per_sec"] for p in sweep
-                                 if p.get("threads") == 1), None)
-                    if auto is None:
-                        continue
-                else:
-                    auto = kernel.get("events_per_sec")
-            self.checked += 1
-            if not isinstance(auto, (int, float)) or auto < ratio * best:
-                self.failures.append(
-                    f"{path}[{label}].{kernel.get('name', '?')}: dispatched "
-                    f"path {auto:.4g} ev/s below {ratio:.2f}x the better "
-                    f"forced path ({best:.4g} ev/s, chose "
-                    f"{kernel.get('dispatch', '?')})")
-        for name, values in sorted(paired_by_kernel.items()):
-            self.checked += 1
-            values = sorted(values)
-            med = values[len(values) // 2]
-            if med < ratio:
-                self.failures.append(
-                    f"{path}.{name}: median dispatched/other ratio {med:.3f} "
-                    f"across {len(values)} workload(s) below the "
-                    f"{ratio:.2f} floor")
-
     def check_predictor_floor(self, path, doc, max_error, min_speedup):
         """bench_predictor fresh-file check: the analytic model's worst
         predicted-vs-simulated miss-ratio error stays within the documented
@@ -345,10 +269,6 @@ def main():
                         help="allowed fractional regression in (0, 1); "
                              "throughput floor = baseline*(1-t), latency "
                              "ceiling = baseline/(1-t) (default 0.5)")
-    parser.add_argument("--dispatch-floor", type=float, default=None,
-                        metavar="R",
-                        help="fresh-file check: dispatched cell >= R * "
-                             "max(run, flat) for every dual-path kernel")
     parser.add_argument("--scaling-floor", type=parse_scaling_floor,
                         default=None, metavar="T:R",
                         help="fresh-file check: swept kernels reach R x "
@@ -370,10 +290,6 @@ def main():
         return 2
     if not (0.0 < args.threshold < 1.0):
         print("bench_compare: --threshold must be in (0, 1)", file=sys.stderr)
-        return 2
-    if args.dispatch_floor is not None and not (0.0 < args.dispatch_floor <= 1.0):
-        print("bench_compare: --dispatch-floor must be in (0, 1]",
-              file=sys.stderr)
         return 2
 
     gate = Gate(args.threshold)
@@ -397,8 +313,6 @@ def main():
                     f"{fresh_cores}); checksums still gated")
             gate.compare(baseline_path, baseline, fresh)
             gate.rates_comparable = True
-        if args.dispatch_floor is not None:
-            gate.check_dispatch_floor(fresh_path, fresh, args.dispatch_floor)
         if args.scaling_floor is not None:
             threads, ratio = args.scaling_floor
             gate.check_scaling_floor(fresh_path, fresh, threads, ratio)
