@@ -9,15 +9,16 @@
 // with per-event reference replays where a longhand loop exists (reuse,
 // I-cache sim).
 //
-// The suite also measures the parallel analysis front end: the `affinity`
-// and `trg_build` kernels run the production fan-out (affinity w-grid over a
-// shared pool; sharded TRG build) at every thread count in --sweep-threads,
-// reporting per-count throughput plus an FNV checksum of the result — equal
-// checksums across counts are the bit-identity proof: a sweep cell that
-// diverges from the serial result exits 5. Each measurement uses a pool of
-// (threads - 1) workers because the calling thread participates
-// (help-first), keeping the OS thread count equal to the nominal sweep
-// value. The JSON report records host_cores.
+// The suite also measures the layout front end: the `affinity` kernel runs
+// the one-pass affinity analysis over the whole default w-grid (serial, with
+// an FNV checksum of the hierarchy), and the `trg_build` kernel runs the
+// sharded TRG build at every thread count in --sweep-threads, reporting
+// per-count throughput plus an FNV checksum of the result — equal checksums
+// across counts are the bit-identity proof: a sweep cell that diverges from
+// the serial result exits 5. Each measurement uses a pool of (threads - 1)
+// workers because the calling thread participates (help-first), keeping the
+// OS thread count equal to the nominal sweep value. The JSON report records
+// host_cores.
 //
 //   bench_analysis_perf --suite [--events N] [--json] [--sweep-threads 1,2,8]
 //   bench_analysis_perf --workload 429.mcf,458.sjeng --sweep-threads 1,2,8
@@ -418,18 +419,12 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
       "trg", n, [&] { return Trg::build(trace, trg_config); },
       [](const Trg& graph) { return hash_trg(graph); }));
 
-  // Parallel analysis front end: the same production entry points the Lab
-  // drives, swept over thread counts. Every sweep cell's checksum must
-  // match the serial result (attach_sweep).
-  KernelReport affinity{
-      .name = "affinity",
-      .checksum = hash_hierarchy(analyze_affinity(trimmed))};
-  attach_sweep(affinity, n, sweep_threads, [&](ThreadPool* pool) {
-    AffinityConfig config;
-    config.pool = pool;
-    return hash_hierarchy(analyze_affinity(trimmed, config));
-  });
-  report.kernels.push_back(std::move(affinity));
+  // Layout front end: the same production entry points the Lab drives.
+  // The TRG build is swept over thread counts, and every sweep cell's
+  // checksum must match the serial result (attach_sweep).
+  report.kernels.push_back(measure_kernel(
+      "affinity", n, [&] { return analyze_affinity(trimmed); },
+      hash_hierarchy));
 
   KernelReport trg_build{
       .name = "trg_build",
@@ -649,7 +644,7 @@ int main(int argc, char** argv) {
                  "truncate each trace to N events");
   std::string sweep_geometry;
   cli.option("--sweep-threads", &sweep, "1,2,8",
-             "suite mode: per-width events/s for the parallel kernels");
+             "suite mode: per-width events/s for the sharded TRG build");
   cli.option("--sweep-geometry", &sweep_geometry, "G1,G2,...",
              "suite mode: run the icache kernel under these hierarchies "
              "(SIZE/ASSOC/LINE[+l2=SIZE/ASSOC/LINE])");

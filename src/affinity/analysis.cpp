@@ -1,66 +1,22 @@
 #include "affinity/analysis.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "affinity/hierarchy_builder.hpp"
+#include "locality/lru_stack.hpp"
 #include "support/check.hpp"
 #include "support/flat_map.hpp"
-#include "support/parallel.hpp"
-#include "support/registry.hpp"
-#include "support/trace_recorder.hpp"
 
 namespace codelayout {
 namespace {
 
-/// Credit state of one pair. `lo`/`hi` follow the key ordering. `sat_*`
-/// counts occurrences of that side having a partner occurrence with window
-/// footprint <= w (Definition 3); `mark_*` is the last trace position of
-/// that side already credited, which makes every occurrence count once.
-struct PairRec {
-  std::uint32_t sat_lo = 0;
-  std::uint32_t sat_hi = 0;
-  std::int64_t mark_lo = -1;
-  std::int64_t mark_hi = -1;
-};
+/// Prefix state of a pair side that has skipped an occurrence for good.
+constexpr std::uint32_t kDead = ~std::uint32_t{0};
 
-/// The set of distinct symbols inside the current sliding window, with
-/// per-symbol counts. Each symbol tracks its index in the dense `present_`
-/// list, so expiry is an O(1) swap-pop instead of a linear find+erase. The
-/// resulting iteration order is arbitrary, which is fine: the per-pair
-/// credit updates in the scan are independent across partners.
-class WindowSet {
- public:
-  explicit WindowSet(Symbol space) : counts_(space, 0), pos_(space, kNone) {}
-
-  void add(Symbol s) {
-    if (counts_[s]++ == 0) {
-      pos_[s] = static_cast<std::uint32_t>(present_.size());
-      present_.push_back(s);
-    }
-  }
-
-  void remove(Symbol s) {
-    CL_DCHECK(counts_[s] > 0);
-    if (--counts_[s] == 0) {
-      const std::uint32_t i = pos_[s];
-      const Symbol last = present_.back();
-      present_[i] = last;
-      pos_[last] = i;
-      present_.pop_back();
-      pos_[s] = kNone;
-    }
-  }
-
-  [[nodiscard]] std::size_t distinct() const { return present_.size(); }
-  [[nodiscard]] const std::vector<Symbol>& symbols() const { return present_; }
-
- private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
-  std::vector<std::uint32_t> counts_;
-  std::vector<std::uint32_t> pos_;
-  std::vector<Symbol> present_;
-};
+/// Pair rows per storage chunk. Fixed-size chunks grow the state without
+/// the transient copy and the up-to-2x slack of a doubling vector.
+constexpr std::size_t kChunkRows = 1024;
 
 /// Per-symbol occurrence positions in one contiguous arena: per-symbol
 /// counts are known up front, so every symbol's positions live in a
@@ -92,119 +48,109 @@ class OccurrenceArena {
 
 }  // namespace
 
-std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
-                                           std::uint32_t w) {
+std::vector<std::vector<std::uint64_t>> affine_pair_sets(
+    const Trace& trimmed, std::span<const std::uint32_t> w_values) {
   CL_CHECK(trimmed.is_trimmed());
-  CL_CHECK(w >= 2);
+  CL_CHECK(!w_values.empty() && w_values.front() >= 2);
+  CL_CHECK(std::adjacent_find(w_values.begin(), w_values.end(),
+                              std::greater_equal<>()) == w_values.end());
   const std::span<const Symbol> symbols = trimmed.symbols();
   const std::size_t n = symbols.size();
   const Symbol space = trimmed.symbol_space();
+  const std::size_t grid = w_values.size();
+  const std::uint64_t w_max = w_values.back();
 
-  // Two-pointer window [left, t]: the maximal range ending at t whose
-  // footprint (distinct symbols, Definition 2) is <= w. An occurrence P@j is
-  // within a footprint-w window of S@t exactly when j >= left(t); `left` is
-  // monotone, so expired occurrences never re-enter.
-  WindowSet window(space);
-  std::size_t left = 0;
+  // Entry w_max + 1 bounds the top slot's window; a trace never has more
+  // than `space` distinct symbols. 64-bit, so a w near 2^32 cannot wrap.
+  const auto depth =
+      static_cast<std::size_t>(std::min<std::uint64_t>(w_max + 1, space));
+  LruStack stack(space);
+  std::vector<std::uint32_t> last(space, 0);  // last access per symbol
+  std::vector<Symbol> top;                    // the top `depth` entries
+  top.reserve(depth);
+  std::vector<std::uint32_t> left(grid);
 
   OccurrenceArena positions(trimmed, space);
-  FlatKeyMap<PairRec> pairs;
+  // Per pair, a row holds 2 * grid prefix lengths: the lo side's per slot,
+  // then the hi side's. Rows never move once allocated, so `index` maps a
+  // pair key straight to its row.
+  FlatKeyMap<std::uint32_t*> index;
+  std::vector<std::vector<std::uint32_t>> chunks;
+  std::size_t chunk_used = kChunkRows;  // rows taken in chunks.back()
 
   for (std::size_t t = 0; t < n; ++t) {
     const Symbol s = symbols[t];
-    window.add(s);
-    while (window.distinct() > w) {
-      window.remove(symbols[left]);
-      ++left;
+    const auto now = static_cast<std::uint32_t>(t);
+    stack.touch(s);
+    last[s] = now;
+    top.clear();
+    stack.for_top(depth, [&](Symbol x) { top.push_back(x); });
+
+    // The maximal footprint-<=w window ending at t holds exactly the top w
+    // stack entries; it starts one past the last access of entry w + 1.
+    for (std::size_t j = 0; j < grid; ++j) {
+      left[j] = top.size() > w_values[j] ? last[top[w_values[j]]] + 1 : 0;
     }
 
-    for (Symbol p : window.symbols()) {
-      if (p == s) continue;
-      PairRec& rec = pairs[detail::pair_key(s, p)];
-      const bool s_is_lo = s < p;
-      auto& sat_s = s_is_lo ? rec.sat_lo : rec.sat_hi;
-      auto& mark_s = s_is_lo ? rec.mark_lo : rec.mark_hi;
-      auto& sat_p = s_is_lo ? rec.sat_hi : rec.sat_lo;
-      auto& mark_p = s_is_lo ? rec.mark_hi : rec.mark_lo;
-
-      // This occurrence of s sees p before it within the window.
-      if (mark_s < static_cast<std::int64_t>(t)) {
-        ++sat_s;
-        mark_s = static_cast<std::int64_t>(t);
+    const std::uint32_t c = positions.count(s);
+    const auto reach =
+        static_cast<std::size_t>(std::min<std::uint64_t>(top.size(), w_max));
+    std::size_t first_slot = 0;
+    for (std::size_t d = 2; d <= reach; ++d) {
+      while (w_values[first_slot] < d) ++first_slot;
+      const Symbol p = top[d - 1];
+      std::uint32_t*& row = index[detail::pair_key(s, p)];
+      if (row == nullptr) {
+        if (chunk_used == kChunkRows) {
+          chunks.emplace_back(kChunkRows * 2 * grid);
+          chunk_used = 0;
+        }
+        row = chunks.back().data() + chunk_used++ * 2 * grid;
       }
-      // Every in-window occurrence of p not yet credited sees s after it.
-      const auto occ = positions.of(p);
-      const auto lo_bound = static_cast<std::uint32_t>(
-          std::max<std::int64_t>(static_cast<std::int64_t>(left),
-                                 mark_p + 1));
-      const auto first =
-          std::lower_bound(occ.begin(), occ.end(), lo_bound);
-      const auto fresh = static_cast<std::uint32_t>(occ.end() - first);
-      if (fresh > 0) {
-        sat_p += fresh;
-        mark_p = occ.back();
+      std::uint32_t* const ks = row + (s < p ? 0 : grid);
+      std::uint32_t* const kp = row + (s < p ? grid : 0);
+      const std::uint32_t cp = positions.count(p);
+      const std::span<const std::uint32_t> occ_p = positions.of(p);
+      // Every slot whose window reaches depth d sees the pair. This
+      // occurrence of s extends its credited prefix only if that prefix
+      // was gap-free; p's uncredited occurrences are credited at once if
+      // the first of them is inside the slot's window, and lost otherwise.
+      for (std::size_t j = first_slot; j < grid; ++j) {
+        ks[j] = ks[j] == c ? c + 1 : kDead;
+        if (kp[j] < cp) kp[j] = occ_p[kp[j]] >= left[j] ? cp : kDead;
       }
     }
-    positions.push(s, static_cast<std::uint32_t>(t));
+    positions.push(s, now);
   }
 
-  std::vector<std::uint64_t> out;
-  out.reserve(pairs.size());
-  pairs.for_each([&](std::uint64_t key, const PairRec& rec) {
-    const auto lo = static_cast<Symbol>(key >> 32);
-    const auto hi = static_cast<Symbol>(key & 0xffffffffu);
-    if (rec.sat_lo == positions.count(lo) &&
-        rec.sat_hi == positions.count(hi)) {
-      out.push_back(key);
+  // A pair is affine at a slot iff both sides credited every occurrence.
+  std::vector<std::vector<std::uint64_t>> out(grid);
+  index.for_each([&](std::uint64_t key, const std::uint32_t* k) {
+    const std::uint32_t count_lo =
+        positions.count(static_cast<Symbol>(key >> 32));
+    const std::uint32_t count_hi =
+        positions.count(static_cast<Symbol>(key & 0xffffffffu));
+    for (std::size_t j = 0; j < grid; ++j) {
+      if (k[j] == count_lo && k[grid + j] == count_hi) {
+        out[j].push_back(key);
+      }
     }
   });
-  std::sort(out.begin(), out.end());
+  for (auto& pairs : out) std::sort(pairs.begin(), pairs.end());
   return out;
+}
+
+std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
+                                           std::uint32_t w) {
+  return std::move(affine_pair_sets(trimmed, {&w, 1}).front());
 }
 
 AffinityHierarchy analyze_affinity(const Trace& trace,
                                    const AffinityConfig& config) {
   CL_CHECK_MSG(config.valid(), "invalid affinity w grid");
   const Trace trimmed = trace.is_trimmed() ? trace : trace.trimmed();
-  const std::size_t grid = config.w_values.size();
-
-  if (config.pool == nullptr || grid < 2) {
-    return detail::build_hierarchy(
-        trimmed, config.w_values,
-        [&](std::uint32_t w) { return affine_pairs_at(trimmed, w); });
-  }
-
-  // Fan the independent per-w passes out over the shared pool and fold the
-  // hierarchy merges in ascending-w order as results complete. Tasks are
-  // claimed in *descending* w: per-w cost grows roughly linearly with w, so
-  // the longest-processing-time order keeps the makespan near max(w) instead
-  // of letting the heaviest pass start last. The fold consumes ascending w,
-  // waiting per slot — the calling thread helps with unclaimed passes while
-  // it waits, so this is safe even when invoked from inside a pool task.
-  std::vector<std::vector<std::uint64_t>> results(grid);
-  ParallelTaskSet tasks(config.pool, grid, [&](std::size_t task) {
-    const std::size_t slot = grid - 1 - task;
-    const std::uint32_t w = config.w_values[slot];
-    CODELAYOUT_PHASE("affinity_w", "analysis", "analysis.affinity_w.wall_ns",
-                     {"w", w});
-    results[slot] = affine_pairs_at(trimmed, w);
-  });
-
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("affinity.grid.tasks").add(grid);
-  }
-
-  return detail::build_hierarchy(
-      trimmed, config.w_values, [&](std::uint32_t w) {
-        const auto it = std::lower_bound(config.w_values.begin(),
-                                         config.w_values.end(), w);
-        CL_CHECK(it != config.w_values.end() && *it == w);
-        const auto slot =
-            static_cast<std::size_t>(it - config.w_values.begin());
-        tasks.wait(grid - 1 - slot);
-        return std::move(results[slot]);
-      });
+  return detail::build_hierarchy(trimmed, config.w_values,
+                                 affine_pair_sets(trimmed, config.w_values));
 }
 
 }  // namespace codelayout

@@ -1,21 +1,32 @@
 // Fast w-window affinity analysis (paper Sec. II-B).
 //
-// For each window size w the analyzer makes one pass over the trimmed trace
-// with a two-pointer sliding window that maintains the maximal range ending
-// at the current access whose footprint (Definition 2) is at most w. The
-// window never holds more than w distinct blocks, so each access does O(w)
-// pair work: the accessed block credits every distinct partner in the window
-// (partner-before), and every not-yet-credited in-window occurrence of each
-// partner credits back (partner-after), deduplicated by per-pair position
-// watermarks. The result is the exact Definition-3 relation — a pair is
-// affine iff every occurrence of both sides has a partner occurrence within
-// a footprint-w window — at O(N * w * log N) per w, far below the naive
-// Algorithm 1; the paper reports w in [2, 20] keeps compilation time within
-// a small multiple of the original build.
+// One pass over the trimmed trace yields the affine pair set of every w in
+// the grid. After each access the pass reads the top w_max + 1 entries of an
+// LRU stack and their last-access times. After touching s at time t, the
+// maximal window ending at t with footprint (Definition 2) <= w holds
+// exactly the top w stack entries, and it starts one past the last access
+// of entry w + 1, or at 0 when the stack is shorter. So each partner p at
+// stack depth d shares a window with this occurrence of s at every w >= d:
+// the pass looks the pair up once per partner, at most w_max - 1 lookups
+// per event, and updates every such w.
+//
+// Exactness. Per pair, w and side, the pass keeps k: the length of that
+// side's credited occurrence prefix, or a dead mark. Credits arrive in time
+// order (s's own occurrence when a partner is in its window, then p's
+// uncredited occurrences inside the window), and an occurrence that is
+// skipped can never be credited later, because windows only move right. So
+// a side has credited all of its occurrences iff its credits form a
+// gap-free prefix that reaches its count: the accessed side advances from c
+// to c + 1 when k == c and dies otherwise; the partner side jumps to its
+// count when its first uncredited occurrence lies in the window and dies
+// otherwise. A pair is affine at w (Definition 3) iff both sides' k equal
+// their occurrence counts. `affinity/naive.cpp` checks Definition 3
+// directly and is the oracle for this pass.
 //
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "affinity/hierarchy.hpp"
@@ -26,14 +37,13 @@ namespace codelayout {
 class ThreadPool;
 
 struct AffinityConfig {
-  /// Window sizes to analyze, ascending. The paper chooses w between 2 and
-  /// 20; the default grid covers that range with 8 passes.
+  /// Window sizes to analyze, strictly ascending, each >= 2. The paper
+  /// chooses w between 2 and 20; the default grid covers that range with 8
+  /// levels, all computed by one pass.
   std::vector<std::uint32_t> w_values = {2, 3, 4, 6, 8, 12, 16, 20};
 
-  /// Optional shared worker pool: the per-w passes are independent, so
-  /// analyze_affinity fans them out and folds the hierarchy in ascending-w
-  /// order as results complete. Non-owning; nullptr = serial. The result is
-  /// bit-identical at any pool size (the passes are exact, not approximate).
+  /// Carries nothing: analyze_affinity is one serial pass and reads no
+  /// pool. Kept only while perfbench/walk.cpp still assigns it.
   ThreadPool* pool = nullptr;
 
   /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
@@ -49,8 +59,13 @@ struct AffinityConfig {
   }
 };
 
-/// The set of symbol pairs with w-window affinity, as computed by the fast
-/// stack-based pass. Keys are (min << 32) | max.
+/// The sorted affine pair set of every w in `w_values` (strictly ascending,
+/// each >= 2), one per w, from one pass. Keys are (min << 32) | max.
+std::vector<std::vector<std::uint64_t>> affine_pair_sets(
+    const Trace& trimmed, std::span<const std::uint32_t> w_values);
+
+/// The set of symbol pairs with w-window affinity: the one-w call of
+/// affine_pair_sets.
 std::vector<std::uint64_t> affine_pairs_at(const Trace& trimmed,
                                            std::uint32_t w);
 

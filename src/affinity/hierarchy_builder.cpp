@@ -31,9 +31,9 @@ bool complete_linkage(const AffinityGroup& a, const AffinityGroup& b,
 
 AffinityHierarchy build_hierarchy(
     const Trace& trimmed, std::span<const std::uint32_t> w_values,
-    const std::function<std::vector<std::uint64_t>(std::uint32_t)>&
-        affine_at) {
+    std::span<const std::vector<std::uint64_t>> affine_sets) {
   CL_CHECK(trimmed.is_trimmed());
+  CL_CHECK(affine_sets.size() == w_values.size());
 
   // Leaf nodes: one singleton group per distinct symbol, at w = 1 every
   // block is its own group (Definition 5).
@@ -67,8 +67,9 @@ AffinityHierarchy build_hierarchy(
     }
   }
 
-  for (std::uint32_t w : w_values) {
-    const auto pair_list = affine_at(w);
+  for (std::size_t level = 0; level < w_values.size(); ++level) {
+    const std::uint32_t w = w_values[level];
+    const std::vector<std::uint64_t>& pair_list = affine_sets[level];
     if (pair_list.empty()) continue;
     const std::unordered_set<std::uint64_t> affine(pair_list.begin(),
                                                    pair_list.end());

@@ -1,11 +1,10 @@
 // Internal: constructs an AffinityHierarchy from per-w affine pair sets.
 //
-// Shared by the fast stack-based analysis and the naive Definition-3-exact
+// Shared by the fast one-pass analysis and the naive Definition-3-exact
 // reference so that the two differ only in how the pair relation is computed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -20,11 +19,11 @@ inline std::uint64_t pair_key(Symbol a, Symbol b) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-/// `affine_at(w)` must return the pair keys with w-window affinity; the
+/// `affine_sets[i]` holds the pair keys with w_values[i]-window affinity; the
 /// relation must be monotone in w (a pair affine at w stays affine at every
 /// larger w) for the result to be a well-formed hierarchy.
 AffinityHierarchy build_hierarchy(
     const Trace& trimmed, std::span<const std::uint32_t> w_values,
-    const std::function<std::vector<std::uint64_t>(std::uint32_t)>& affine_at);
+    std::span<const std::vector<std::uint64_t>> affine_sets);
 
 }  // namespace codelayout::detail

@@ -91,9 +91,11 @@ AffinityHierarchy naive_hierarchy(const Trace& trace,
                                   const AffinityConfig& config) {
   CL_CHECK_MSG(config.valid(), "invalid affinity w grid");
   const Trace trimmed = trace.is_trimmed() ? trace : trace.trimmed();
-  return detail::build_hierarchy(
-      trimmed, config.w_values,
-      [&](std::uint32_t w) { return naive_affine_pairs_at(trimmed, w); });
+  std::vector<std::vector<std::uint64_t>> affine;
+  for (const std::uint32_t w : config.w_values) {
+    affine.push_back(naive_affine_pairs_at(trimmed, w));
+  }
+  return detail::build_hierarchy(trimmed, config.w_values, affine);
 }
 
 std::vector<std::vector<Symbol>> algorithm1_partition(const Trace& trimmed,

@@ -75,9 +75,7 @@ std::vector<Symbol> model_sequence(const PreparedWorkload& prepared,
                                              Granularity::kFunction
                                          ? "function"
                                          : "block"});
-    AffinityConfig affinity = config.affinity;
-    if (affinity.pool == nullptr) affinity.pool = config.analysis_pool;
-    return analyze_affinity(trace, affinity).layout_order();
+    return analyze_affinity(trace, config.affinity).layout_order();
   }
   const std::uint32_t assumed_bytes =
       optimizer.granularity == Granularity::kFunction

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -105,7 +106,7 @@ TEST(FastAffinity, RequiresTrimmedTrace) {
   EXPECT_THROW(affine_pairs_at(t, 2), ContractError);
 }
 
-/// Exactness property: the sliding-window analysis computes exactly the
+/// Exactness property: the one-w call of the pass computes exactly the
 /// Definition-3 relation the quadratic reference computes.
 class FastVsNaiveTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -141,6 +142,107 @@ TEST(FastAffinity, MonotonePairSetsInW) {
     for (std::uint64_t p : prev) EXPECT_TRUE(cur.contains(p)) << "w=" << w;
     prev = cur;
   }
+}
+
+// ---------- one pass for the whole grid --------------------------------------
+
+void expect_same_hierarchy(const AffinityHierarchy& a,
+                           const AffinityHierarchy& b) {
+  ASSERT_EQ(a.nodes().size(), b.nodes().size());
+  ASSERT_EQ(std::vector<std::uint32_t>(a.roots().begin(), a.roots().end()),
+            std::vector<std::uint32_t>(b.roots().begin(), b.roots().end()));
+  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
+    const AffinityGroup& x = a.nodes()[i];
+    const AffinityGroup& y = b.nodes()[i];
+    EXPECT_EQ(x.id, y.id) << "node " << i;
+    EXPECT_EQ(x.formed_at_w, y.formed_at_w) << "node " << i;
+    EXPECT_EQ(x.members, y.members) << "node " << i;
+    EXPECT_EQ(x.children, y.children) << "node " << i;
+    EXPECT_EQ(x.first_occurrence, y.first_occurrence) << "node " << i;
+    EXPECT_EQ(x.occurrences, y.occurrences) << "node " << i;
+  }
+}
+
+/// The default grid, a wider one, a sparse one, a single slot, and one whose
+/// top exceeds every test trace's distinct-symbol count.
+const std::vector<std::uint32_t> kGrids[] = {
+    {2, 3, 4, 6, 8, 12, 16, 20},
+    {2, 3, 4, 6, 8, 12, 16, 20, 32, 48, 64},
+    {2, 5, 9},
+    {3},
+    {2, 7, 1000},
+};
+
+/// A trimmed trace of 30-400 events over 8-16 symbols. Most events repeat a
+/// symbol from two to four steps back, so short loops give pairs that are
+/// affine at small w, and the rest are uniform noise that breaks them.
+Trace loopy_trace(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto symbols = 8 + rng.below(9);
+  const auto events = 30 + rng.below(371);
+  Trace t(Trace::Granularity::kBlock);
+  while (t.size() < events) {
+    auto s = static_cast<Symbol>(rng.below(symbols));
+    if (t.size() >= 4 && rng.chance(0.6)) {
+      s = t.symbols()[t.size() - 2 - rng.below(3)];
+    }
+    if (t.empty() || t.symbols().back() != s) t.push_symbol(s);
+  }
+  return t;
+}
+
+/// Exactness property of the one-pass analysis: every slot of the grid
+/// holds exactly the Definition-3 pair set, and the hierarchy equals the
+/// reference's node for node.
+class OnePassVsNaiveTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+};
+
+TEST_P(OnePassVsNaiveTest, EverySlotEqualsNaive) {
+  const auto [seed, grid_index] = GetParam();
+  const std::vector<std::uint32_t>& grid = kGrids[grid_index];
+  const Trace t = loopy_trace(seed);
+  const auto sets = affine_pair_sets(t, grid);
+  ASSERT_EQ(sets.size(), grid.size());
+  for (std::size_t j = 0; j < grid.size(); ++j) {
+    EXPECT_EQ(sets[j], naive_affine_pairs_at(t, grid[j])) << "w=" << grid[j];
+  }
+  const AffinityConfig config{.w_values = grid};
+  expect_same_hierarchy(analyze_affinity(t, config),
+                        naive_hierarchy(t, config));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByGrid, OnePassVsNaiveTest,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 11),
+                       ::testing::Range<std::size_t>(0, std::size(kGrids))));
+
+TEST(OnePassAffinity, PairFirstAffineThroughAnEarlierWindow) {
+  // x d x y: (x, y) becomes affine at w = 3 through x@0's window [0, 3],
+  // which no stack depth at y@3 describes (x sits at depth 2 there).
+  const Symbol x = 1;
+  const Symbol d = 2;
+  const Symbol y = 3;
+  const Trace t = make_trace({x, d, x, y});
+  const std::vector<std::uint32_t> grid = {2, 3};
+  const auto sets = affine_pair_sets(t, grid);
+  EXPECT_FALSE(pair_set(sets[0]).contains(key(x, y)));
+  EXPECT_TRUE(pair_set(sets[1]).contains(key(x, y)));
+  EXPECT_FALSE(naive_w_affine(t, x, y, 2));
+  EXPECT_TRUE(naive_w_affine(t, x, y, 3));
+}
+
+TEST(OnePassAffinity, TopSlotNear2To32ActsAsTheDistinctCount) {
+  // A w near 2^32 must neither wrap the stack bound nor size anything by w;
+  // beyond the distinct-symbol count every window is the whole prefix.
+  const Trace t = make_trace({1, 2, 3, 1, 4, 2, 5, 3, 1, 6, 4, 1, 2});
+  const auto distinct = static_cast<std::uint32_t>(t.distinct_count());
+  const std::vector<std::uint32_t> huge = {2, 4294967295u};
+  const std::vector<std::uint32_t> exact = {2, distinct};
+  const auto top = affine_pair_sets(t, huge);
+  EXPECT_EQ(top, affine_pair_sets(t, exact));
+  EXPECT_EQ(top[1], naive_affine_pairs_at(t, distinct));
+  EXPECT_EQ(affine_pairs_at(t, 4294967295u), top[1]);
 }
 
 // ---------- hierarchy (Figure 1) ---------------------------------------------

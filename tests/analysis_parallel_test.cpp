@@ -1,20 +1,18 @@
-// Parallel-vs-serial equivalence for the analysis kernels.
+// Parallel-vs-serial equivalence for the sharded TRG build.
 //
-// Both parallel decompositions are designed to be *exact* — not "equivalent
-// up to ordering" but bit-identical: the affinity w-grid passes are
-// independent and fold in the serial order, and the sharded TRG build
-// warm-starts each chunk's LRU stack in the provable serial state (the
-// capped stack's residents are the maximal <=cap prefix of the recency
-// order of the preceding events). These tests pin that claim node-for-node
-// and edge-for-edge across thread counts, forced shard counts, chunk
-// boundaries landing mid-trace, and chunks smaller than the warm-up window.
-// The suite also runs under TSan in CI, which checks the synchronization of
-// the fan-out itself.
+// The decomposition is designed to be *exact* — not "equivalent up to
+// ordering" but bit-identical: each chunk warm-starts its LRU stack in the
+// provable serial state (the capped stack's residents are the maximal <=cap
+// prefix of the recency order of the preceding events). These tests pin
+// that claim edge-for-edge across thread counts, forced shard counts, chunk
+// boundaries landing mid-trace, and chunks smaller than the warm-up window,
+// and check that model sequences do not change when the pipeline is given
+// an analysis pool. The suite also runs under TSan in CI, which checks the
+// synchronization of the fan-out itself.
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "affinity/analysis.hpp"
 #include "harness/pipeline.hpp"
 #include "helpers.hpp"
 #include "support/rng.hpp"
@@ -43,23 +41,6 @@ Trace random_trace(std::uint64_t seed, std::size_t events, Symbol space,
   return t;
 }
 
-void expect_same_hierarchy(const AffinityHierarchy& a,
-                           const AffinityHierarchy& b) {
-  ASSERT_EQ(a.nodes().size(), b.nodes().size());
-  ASSERT_EQ(std::vector<std::uint32_t>(a.roots().begin(), a.roots().end()),
-            std::vector<std::uint32_t>(b.roots().begin(), b.roots().end()));
-  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
-    const AffinityGroup& x = a.nodes()[i];
-    const AffinityGroup& y = b.nodes()[i];
-    EXPECT_EQ(x.id, y.id) << "node " << i;
-    EXPECT_EQ(x.formed_at_w, y.formed_at_w) << "node " << i;
-    EXPECT_EQ(x.members, y.members) << "node " << i;
-    EXPECT_EQ(x.children, y.children) << "node " << i;
-    EXPECT_EQ(x.first_occurrence, y.first_occurrence) << "node " << i;
-    EXPECT_EQ(x.occurrences, y.occurrences) << "node " << i;
-  }
-}
-
 void expect_same_trg(const Trg& a, const Trg& b) {
   EXPECT_EQ(a.node_count(), b.node_count());
   EXPECT_EQ(a.edge_count(), b.edge_count());
@@ -73,32 +54,6 @@ void expect_same_trg(const Trg& a, const Trg& b) {
     EXPECT_EQ(ea[i].b, eb[i].b) << "edge " << i;
     EXPECT_EQ(ea[i].weight, eb[i].weight) << "edge " << i;
   }
-}
-
-// ---------- affinity w-grid fan-out ------------------------------------------
-
-TEST(ParallelAffinity, PoolWidthsProduceIdenticalHierarchy) {
-  const Trace trace = random_trace(11, 6'000, 80);
-  const AffinityHierarchy serial = analyze_affinity(trace, AffinityConfig{});
-  for (unsigned threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    AffinityConfig config;
-    config.pool = &pool;
-    const AffinityHierarchy parallel = analyze_affinity(trace, config);
-    SCOPED_TRACE(threads);
-    expect_same_hierarchy(serial, parallel);
-  }
-}
-
-TEST(ParallelAffinity, NonDefaultGridAndTinyTrace) {
-  const Trace tiny = make_trace({1, 2, 1, 3, 2, 1, 4, 4, 2});
-  ThreadPool pool(4);
-  AffinityConfig serial_config;
-  serial_config.w_values = {2, 5, 9};
-  AffinityConfig parallel_config = serial_config;
-  parallel_config.pool = &pool;
-  expect_same_hierarchy(analyze_affinity(tiny, serial_config),
-                        analyze_affinity(tiny, parallel_config));
 }
 
 // ---------- sharded TRG build ------------------------------------------------

@@ -156,8 +156,8 @@ TEST(GoldenSuite, PipelineOutputsMatchPreRefactorChecksums) {
     pending.push_back(pool.submit([&row, &mu, &failures] {
       std::vector<std::string> local;
       const PreparedWorkload prepared = prepare_workload(find_spec(row.name));
-      // The same models fanned out over an 8-thread analysis pool (affinity
-      // w-grid, sharded TRG build) must produce the same sequences.
+      // The same models built with an 8-thread analysis pool (sharded TRG
+      // build) must produce the same sequences.
       ThreadPool analysis_pool(8);
       PipelineConfig pooled;
       pooled.analysis_pool = &analysis_pool;
