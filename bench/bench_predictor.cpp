@@ -17,6 +17,9 @@
 //   bench_predictor [--sample S] [--workload A,B,...] [--json] [--threads N]
 //                   [--geometry G] [--l2 G]
 //
+// Both timed sides, the screening and the simulations, run serially on the
+// calling thread, so screening_speedup does not depend on --threads.
+//
 // --json emits the one-line machine-readable report (linted before printing;
 // exit 3 on lint failure) after the engine-metrics line; the report is the
 // last JSON line, which is what tools/bench_compare.py reads. The
@@ -198,15 +201,13 @@ int main(int argc, char** argv) {
   }
 
   // --- Verification: simulate the measured pairs -----------------------------
-  std::vector<EvalRequest> sim_requests;
-  sim_requests.reserve(measured.size() + n);
-  for (const std::size_t index : measured) {
-    sim_requests.push_back(EvalRequest::corun(
-        names[index / n], std::nullopt, names[index % n], std::nullopt,
-        Measure::kSimulator, hierarchy));
-  }
+  // One cell at a time on this thread, like the screening above, so the
+  // speedup compares the two at one width whatever --threads is.
   const auto sim_start = std::chrono::steady_clock::now();
-  lab.evaluate_all(sim_requests);
+  for (const std::size_t index : measured) {
+    (void)lab.corun(names[index / n], std::nullopt, names[index % n],
+                    std::nullopt, Measure::kSimulator, hierarchy);
+  }
   const double sim_wall_ms = wall_ms_since(sim_start);
   const double sim_wall_est_ms =
       sim_wall_ms * static_cast<double>(pairs_total) /

@@ -9,69 +9,157 @@
 namespace codelayout {
 namespace {
 
+/// The paper's flat 4-way L1 (no L2): SetAssocCache's packed-4 sets with the
+/// associativity fixed at 4 and no access/miss/eviction counters, which no
+/// simulator reads. Shared by every co-run party, like CacheHierarchy's
+/// flat front.
+class FlatL1Front {
+ public:
+  static bool fits(const HierarchySpec& spec) {
+    return !spec.multi_level() && spec.l1.associativity == kWays;
+  }
+
+  explicit FlatL1Front(const HierarchySpec& spec) {
+    spec.validate();
+    CL_CHECK(fits(spec));
+    sets_.resize(spec.l1.sets());
+    set_mask_ = spec.l1.sets() - 1;
+  }
+
+  /// Hit depth, as CacheLevel::access: 0 = hit, 1 = miss.
+  std::uint32_t access(std::uint64_t line) { return touch(line) ? 0 : 1; }
+  void prefill(std::uint64_t line) { (void)touch(line); }
+
+ private:
+  static constexpr std::uint32_t kWays = 4;
+
+  /// One set's lanes, full tags and recency permutation, in one cache line.
+  struct alignas(64) Set {
+    std::uint64_t tags[kWays] = {packed4::kEmpty, packed4::kEmpty,
+                                 packed4::kEmpty, packed4::kEmpty};
+    std::uint64_t lanes = 0;
+    std::uint8_t order = packed4::kIdentityOrder;
+  };
+
+  bool touch(std::uint64_t line) {
+    Set& set = sets_[line & set_mask_];
+    return packed4::touch(set.tags, set.lanes, set.order, line, kWays).hit;
+  }
+
+  std::vector<Set> sets_;
+  std::uint64_t set_mask_ = 0;
+};
+
+/// Whether demand misses through `front` go on to an L2 and count there.
+constexpr bool has_l2(const FlatL1Front&) { return false; }
+bool has_l2(const CacheLevel& front) { return front.next() != nullptr; }
+
+void check_replay(const FetchPlan& plan, const Trace& trace,
+                  const SimOptions& options) {
+  CL_CHECK(trace.is_block());
+  CL_CHECK(!trace.empty());
+  CL_CHECK_MSG(plan.line_bytes() == options.hierarchy.l1.line_bytes,
+               "fetch plan was built for a different line size");
+  CL_CHECK_MSG(plan.block_count() >= trace.symbol_space(),
+               "fetch plan does not cover the trace's block space");
+}
+
+/// The measurement flavour of one simulation, read once from SimOptions.
+struct Flavour {
+  bool next_line_prefetch;
+  double wrong_path_rate;
+
+  explicit Flavour(const SimOptions& options)
+      : next_line_prefetch(options.next_line_prefetch),
+        wrong_path_rate(options.wrong_path_rate) {}
+};
+
+/// The per-event body of every simulation: one block execution fetched
+/// through `front`. Demand probes cover the block's lines (offset into the
+/// party's line namespace); each demand miss prefills line+1 under the
+/// prefetch flavour, and a branchy block may draw a speculative wrong-path
+/// fetch of the line past its end. Returns the block's demand misses.
+template <typename Front>
+inline std::uint32_t fetch_block(Front& front, const BlockPlan& bp,
+                                 std::uint64_t line_namespace,
+                                 const Flavour& flavour, Rng& rng,
+                                 SimResult& stats) {
+  ++stats.blocks;
+  stats.instructions += bp.instr_count;
+  stats.overhead_instructions += bp.overhead_instrs;
+  std::uint32_t misses = 0;
+  for (std::uint32_t i = 0; i < bp.line_count; ++i) {
+    const std::uint64_t line = line_namespace + bp.first_line + i;
+    const std::uint32_t depth = front.access(line);
+    if (depth != 0) {
+      ++misses;
+      if (has_l2(front)) {
+        ++stats.l2_probes;
+        if (depth > 1) ++stats.l2_misses;
+      }
+      if (flavour.next_line_prefetch) front.prefill(line + 1);
+    }
+  }
+  stats.line_probes += bp.line_count;
+  stats.demand_misses += misses;
+  // Speculative wrong-path fetch past a conditional branch: the fetch unit
+  // runs ahead on the not-taken path before the branch resolves.
+  if (flavour.wrong_path_rate > 0.0 && bp.branchy != 0 &&
+      rng.chance(flavour.wrong_path_rate)) {
+    const std::uint64_t line = line_namespace + bp.first_line + bp.line_count;
+    if (front.access(line) != 0) ++stats.wrong_path_misses;
+  }
+  return misses;
+}
+
+/// Solo driver: the trace once through a cold front, party 0's line
+/// namespace (0) and RNG stream (fork(1)).
+template <typename Front>
+SimResult replay_solo(Front& front, const FetchPlan& plan, const Trace& trace,
+                      const SimOptions& options) {
+  const BlockPlan* plans = plan.blocks().data();
+  const Flavour flavour(options);
+  Rng rng = Rng(options.seed).fork(1);
+  SimResult stats;
+  for (const Symbol s : trace.symbols()) {
+    (void)fetch_block(front, plans[s], 0, flavour, rng, stats);
+  }
+  return stats;
+}
+
 /// One co-run fetch stream: a program replaying its block trace under a
-/// layout. The replay cursor is one event index into the trace. All
-/// per-block facts come from the FetchPlan — one flat load per event.
-///
-/// Streams fetch through a CacheLevel front. Under the flat default the
-/// front has no next level, access() returns 0/1, and the accounting is the
-/// historical single-cache behaviour bit for bit; with an L2 below, demand
-/// misses additionally record L2 probes/misses by hit depth.
+/// layout through its party's front. The replay cursor is one event index
+/// into the trace.
+template <typename Front>
 class FetchStream {
  public:
-  FetchStream(const FetchPlan& plan, const Trace& trace,
+  FetchStream(const FetchPlan& plan, const Trace& trace, Front& front,
               std::uint64_t line_namespace, const SimOptions& options,
               std::uint64_t rng_stream)
       : plan_(plan.blocks().data()),
         symbols_(trace.symbols()),
+        front_(&front),
         namespace_(line_namespace),
-        options_(options),
-        track_l2_(options.hierarchy.multi_level()),
+        flavour_(options),
+        miss_stall_blocks_(options.miss_stall_blocks),
         rng_(Rng(options.seed).fork(rng_stream)) {
-    CL_CHECK(trace.is_block());
-    CL_CHECK(!trace.empty());
-    CL_CHECK_MSG(plan.line_bytes() == options.hierarchy.l1.line_bytes,
-                 "fetch plan was built for a different line size");
-    CL_CHECK_MSG(plan.block_count() >= trace.symbol_space(),
-                 "fetch plan does not cover the trace's block space");
+    check_replay(plan, trace, options);
   }
 
-  /// Executes the next block against `cache`; wraps at the trace end.
-  /// Returns true when this step consumed the last event of the trace.
-  /// Demand misses accrue fetch-slot debt, and subsequent step() calls are
-  /// consumed by stalling instead of fetching.
-  bool step(CacheLevel& cache) {
+  /// Executes the next block; wraps at the trace end. Returns true when
+  /// this step consumed the last event of the trace. Demand misses accrue
+  /// fetch-slot debt, and subsequent step() calls are consumed by stalling
+  /// instead of fetching.
+  bool step() {
     if (stall_debt_ >= 1.0) {
       stall_debt_ -= 1.0;
       return false;
     }
-    const BlockPlan& bp = plan_[symbols_[next_]];
-
-    ++stats_.blocks;
-    stats_.instructions += bp.instr_count;
-    stats_.overhead_instructions += bp.overhead_instrs;
-    for (std::uint32_t i = 0; i < bp.line_count; ++i) {
-      const std::uint64_t line = namespace_ + bp.first_line + i;
-      ++stats_.line_probes;
-      const std::uint32_t depth = cache.access(line);
-      if (depth != 0) {
-        ++stats_.demand_misses;
-        if (track_l2_) {
-          ++stats_.l2_probes;
-          if (depth > 1) ++stats_.l2_misses;
-        }
-        stall_debt_ += options_.miss_stall_blocks;
-        if (options_.next_line_prefetch) cache.prefill(line + 1);
-      }
-    }
-    // Speculative wrong-path fetch past a conditional branch: the fetch unit
-    // runs ahead on the not-taken path before the branch resolves.
-    if (options_.wrong_path_rate > 0.0 && bp.branchy != 0 &&
-        rng_.chance(options_.wrong_path_rate)) {
-      const std::uint64_t line = namespace_ + bp.first_line + bp.line_count;
-      if (cache.access(line) != 0) ++stats_.wrong_path_misses;
-    }
-
+    std::uint32_t misses = fetch_block(*front_, plan_[symbols_[next_]],
+                                       namespace_, flavour_, rng_, stats_);
+    // One charge per miss, added one at a time: the same double sums as
+    // charging each miss where it happens.
+    for (; misses != 0; --misses) stall_debt_ += miss_stall_blocks_;
     if (++next_ == symbols_.size()) {
       next_ = 0;
       return true;
@@ -84,24 +172,60 @@ class FetchStream {
  private:
   const BlockPlan* plan_;
   std::span<const Symbol> symbols_;
+  Front* front_;
   std::uint64_t namespace_;
-  SimOptions options_;
-  bool track_l2_;
+  Flavour flavour_;
+  double miss_stall_blocks_;
   Rng rng_;
   std::size_t next_ = 0;  ///< index of the next event to fetch
   double stall_debt_ = 0.0;
   SimResult stats_;
 };
 
-/// Shared N-way co-run engine: round-robin interleaving, one event at a
-/// time. Party 0 is the measured stream (one block per round, ends the
-/// simulation when its trace wraps); parties 1..P-1 run at fractional
-/// `speeds` through per-party credit accumulators, and every stream stalls
-/// for `miss_stall_blocks` fetch slots per demand miss.
-///
-/// Hierarchy topology: a flat spec shares the single L1 between all parties
-/// (the paper's SMT model); with an L2 each party fetches through a private
-/// L1 front and sharing moves to the L2.
+/// Co-run driver: round-robin interleaving, one event at a time. Party 0 is
+/// the measured stream (one block per round, ends the simulation when its
+/// trace wraps); parties 1..P-1 run at fractional `speeds` through
+/// per-party credit accumulators, and every stream stalls for
+/// `miss_stall_blocks` fetch slots per demand miss. Party i fetches through
+/// `front_of(i)`.
+template <typename Front, typename FrontOf>
+std::vector<SimResult> corun_rounds(std::span<const CorunSpec::Party> parties,
+                                    const SimOptions& options,
+                                    FrontOf&& front_of) {
+  const std::size_t P = parties.size();
+  std::vector<FetchStream<Front>> streams;
+  streams.reserve(P);
+  std::vector<double> credit(P, 0.0);
+  for (std::size_t i = 0; i < P; ++i) {
+    // Disjoint line-id namespaces: P address spaces sharing one cache.
+    streams.emplace_back(*parties[i].plan, *parties[i].trace, front_of(i),
+                         static_cast<std::uint64_t>(i) << 40, options,
+                         /*rng_stream=*/i + 1);
+  }
+
+  for (;;) {
+    const bool done = streams[0].step();
+    for (std::size_t i = 1; i < P; ++i) {
+      credit[i] += parties[i].speed;
+      while (credit[i] >= 1.0) {
+        streams[i].step();
+        credit[i] -= 1.0;
+      }
+    }
+    if (done) break;
+  }
+
+  std::vector<SimResult> results;
+  results.reserve(streams.size());
+  for (const FetchStream<Front>& s : streams) results.push_back(s.stats());
+  return results;
+}
+
+/// Shared N-way co-run engine. The spec picks the front once: the flat
+/// 4-way L1 is one FlatL1Front shared by all parties (the paper's SMT
+/// model); every other spec runs the CacheHierarchy's CacheLevel chain —
+/// one shared L1, or with an L2 a private L1 front per party and sharing
+/// moved to the L2.
 std::vector<SimResult> run_corun_engine(
     std::span<const CorunSpec::Party> parties, const SimOptions& options) {
   CL_CHECK_MSG(parties.size() >= 2, "need at least two co-runners");
@@ -114,34 +238,15 @@ std::vector<SimResult> run_corun_engine(
                "block per round and defines the unit peer speeds are "
                "relative to");
 
-  const std::size_t P = parties.size();
-  CacheHierarchy hier(options.hierarchy, P);
-  std::vector<FetchStream> streams;
-  streams.reserve(P);
-  std::vector<double> credit(P, 0.0);
-  for (std::size_t i = 0; i < P; ++i) {
-    // Disjoint line-id namespaces: P address spaces sharing one cache.
-    streams.emplace_back(*parties[i].plan, *parties[i].trace,
-                         static_cast<std::uint64_t>(i) << 40, options,
-                         /*rng_stream=*/i + 1);
+  if (FlatL1Front::fits(options.hierarchy)) {
+    FlatL1Front cache(options.hierarchy);
+    return corun_rounds<FlatL1Front>(
+        parties, options, [&](std::size_t) -> FlatL1Front& { return cache; });
   }
-
-  for (;;) {
-    const bool done = streams[0].step(hier.front(0));
-    for (std::size_t i = 1; i < P; ++i) {
-      credit[i] += parties[i].speed;
-      while (credit[i] >= 1.0) {
-        streams[i].step(hier.front(i));
-        credit[i] -= 1.0;
-      }
-    }
-    if (done) break;
-  }
-
-  std::vector<SimResult> results;
-  results.reserve(streams.size());
-  for (const FetchStream& s : streams) results.push_back(s.stats());
-  return results;
+  CacheHierarchy hier(options.hierarchy, parties.size());
+  return corun_rounds<CacheLevel>(
+      parties, options,
+      [&](std::size_t i) -> CacheLevel& { return hier.front(i); });
 }
 
 }  // namespace
@@ -177,62 +282,17 @@ double amat(const SimResult& sim, const HierarchySpec& hierarchy) {
          mr1 * (hierarchy.l2_hit_cycles + mr2 * hierarchy.memory_cycles);
 }
 
-namespace {
-
-/// Solo replay: the per-event loop of FetchStream::step() specialized for
-/// one stream — no stall debt, no line namespace, no wrap-around cursor; one
-/// plan load and a tight probe loop per event. The probe sequence, prefills,
-/// and wrong-path draws (Rng(seed).fork(1)) are exactly step()'s. Kept
-/// beside step() because it replays the suite's traces faster than a
-/// step() loop (DESIGN.md §15).
-SimResult solo_flat(const FetchPlan& plan, const Trace& trace,
-                    const SimOptions& options) {
-  CL_CHECK(trace.is_block());
-  CL_CHECK(!trace.empty());
-  CL_CHECK_MSG(plan.line_bytes() == options.hierarchy.l1.line_bytes,
-               "fetch plan was built for a different line size");
-  CL_CHECK_MSG(plan.block_count() >= trace.symbol_space(),
-               "fetch plan does not cover the trace's block space");
-  CacheHierarchy hier(options.hierarchy);
-  CacheLevel& front = hier.front(0);
-  const BlockPlan* plans = plan.blocks().data();
-  const bool track_l2 = options.hierarchy.multi_level();
-  const bool wrong_path = options.wrong_path_rate > 0.0;
-  Rng rng = Rng(options.seed).fork(1);
-  SimResult stats;
-  for (const Symbol s : trace.symbols()) {
-    const BlockPlan& bp = plans[s];
-    ++stats.blocks;
-    stats.instructions += bp.instr_count;
-    stats.overhead_instructions += bp.overhead_instrs;
-    for (std::uint32_t i = 0; i < bp.line_count; ++i) {
-      const std::uint64_t line = bp.first_line + i;
-      ++stats.line_probes;
-      const std::uint32_t depth = front.access(line);
-      if (depth != 0) {
-        ++stats.demand_misses;
-        if (track_l2) {
-          ++stats.l2_probes;
-          if (depth > 1) ++stats.l2_misses;
-        }
-        if (options.next_line_prefetch) front.prefill(line + 1);
-      }
-    }
-    if (wrong_path && bp.branchy != 0 && rng.chance(options.wrong_path_rate)) {
-      const std::uint64_t line = bp.first_line + bp.line_count;
-      if (front.access(line) != 0) ++stats.wrong_path_misses;
-    }
-  }
-  return stats;
-}
-
-}  // namespace
-
 SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
                         const SimOptions& options) {
   CODELAYOUT_PHASE("icache_solo", "cache", "cache.icache_solo.wall_ns",
                    {"events", std::uint64_t{trace.size()}});
-  return solo_flat(plan, trace, options);
+  check_replay(plan, trace, options);
+  if (FlatL1Front::fits(options.hierarchy)) {
+    FlatL1Front front(options.hierarchy);
+    return replay_solo(front, plan, trace, options);
+  }
+  CacheHierarchy hier(options.hierarchy);
+  return replay_solo(hier.front(0), plan, trace, options);
 }
 
 SimResult simulate_solo(const Module& module, const CodeLayout& layout,

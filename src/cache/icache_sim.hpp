@@ -17,12 +17,23 @@
 // one shared L2 (sharing moves down a level) and lights up the per-level
 // counters in SimResult.
 //
+// Every simulation replays one event at a time through one templated
+// per-event body, driven by a plain loop for solo and by the round-robin
+// round for co-run. The body fetches through a cache front that the spec
+// picks once per simulation (DESIGN.md §11):
+//   * a flat spec with a 4-way L1 — the paper's geometry — runs a flat
+//     packed-4 front: SetAssocCache's packed-4 algorithm with the
+//     associativity fixed at 4 and no counters;
+//   * every other spec runs the CacheHierarchy's CacheLevel chain.
+// Both fronts produce the same SimResults; there is no switch beyond the
+// spec itself.
+//
 // Solo and two-way co-run simulation exist in two forms: module/layout entry
 // points (which build a FetchPlan internally) and plan-based overloads for
 // callers that amortize one plan across many simulations (the Lab memoizes
 // plans per workload x optimizer, so every cell of a co-run matrix shares
 // them); N-way co-run takes plans through a CorunSpec. Results are
-// bit-identical between the forms. Both replay one event at a time.
+// bit-identical between the forms.
 #pragma once
 
 #include <cstdint>

@@ -1,40 +1,9 @@
 #include "cache/set_assoc.hpp"
 
-#include <array>
 #include <bit>
 
 namespace codelayout {
 namespace {
-
-// kPromote[order * 4 + way]: the recency permutation after promoting `way`
-// to MRU — the way moves to position 0, everything previously above it
-// shifts one position deeper, relative order otherwise preserved. Entries
-// for non-permutation order bytes are never indexed (the cache maintains
-// valid permutations from construction on).
-constexpr std::array<std::uint8_t, 256 * 4> make_promote_table() {
-  std::array<std::uint8_t, 256 * 4> table{};
-  for (unsigned order = 0; order < 256; ++order) {
-    for (unsigned way = 0; way < 4; ++way) {
-      unsigned out = way;
-      unsigned shift = 2;
-      for (unsigned p = 0; p < 4 && shift < 8; ++p) {
-        const unsigned w = (order >> (2 * p)) & 3;
-        if (w == way) continue;
-        out |= w << shift;
-        shift += 2;
-      }
-      table[order * 4 + way] = static_cast<std::uint8_t>(out);
-    }
-  }
-  return table;
-}
-
-constexpr auto kPromote = make_promote_table();
-
-// Positions 0..3 hold ways 0..3: a valid permutation for any assoc <= 4
-// (positions >= assoc never matter — their ways are never promoted, so they
-// stay at the tail).
-constexpr std::uint8_t kIdentityOrder = 0b11'10'01'00;
 
 // The 16-nibble identity permutation for the wide representation: position p
 // holds way p. Tail nibbles (>= assoc) keep values >= assoc forever — only
@@ -54,7 +23,7 @@ SetAssocCache::SetAssocCache(const CacheGeometry& geom) : geom_(geom) {
   ways_.assign(geom_.sets() * assoc_, kEmpty);
   if (repr_ == Repr::kPacked4) {
     partial_.assign(geom_.sets(), 0);
-    order_.assign(geom_.sets(), kIdentityOrder);
+    order_.assign(geom_.sets(), packed4::kIdentityOrder);
   } else if (repr_ == Repr::kPackedWide) {
     words_ = (assoc_ + 7) / 8;
     partial_.assign(geom_.sets() * words_, 0);
@@ -73,37 +42,14 @@ bool SetAssocCache::touch(std::uint64_t line, bool count) {
 
 bool SetAssocCache::touch_packed(std::uint64_t line, bool count) {
   const std::uint64_t set = line & set_mask_;
-  std::uint64_t* tags = &ways_[set * assoc_];
-  const std::uint64_t lanes = partial_[set];
-  // SWAR zero-lane test: a lane of `diff` is zero iff that way's partial tag
-  // matches. Borrow propagation can flag spurious lanes above a true match;
-  // never the reverse (a zero lane is always flagged), and every candidate
-  // is confirmed against the full tag, so false positives only cost a load.
-  const std::uint64_t diff = lanes ^ (kLaneLsb * partial_tag(line));
-  std::uint64_t cand = (diff - kLaneLsb) & ~diff & kLaneMsb;
-  if (count) ++accesses_;
-  while (cand != 0) {
-    const auto lane = static_cast<std::uint32_t>(std::countr_zero(cand)) >> 4;
-    if (lane < assoc_ && tags[lane] == line) {
-      order_[set] = kPromote[order_[set] * 4u + lane];
-      return true;
-    }
-    cand &= cand - 1;
+  const packed4::Touch touch = packed4::touch(
+      &ways_[set * assoc_], partial_[set], order_[set], line, assoc_);
+  if (count) {
+    ++accesses_;
+    if (!touch.hit) ++misses_;
   }
-  // Miss: the victim is the way at the LRU position. Empty ways start at the
-  // permutation tail and are never promoted until filled, so they are
-  // consumed before any real eviction — the same fill order as the generic
-  // recency array.
-  if (count) ++misses_;
-  const std::uint8_t order = order_[set];
-  const std::uint32_t victim = (order >> (2 * (assoc_ - 1))) & 3u;
-  if (tags[victim] != kEmpty) ++evictions_;
-  tags[victim] = line;
-  const std::uint32_t shift = 16 * victim;
-  partial_[set] = (lanes & ~(std::uint64_t{0xffff} << shift)) |
-                  (std::uint64_t{partial_tag(line)} << shift);
-  order_[set] = kPromote[order * 4u + victim];
-  return false;
+  if (touch.evicted) ++evictions_;
+  return touch.hit;
 }
 
 std::uint32_t SetAssocCache::wide_position(std::uint64_t perm,
@@ -186,15 +132,7 @@ bool SetAssocCache::contains(std::uint64_t line) const {
   const std::uint64_t set = line & set_mask_;
   const std::uint64_t* tags = &ways_[set * assoc_];
   if (repr_ == Repr::kPacked4) {
-    const std::uint64_t diff = partial_[set] ^ (kLaneLsb * partial_tag(line));
-    std::uint64_t cand = (diff - kLaneLsb) & ~diff & kLaneMsb;
-    while (cand != 0) {
-      const auto lane =
-          static_cast<std::uint32_t>(std::countr_zero(cand)) >> 4;
-      if (lane < assoc_ && tags[lane] == line) return true;
-      cand &= cand - 1;
-    }
-    return false;
+    return packed4::find(tags, partial_[set], line, assoc_) < assoc_;
   }
   if (repr_ == Repr::kPackedWide) {
     const std::uint64_t* lanes = &partial_[set * words_];
@@ -221,7 +159,7 @@ void SetAssocCache::flush() {
   ways_.assign(ways_.size(), kEmpty);
   if (repr_ == Repr::kPacked4) {
     partial_.assign(partial_.size(), 0);
-    order_.assign(order_.size(), kIdentityOrder);
+    order_.assign(order_.size(), packed4::kIdentityOrder);
   } else if (repr_ == Repr::kPackedWide) {
     partial_.assign(partial_.size(), 0);
     order16_.assign(order16_.size(), kIdentityOrderWide);

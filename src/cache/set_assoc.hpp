@@ -22,14 +22,117 @@
 //     falling back to the linear scan.
 //   * generic (assoc > 16) — ways kept in recency order in a small
 //     contiguous array; probe is a linear scan and a hit rotates the prefix.
+//
+// The packed-4 probe/promote routine is exposed below as packed4::touch so the
+// co-run engine's flat L1 front (cache/icache_sim.cpp) runs the same
+// transcription with the associativity fixed at 4.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "cache/geometry.hpp"
 
 namespace codelayout {
+
+/// One packed set of at most four ways: the ways' 16-bit partial tags in one
+/// word, their full tags in way-index order, and a 2-bit-per-position
+/// recency permutation (position 0 is MRU). Every routine takes the set's
+/// associativity as a parameter, so a caller that fixes it at 4 gets it
+/// folded at compile time.
+namespace packed4 {
+
+inline constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+// Broadcast/borrow masks for the 4x16-bit SWAR zero-lane test.
+inline constexpr std::uint64_t kLaneLsb = 0x0001000100010001ull;
+inline constexpr std::uint64_t kLaneMsb = 0x8000800080008000ull;
+
+// Positions 0..3 hold ways 0..3: a valid permutation for any assoc <= 4
+// (positions >= assoc never matter — their ways are never promoted, so they
+// stay at the tail).
+inline constexpr std::uint8_t kIdentityOrder = 0b11'10'01'00;
+
+// kPromote[order * 4 + way]: the recency permutation after promoting `way`
+// to MRU — the way moves to position 0, everything previously above it
+// shifts one position deeper, relative order otherwise preserved. Entries
+// for non-permutation order bytes are never indexed (sets keep valid
+// permutations from construction on).
+constexpr std::array<std::uint8_t, 256 * 4> make_promote_table() {
+  std::array<std::uint8_t, 256 * 4> table{};
+  for (unsigned order = 0; order < 256; ++order) {
+    for (unsigned way = 0; way < 4; ++way) {
+      unsigned out = way;
+      unsigned shift = 2;
+      for (unsigned p = 0; p < 4 && shift < 8; ++p) {
+        const unsigned w = (order >> (2 * p)) & 3;
+        if (w == way) continue;
+        out |= w << shift;
+        shift += 2;
+      }
+      table[order * 4 + way] = static_cast<std::uint8_t>(out);
+    }
+  }
+  return table;
+}
+
+inline constexpr std::array<std::uint8_t, 256 * 4> kPromote =
+    make_promote_table();
+
+/// 16-bit mix of the line id. Collisions are fine (the full tag confirms);
+/// the multiply spreads the low bits so same-set lines rarely share a lane
+/// pattern.
+inline std::uint16_t partial_tag(std::uint64_t line) {
+  return static_cast<std::uint16_t>((line * 0x9e3779b97f4a7c15ull) >> 48);
+}
+
+/// The way holding `line`, or `assoc` when it is not resident. SWAR
+/// zero-lane test: a lane of `diff` is zero iff that way's partial tag
+/// matches. Borrow propagation can flag spurious lanes above a true match;
+/// never the reverse (a zero lane is always flagged), and every candidate is
+/// confirmed against the full tag, so false positives only cost a load.
+inline std::uint32_t find(const std::uint64_t* tags, std::uint64_t lanes,
+                          std::uint64_t line, std::uint32_t assoc) {
+  const std::uint64_t diff = lanes ^ (kLaneLsb * partial_tag(line));
+  std::uint64_t cand = (diff - kLaneLsb) & ~diff & kLaneMsb;
+  while (cand != 0) {
+    const auto lane = static_cast<std::uint32_t>(std::countr_zero(cand)) >> 4;
+    if (lane < assoc && tags[lane] == line) return lane;
+    cand &= cand - 1;
+  }
+  return assoc;
+}
+
+struct Touch {
+  bool hit = false;
+  bool evicted = false;  ///< a miss displaced a valid line
+};
+
+/// Touches `line` in one set: a hit promotes its way to MRU; a miss installs
+/// the line in the way at the LRU position and promotes it. Empty ways start
+/// at the permutation tail and are never promoted until filled, so they are
+/// consumed before any real eviction — the same fill order as the generic
+/// recency array.
+inline Touch touch(std::uint64_t* tags, std::uint64_t& lanes,
+                   std::uint8_t& order, std::uint64_t line,
+                   std::uint32_t assoc) {
+  const std::uint32_t way = find(tags, lanes, line, assoc);
+  if (way < assoc) {
+    order = kPromote[order * 4u + way];
+    return {.hit = true};
+  }
+  const std::uint32_t victim = (order >> (2 * (assoc - 1))) & 3u;
+  const bool evicted = tags[victim] != kEmpty;
+  tags[victim] = line;
+  const std::uint32_t shift = 16 * victim;
+  lanes = (lanes & ~(std::uint64_t{0xffff} << shift)) |
+          (std::uint64_t{partial_tag(line)} << shift);
+  order = kPromote[order * 4u + victim];
+  return {.hit = false, .evicted = evicted};
+}
+
+}  // namespace packed4
 
 class SetAssocCache {
  public:
@@ -71,11 +174,8 @@ class SetAssocCache {
  private:
   enum class Repr : std::uint8_t { kPacked4, kPackedWide, kGeneric };
 
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  // Broadcast/borrow masks for the 4x16-bit SWAR zero-lane test.
-  static constexpr std::uint64_t kLaneLsb = 0x0001000100010001ull;
-  static constexpr std::uint64_t kLaneMsb = 0x8000800080008000ull;
-  // The 8x8-bit and 16x4-bit variants for the wide representation.
+  static constexpr std::uint64_t kEmpty = packed4::kEmpty;
+  // The 8x8-bit and 16x4-bit SWAR masks for the wide representation.
   static constexpr std::uint64_t kByteLsb = 0x0101010101010101ull;
   static constexpr std::uint64_t kByteMsb = 0x8080808080808080ull;
   static constexpr std::uint64_t kNibbleLsb = 0x1111111111111111ull;
@@ -83,14 +183,9 @@ class SetAssocCache {
   static constexpr std::uint32_t kPackedMaxAssoc = 4;
   static constexpr std::uint32_t kPackedWideMaxAssoc = 16;
 
-  /// 16-bit mix of the line id. Collisions are fine (the full tag confirms);
-  /// the multiply spreads the low bits so same-set lines rarely share a lane
-  /// pattern.
-  static std::uint16_t partial_tag(std::uint64_t line) {
-    return static_cast<std::uint16_t>((line * 0x9e3779b97f4a7c15ull) >> 48);
-  }
-  /// 8-bit sibling for the wide representation (more false candidates per
-  /// probe, each costing only a confirming full-tag load).
+  /// 8-bit sibling of packed4::partial_tag for the wide representation
+  /// (more false candidates per probe, each costing only a confirming
+  /// full-tag load).
   static std::uint8_t partial_tag8(std::uint64_t line) {
     return static_cast<std::uint8_t>((line * 0x9e3779b97f4a7c15ull) >> 56);
   }

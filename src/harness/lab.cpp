@@ -31,6 +31,39 @@ void stage_json(JsonWriter& json, const char* name,
       .end_object();
 }
 
+/// The distinct prepare and layout requests a batch's cells depend on: every
+/// workload and peer, then every optimized layout, block granularity (the
+/// costlier models) before function granularity, first appearance otherwise.
+std::vector<EvalRequest> batch_inputs(std::span<const EvalRequest> requests) {
+  std::vector<EvalRequest> prepares;
+  std::vector<EvalRequest> layouts;
+  const auto add = [](std::vector<EvalRequest>& out, EvalRequest request) {
+    if (std::find(out.begin(), out.end(), request) == out.end()) {
+      out.push_back(std::move(request));
+    }
+  };
+  for (const EvalRequest& request : requests) {
+    const EvalKey& key = request.key;
+    add(prepares, EvalRequest::prepare(key.workload));
+    if (key.optimizer) {
+      add(layouts, EvalRequest::layout(key.workload, key.optimizer));
+    }
+    if (key.peer) {
+      add(prepares, EvalRequest::prepare(*key.peer));
+      if (key.peer_optimizer) {
+        add(layouts, EvalRequest::layout(*key.peer, key.peer_optimizer));
+      }
+    }
+  }
+  std::stable_partition(layouts.begin(), layouts.end(),
+                        [](const EvalRequest& request) {
+                          return request.key.optimizer->granularity ==
+                                 Granularity::kBlock;
+                        });
+  prepares.insert(prepares.end(), layouts.begin(), layouts.end());
+  return prepares;
+}
+
 }  // namespace
 
 std::uint64_t LabMetrics::tasks_executed() const {
@@ -131,6 +164,21 @@ std::vector<std::exception_ptr> Lab::run_batch(
       }
     }
   } else {
+    // Build the batch's inputs before its cells, so workers start on the
+    // layouts instead of blocking in cells on a layout another worker has
+    // only just begun. An input's failure is memoized, and the cell that
+    // needs it reports it in its own outcome.
+    std::vector<std::future<void>> inputs;
+    if (requests.size() > 1) {
+      for (const EvalRequest& input : batch_inputs(requests)) {
+        inputs.push_back(pool().submit([this, input] {
+          try {
+            execute(input);
+          } catch (...) {
+          }
+        }));
+      }
+    }
     std::vector<std::future<void>> futures;
     futures.reserve(requests.size());
     for (const EvalRequest& request : requests) {
@@ -146,6 +194,7 @@ std::vector<std::exception_ptr> Lab::run_batch(
         errors[i] = std::current_exception();
       }
     }
+    for (std::future<void>& input : inputs) input.wait();
   }
   engine_wall_nanos_.fetch_add(wall_nanos_now() - wall0,
                                std::memory_order_relaxed);
@@ -232,13 +281,15 @@ const FetchPlan& Lab::fetch_plan(const std::string& name,
   // stale plan.
   EvalKey key = EvalRequest::layout(name, optimizer).key;
   key.hierarchy.l1.line_bytes = line_bytes;
+  // Resolve the layout before entering the counter-less plan table: a cell
+  // that needs a layout another worker is still building then waits on the
+  // layout cell, where the wait is counted as `layout.waited`.
+  const CodeLayout& lay = layout(name, optimizer);
   bool computed = false;
   const FetchPlan& plan =
       plans_.get_or_compute(key, /*counters=*/nullptr, [&] {
         computed = true;
-        const PreparedWorkload& prepared = workload(name);
-        const CodeLayout& lay = layout(name, optimizer);
-        return FetchPlan(prepared.module, lay, line_bytes);
+        return FetchPlan(workload(name).module, lay, line_bytes);
       });
   MetricsRegistry& registry = MetricsRegistry::global();
   if (registry.enabled()) {
@@ -262,6 +313,7 @@ const SoloProfile& Lab::solo_profile(const std::string& name,
   // fetch stream), so one cell serves every pairing the predictor screens.
   EvalKey key = EvalRequest::layout(name, optimizer).key;
   key.hierarchy.l1.line_bytes = line_bytes;
+  (void)layout(name, optimizer);  // waits counted, as in fetch_plan()
   bool computed = false;
   const SoloProfile& profile =
       profiles_.get_or_compute(key, /*counters=*/nullptr, [&] {

@@ -7,7 +7,8 @@
 // must agree bit for bit on every SimResult field, including the
 // RNG-stream-sensitive wrong-path miss counts, over the whole golden
 // workload suite, many-party mixes with fractional speeds, and degenerate
-// cache geometries.
+// cache geometries, under every measurement flavour. The solo simulator is
+// checked against the same reference run with one party.
 #include <algorithm>
 #include <cstdint>
 #include <future>
@@ -215,6 +216,24 @@ void append_mismatches(std::vector<std::string>& out, const std::string& label,
   check("wrong_path_misses", got.wrong_path_misses, want.wrong_path_misses);
 }
 
+/// The measurement flavours every oracle runs under: the two instruments,
+/// and each of the hardware proxy's flags alone.
+struct NamedOptions {
+  const char* name;
+  SimOptions options;
+};
+
+std::vector<NamedOptions> flavours() {
+  SimOptions prefetch;
+  prefetch.next_line_prefetch = true;
+  SimOptions wrong_path;
+  wrong_path.wrong_path_rate = hardware_proxy_options().wrong_path_rate;
+  return {{"sim", SimOptions{}},
+          {"hw", hardware_proxy_options()},
+          {"prefetch", prefetch},
+          {"wrong-path", wrong_path}};
+}
+
 void expect_sim_equal(const SimResult& got, const SimResult& want) {
   EXPECT_EQ(got.blocks, want.blocks);
   EXPECT_EQ(got.instructions, want.instructions);
@@ -226,32 +245,18 @@ void expect_sim_equal(const SimResult& got, const SimResult& want) {
 
 // ---- Whole-suite equivalence ------------------------------------------------
 
-TEST(CorunFast, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
-  // Every suite workload co-run against one shared spin-heavy peer at a
-  // fractional speed, under both measurement flavours.
-  const Prepared peer(spin_variant("403.gcc", 0.7, 48.0), 77, 40'000, 12'000);
+/// Runs `check(spec, failures)` for every suite workload on a pool and
+/// reports the collected mismatches.
+template <typename Check>
+void for_each_suite_workload(Check check) {
   ThreadPool pool(ThreadPool::default_threads());
   std::mutex mu;
   std::vector<std::string> failures;
   std::vector<std::future<void>> pending;
-
   for (const WorkloadSpec& spec : spec_suite()) {
-    pending.push_back(pool.submit([&spec, &peer, &mu, &failures] {
-      const Prepared self(spec, 11, 20'000, 6'000);
+    pending.push_back(pool.submit([&spec, &check, &mu, &failures] {
       std::vector<std::string> local;
-      for (const bool hw : {false, true}) {
-        const SimOptions options = hw ? hardware_proxy_options() : SimOptions{};
-        const double peer_speed = 1.3;
-        const CorunResult got =
-            simulate_corun(self.module, self.layout, self.trace, peer.module,
-                           peer.layout, peer.trace, options, peer_speed);
-        const std::vector<SimResult> want = reference_corun(
-            {self.ref_party(), peer.ref_party(peer_speed)}, options);
-        const std::string label =
-            spec.name + (hw ? " [hw]" : " [sim]");
-        append_mismatches(local, label + " self", got.self, want[0]);
-        append_mismatches(local, label + " peer", got.peer, want[1]);
-      }
+      check(spec, local);
       if (!local.empty()) {
         const std::lock_guard<std::mutex> lock(mu);
         for (std::string& f : local) failures.push_back(std::move(f));
@@ -260,6 +265,44 @@ TEST(CorunFast, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
   }
   for (auto& p : pending) p.get();
   for (const std::string& f : failures) ADD_FAILURE() << f;
+}
+
+TEST(CorunFast, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
+  // Every suite workload co-run against one shared spin-heavy peer at a
+  // fractional speed, under every measurement flavour.
+  const Prepared peer(spin_variant("403.gcc", 0.7, 48.0), 77, 40'000, 12'000);
+  for_each_suite_workload([&peer](const WorkloadSpec& spec,
+                                  std::vector<std::string>& failures) {
+    const Prepared self(spec, 11, 20'000, 6'000);
+    for (const NamedOptions& flavour : flavours()) {
+      const double peer_speed = 1.3;
+      const CorunResult got = simulate_corun(
+          self.module, self.layout, self.trace, peer.module, peer.layout,
+          peer.trace, flavour.options, peer_speed);
+      const std::vector<SimResult> want = reference_corun(
+          {self.ref_party(), peer.ref_party(peer_speed)}, flavour.options);
+      const std::string label = spec.name + " [" + flavour.name + "]";
+      append_mismatches(failures, label + " self", got.self, want[0]);
+      append_mismatches(failures, label + " peer", got.peer, want[1]);
+    }
+  });
+}
+
+// ---- Solo replay ------------------------------------------------------------
+
+TEST(CorunFast, SoloMatchesOnePartyPerEventReplay) {
+  // A one-party reference co-run is the solo replay: its stall steps fetch
+  // nothing, its namespace is 0 and its RNG stream is fork(1).
+  for_each_suite_workload([](const WorkloadSpec& spec,
+                             std::vector<std::string>& failures) {
+    const Prepared self(spec, 12, 20'000, 8'000);
+    for (const NamedOptions& flavour : flavours()) {
+      append_mismatches(failures, spec.name + " [" + flavour.name + "] solo",
+                        simulate_solo(self.plan, self.trace, flavour.options),
+                        reference_corun({self.ref_party()},
+                                        flavour.options)[0]);
+    }
+  });
 }
 
 // ---- Many-party mixes with fractional speeds --------------------------------
@@ -319,14 +362,16 @@ TEST(CorunFast, DegenerateGeometriesMatchPerEventReplay) {
   const CacheGeometry geometries[] = {
       {256, 4, 64},   // a single set: everything conflicts
       {512, 1, 64},   // direct-mapped
-      {1024, 8, 64},  // assoc > 4: the generic (non-packed) cache path
+      {1024, 8, 64},  // assoc > 4: the wide packed cache path
+      {8192, 4, 64},  // the flat 4-way front off the paper's size
+      {2048, 2, 64},  // a packed-4 CacheLevel chain with assoc < 4
   };
   for (const CacheGeometry& geom : geometries) {
-    for (const bool hw : {false, true}) {
-      SimOptions options = hw ? hardware_proxy_options() : SimOptions{};
+    for (const NamedOptions& flavour : flavours()) {
+      SimOptions options = flavour.options;
       options.hierarchy.l1 = geom;
       options.hierarchy.l1.validate();
-      SCOPED_TRACE(std::string(hw ? "[hw]" : "[sim]") + " sets=" +
+      SCOPED_TRACE(std::string("[") + flavour.name + "] sets=" +
                    std::to_string(geom.sets()) +
                    " assoc=" + std::to_string(geom.associativity));
       const CorunResult got =
@@ -336,6 +381,8 @@ TEST(CorunFast, DegenerateGeometriesMatchPerEventReplay) {
           reference_corun({a.ref_party(), b.ref_party(1.7)}, options);
       expect_sim_equal(got.self, want[0]);
       expect_sim_equal(got.peer, want[1]);
+      expect_sim_equal(simulate_solo(b.plan, b.trace, options),
+                       reference_corun({b.ref_party()}, options)[0]);
     }
   }
 }

@@ -314,6 +314,34 @@ TEST(LabEngineTest, CheckedBatchIsolatesFailuresPerCell) {
       0u);
 }
 
+TEST(LabEngineTest, PoolBatchIsolatesAFailedLayoutInput) {
+  // On the pool path a batch builds its prepare and layout inputs first. A
+  // co-run cell whose own layout cannot be built fails alone, naming the
+  // workload; its neighbours still share the inputs built for them.
+  Lab lab(LabOptions{}.threads(2));
+  const std::vector<EvalRequest> requests = {
+      EvalRequest::solo("429.mcf", kFuncAffinity, Measure::kHardware),
+      EvalRequest::corun("no.such-benchmark", kFuncAffinity, "429.mcf",
+                         std::nullopt, Measure::kHardware),
+      EvalRequest::corun("458.sjeng", kFuncAffinity, "429.mcf", kFuncAffinity,
+                         Measure::kSimulator),
+      EvalRequest::solo("458.sjeng", kFuncAffinity, Measure::kSimulator),
+  };
+  const std::vector<EvalOutcome> outcomes = lab.evaluate_all_checked(requests);
+  ASSERT_EQ(outcomes.size(), requests.size());
+  for (const std::size_t good : {0u, 2u, 3u}) {
+    EXPECT_TRUE(outcomes[good].ok()) << good << ": " << outcomes[good].error;
+  }
+  EXPECT_FALSE(outcomes[1].ok());
+  EXPECT_NE(outcomes[1].error.find("no.such-benchmark"), std::string::npos)
+      << outcomes[1].error;
+
+  const LabMetrics metrics = lab.metrics();
+  EXPECT_EQ(metrics.requests_submitted, requests.size());
+  EXPECT_EQ(metrics.layout.computed, 2u);  // function affinity: mcf, sjeng
+  EXPECT_EQ(metrics.solo.computed, 2u);
+}
+
 TEST(LabEngineTest, CheckedAndThrowingBatchesAgree) {
   const std::vector<EvalRequest> requests = {
       EvalRequest::solo("429.mcf", std::nullopt, Measure::kHardware),
