@@ -10,18 +10,12 @@
 // I-cache sim).
 //
 // The suite also measures the layout front end: the `affinity` kernel runs
-// the one-pass affinity analysis over the whole default w-grid (serial, with
-// an FNV checksum of the hierarchy), and the `trg_build` kernel runs the
-// sharded TRG build at every thread count in --sweep-threads, reporting
-// per-count throughput plus an FNV checksum of the result — equal checksums
-// across counts are the bit-identity proof: a sweep cell that diverges from
-// the serial result exits 5. Each measurement uses a pool of (threads - 1)
-// workers because the calling thread participates (help-first), keeping the
-// OS thread count equal to the nominal sweep value. The JSON report records
-// host_cores.
+// the one-pass affinity analysis over the whole default w-grid, with an FNV
+// checksum of the hierarchy, next to the `trg` build. The JSON report
+// records host_cores.
 //
-//   bench_analysis_perf --suite [--events N] [--json] [--sweep-threads 1,2,8]
-//   bench_analysis_perf --workload 429.mcf,458.sjeng --sweep-threads 1,2,8
+//   bench_analysis_perf --suite [--events N] [--json]
+//   bench_analysis_perf --workload 429.mcf,458.sjeng [--sweep-geometry G,...]
 //
 // Without these flags the google-benchmark harness runs as before.
 #include <benchmark/benchmark.h>
@@ -31,7 +25,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +40,6 @@
 #include "locality/lru_stack.hpp"
 #include "locality/reuse.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "trg/graph.hpp"
 #include "trg/reduction.hpp"
 #include "workloads/spec.hpp"
@@ -135,26 +127,13 @@ BENCHMARK(BM_FullPipeline)->Arg(0)->Arg(1);
 
 // ---- Kernel suite mode ------------------------------------------------------
 
-/// One point of a thread-scaling sweep: throughput at `threads` OS threads
-/// plus the FNV checksum of the kernel's result at that width (equal
-/// checksums across the sweep are the bit-identity evidence).
-struct SweepPoint {
-  unsigned threads = 1;
-  double events_per_sec = 0.0;
-  std::uint64_t checksum = 0;
-};
-
 /// One measured kernel: throughput, the FNV checksum of its result, and
-/// optionally a per-event reference replay's throughput. Parallel kernels
-/// additionally carry the thread sweep; for those, events_per_sec is the
-/// widest point and baseline_events_per_sec the single-thread point, so the
-/// reported speedup is the thread-scaling factor.
+/// optionally a per-event reference replay's throughput.
 struct KernelReport {
   const char* name;
   double events_per_sec = 0.0;
   double baseline_events_per_sec = 0.0;  ///< 0 when no reference exists
   std::uint64_t checksum = 0;
-  std::vector<SweepPoint> sweep{};
 };
 
 // FNV checksums of the kernels' outputs (same scheme as the test suite's
@@ -344,40 +323,8 @@ KernelReport measure_kernel(const char* name, std::uint64_t events,
   return report;
 }
 
-/// Sweeps `run(pool)` over the requested thread counts and attaches the
-/// sweep to `report`. Each count gets a pool of (threads - 1) workers — the
-/// calling thread participates via the help-first task sets, so `threads`
-/// is the true OS thread count — and threads == 1 runs the serial path
-/// (null pool). Every sweep cell must reproduce the serial checksum bit for
-/// bit; a divergence flags the run for exit code 5. Throughput convention:
-/// events_per_sec at the widest point, baseline at the narrowest.
-template <typename RunFn>
-void attach_sweep(KernelReport& report, std::uint64_t events,
-                  const std::vector<unsigned>& thread_counts, RunFn&& run) {
-  for (const unsigned threads : thread_counts) {
-    const std::unique_ptr<ThreadPool> pool =
-        threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
-    SweepPoint point{.threads = threads};
-    point.events_per_sec = measure_events_per_sec(
-        events, [&] { point.checksum = run(pool.get()); });
-    if (point.checksum != report.checksum) {
-      std::fprintf(stderr,
-                   "FATAL: %s: %u-thread sweep cell diverges from the "
-                   "serial result (0x%016llx vs 0x%016llx)\n",
-                   report.name, point.threads,
-                   static_cast<unsigned long long>(point.checksum),
-                   static_cast<unsigned long long>(report.checksum));
-      g_checksums_ok = false;
-    }
-    report.sweep.push_back(point);
-  }
-  report.baseline_events_per_sec = report.sweep.front().events_per_sec;
-  report.events_per_sec = report.sweep.back().events_per_sec;
-}
-
 WorkloadReport measure_workload(const WorkloadSpec& spec,
                                 std::uint64_t max_events,
-                                const std::vector<unsigned>& sweep_threads,
                                 const std::vector<HierarchySpec>&
                                     sweep_geometries) {
   const Module module = build_workload(spec);
@@ -419,22 +366,10 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
       "trg", n, [&] { return Trg::build(trace, trg_config); },
       [](const Trg& graph) { return hash_trg(graph); }));
 
-  // Layout front end: the same production entry points the Lab drives.
-  // The TRG build is swept over thread counts, and every sweep cell's
-  // checksum must match the serial result (attach_sweep).
+  // Layout front end: the same production entry point the Lab drives.
   report.kernels.push_back(measure_kernel(
       "affinity", n, [&] { return analyze_affinity(trimmed); },
       hash_hierarchy));
-
-  KernelReport trg_build{
-      .name = "trg_build",
-      .checksum = hash_trg(Trg::build(trace, trg_config))};
-  attach_sweep(trg_build, n, sweep_threads, [&](ThreadPool* pool) {
-    TrgConfig config = trg_config;
-    config.pool = pool;
-    return hash_trg(Trg::build(trace, config));
-  });
-  report.kernels.push_back(std::move(trg_build));
 
   // Bare-LRU simulation (the paper's Pin-simulator flavour).
   const SimOptions sim_options{};
@@ -491,17 +426,6 @@ void print_report(const WorkloadReport& r, bool json, bool first) {
                     k.baseline_events_per_sec,
                     k.events_per_sec / k.baseline_events_per_sec);
       }
-      if (!k.sweep.empty()) {
-        std::printf(", \"sweep\": [");
-        for (std::size_t j = 0; j < k.sweep.size(); ++j) {
-          const SweepPoint& p = k.sweep[j];
-          std::printf("%s{\"threads\": %u, \"events_per_sec\": %.0f,"
-                      " \"checksum\": \"0x%016llx\"}",
-                      j ? ", " : "", p.threads, p.events_per_sec,
-                      static_cast<unsigned long long>(p.checksum));
-        }
-        std::printf("]");
-      }
       std::printf("}");
     }
     std::printf("]");
@@ -527,19 +451,11 @@ void print_report(const WorkloadReport& r, bool json, bool first) {
                 k.events_per_sec,
                 static_cast<unsigned long long>(k.checksum));
     if (k.baseline_events_per_sec > 0.0) {
-      std::printf(k.sweep.empty()
-                      ? "   (per-event %12.0f, speedup %5.2fx)"
-                      : "   (1-thread  %12.0f, scaling %5.2fx)",
+      std::printf("   (per-event %12.0f, speedup %5.2fx)",
                   k.baseline_events_per_sec,
                   k.events_per_sec / k.baseline_events_per_sec);
     }
     std::printf("\n");
-    for (const SweepPoint& p : k.sweep) {
-      std::printf("        %2u thread%s %12.0f events/s  checksum "
-                  "0x%016llx\n",
-                  p.threads, p.threads == 1 ? " " : "s", p.events_per_sec,
-                  static_cast<unsigned long long>(p.checksum));
-    }
   }
   for (const GeometryPoint& g : r.geometry_sweep) {
     std::printf("    geometry %-28s %12.0f events/s  checksum 0x%016llx"
@@ -563,29 +479,6 @@ std::vector<WorkloadSpec> parse_workloads(const std::string& list) {
   return specs;
 }
 
-/// "1,2,8" -> {1, 2, 8}; enforced nonempty, positive, strictly ascending so
-/// the sweep's first point is the serial baseline and the last the widest.
-std::vector<unsigned> parse_thread_counts(const std::string& list) {
-  std::vector<unsigned> counts;
-  const char* cursor = list.c_str();
-  while (*cursor != '\0') {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(cursor, &end, 10);
-    if (end == cursor || value == 0 ||
-        (!counts.empty() && value <= counts.back())) {
-      std::fprintf(stderr,
-                   "--sweep-threads wants a strictly ascending list of "
-                   "positive counts, got \"%s\"\n",
-                   list.c_str());
-      std::exit(2);
-    }
-    counts.push_back(static_cast<unsigned>(value));
-    cursor = *end == ',' ? end + 1 : end;
-  }
-  if (counts.empty()) counts.push_back(1);
-  return counts;
-}
-
 /// "32K/4/64,16K/2/64+l2=256K/8/64" -> hierarchy specs for the icache
 /// kernel's geometry axis.
 std::vector<HierarchySpec> parse_geometry_list(const std::string& list) {
@@ -602,7 +495,7 @@ std::vector<HierarchySpec> parse_geometry_list(const std::string& list) {
 }
 
 int run_suite_mode(const std::string& workload, std::uint64_t max_events,
-                   bool json, const std::vector<unsigned>& sweep_threads,
+                   bool json,
                    const std::vector<HierarchySpec>& sweep_geometries) {
   const std::vector<WorkloadSpec> specs =
       workload.empty() ? spec_suite() : parse_workloads(workload);
@@ -617,7 +510,7 @@ int run_suite_mode(const std::string& workload, std::uint64_t max_events,
   bool first = true;
   for (const WorkloadSpec& spec : specs) {
     print_report(
-        measure_workload(spec, max_events, sweep_threads, sweep_geometries),
+        measure_workload(spec, max_events, sweep_geometries),
         json, first);
     first = false;
   }
@@ -631,7 +524,6 @@ int main(int argc, char** argv) {
   bool suite = false;
   bool json = false;
   std::string workload;
-  std::string sweep;
   std::uint64_t max_events = ~std::uint64_t{0};
   std::vector<std::string> leftover;
   CliOptions cli(argv[0], "analysis kernel throughput");
@@ -643,18 +535,14 @@ int main(int argc, char** argv) {
   cli.option_u64("--events", &max_events, 1, ~std::uint64_t{0}, "N",
                  "truncate each trace to N events");
   std::string sweep_geometry;
-  cli.option("--sweep-threads", &sweep, "1,2,8",
-             "suite mode: per-width events/s for the sharded TRG build");
   cli.option("--sweep-geometry", &sweep_geometry, "G1,G2,...",
              "suite mode: run the icache kernel under these hierarchies "
              "(SIZE/ASSOC/LINE[+l2=SIZE/ASSOC/LINE])");
   cli.passthrough(&leftover);  // --benchmark_* flags pass through
   cli.parse_or_exit(argc, argv);
-  suite = suite || json || !workload.empty() || !sweep.empty() ||
-          !sweep_geometry.empty();
+  suite = suite || json || !workload.empty() || !sweep_geometry.empty();
   if (suite) {
     return run_suite_mode(workload, max_events, json,
-                          parse_thread_counts(sweep.empty() ? "1" : sweep),
                           parse_geometry_list(sweep_geometry));
   }
 

@@ -253,16 +253,7 @@ const CodeLayout& Lab::layout(const std::string& name,
   return layouts_.get_or_compute(key, counters(Stage::kLayout), [&] {
     CODELAYOUT_PHASE("layout", "lab", "lab.layout.wall_ns",
                      {"workload", name}, {"optimizer", opt_label(optimizer)});
-    // Shard the TRG build over the engine pool (affinity is one serial
-    // pass). This is safe even though this memo compute may itself be
-    // running *on* that pool: the build uses help-first task sets (see
-    // support/parallel.hpp), so its progress never depends on a queued
-    // helper being scheduled.
-    PipelineConfig pipeline = options_.pipeline();
-    if (threads_ > 1 && pipeline.analysis_pool == nullptr) {
-      pipeline.analysis_pool = &pool();
-    }
-    return optimize_layout(prepared, *optimizer, pipeline);
+    return optimize_layout(prepared, *optimizer, options_.pipeline());
   });
 }
 

@@ -18,8 +18,6 @@
 
 namespace codelayout {
 
-class ThreadPool;
-
 enum class ModelKind { kAffinity, kTrg };
 enum class Granularity { kFunction, kBlock };
 
@@ -58,10 +56,6 @@ struct PipelineConfig {
   std::uint32_t trg_function_bytes = 512;  ///< assumed function size
   std::uint64_t profile_seed = 101;  ///< "test" input
   std::uint64_t eval_seed = 707;     ///< "reference" input
-  /// Optional shared worker pool for the TRG build: fans its shards out
-  /// while the calling thread participates. Non-owning; nullptr = serial.
-  /// Model outputs are bit-identical either way (the sharding is exact).
-  ThreadPool* analysis_pool = nullptr;
   /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
   AnalysisDispatch dispatch{};
 };

@@ -2,18 +2,10 @@
 
 namespace codelayout {
 
-LruStack::LruStack(Symbol symbol_space, std::span<const std::uint32_t> weights)
+LruStack::LruStack(Symbol symbol_space)
     : next_(symbol_space, kNil),
       prev_(symbol_space, kNil),
-      present_(symbol_space, 0),
-      weights_(symbol_space, 1) {
-  if (!weights.empty()) {
-    CL_CHECK_MSG(weights.size() == symbol_space,
-                 "weights size " << weights.size() << " != symbol space "
-                                 << symbol_space);
-    weights_.assign(weights.begin(), weights.end());
-  }
-}
+      present_(symbol_space, 0) {}
 
 bool LruStack::touch(Symbol s) {
   CL_DCHECK(s < present_.size());
@@ -24,19 +16,17 @@ bool LruStack::touch(Symbol s) {
   } else {
     present_[s] = 1;
     ++count_;
-    weight_sum_ += weights_[s];
   }
   push_front(s);
   return was_resident;
 }
 
-void LruStack::evict_to_weight(std::uint64_t cap) {
-  while (weight_sum_ > cap && tail_ != kNil) {
+void LruStack::evict_to_count(std::size_t cap) {
+  while (count_ > cap) {
     const Symbol victim = tail_;
     unlink(victim);
     present_[victim] = 0;
     --count_;
-    weight_sum_ -= weights_[victim];
   }
 }
 
@@ -45,34 +35,6 @@ std::size_t LruStack::depth_of(Symbol s) const {
   std::size_t depth = 0;
   for (Symbol cur = head_; cur != s; cur = next_[cur]) ++depth;
   return depth;
-}
-
-std::vector<Symbol> LruStack::snapshot() const {
-  std::vector<Symbol> out;
-  out.reserve(count_);
-  for (Symbol cur = head_; cur != kNil; cur = next_[cur]) out.push_back(cur);
-  return out;
-}
-
-void LruStack::restore(std::span<const Symbol> top_to_bottom) {
-  clear();
-  for (std::size_t i = top_to_bottom.size(); i-- > 0;) {
-    const Symbol s = top_to_bottom[i];
-    CL_DCHECK(!resident(s));
-    touch(s);
-  }
-}
-
-void LruStack::clear() {
-  for (Symbol cur = head_; cur != kNil;) {
-    const Symbol nxt = next_[cur];
-    next_[cur] = prev_[cur] = kNil;
-    present_[cur] = 0;
-    cur = nxt;
-  }
-  head_ = tail_ = kNil;
-  count_ = 0;
-  weight_sum_ = 0;
 }
 
 void LruStack::unlink(Symbol s) {

@@ -7,12 +7,11 @@
 // asymptotics with better constants. The stack supports the two access
 // patterns the analyses need: the affinity model reads the top-w entries at
 // every access, and the TRG model enumerates exactly the entries above the
-// accessed symbol (the blocks seen since its previous occurrence), optionally
-// capped by a total-footprint budget in bytes.
+// accessed symbol (the blocks seen since its previous occurrence), with the
+// stack capped at a number of entries.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "support/check.hpp"
@@ -22,10 +21,8 @@ namespace codelayout {
 
 class LruStack {
  public:
-  /// `symbol_space` bounds the symbol values; `weight[s]` is the footprint
-  /// weight (e.g. code bytes) of symbol s, defaulting to 1 per symbol.
-  explicit LruStack(Symbol symbol_space,
-                    std::span<const std::uint32_t> weights = {});
+  /// `symbol_space` bounds the symbol values.
+  explicit LruStack(Symbol symbol_space);
 
   /// Moves `s` to the top. Returns true when `s` was already resident.
   bool touch(Symbol s);
@@ -51,35 +48,19 @@ class LruStack {
     }
   }
 
-  /// Evicts from the bottom until the total resident weight is <= cap.
-  void evict_to_weight(std::uint64_t cap);
+  /// Evicts from the bottom until at most `cap` symbols are resident.
+  void evict_to_count(std::size_t cap);
 
   [[nodiscard]] bool resident(Symbol s) const {
     CL_DCHECK(s < present_.size());
     return present_[s] != 0;
   }
   [[nodiscard]] std::size_t resident_count() const { return count_; }
-  [[nodiscard]] std::uint64_t resident_weight() const { return weight_sum_; }
   [[nodiscard]] Symbol top() const { return head_; }
 
   /// Number of distinct symbols above `s` (0 when s is on top); `s` must be
   /// resident. O(depth).
   [[nodiscard]] std::size_t depth_of(Symbol s) const;
-
-  /// The resident symbols, topmost first — a portable snapshot of the stack
-  /// state. restore(snapshot()) reproduces the exact state.
-  [[nodiscard]] std::vector<Symbol> snapshot() const;
-
-  /// Resets the stack to exactly `top_to_bottom` (topmost first, distinct
-  /// symbols). No eviction is applied; the caller is responsible for the
-  /// weight budget. Used by the sharded TRG build to warm-start a worker at a
-  /// chunk boundary: the capped stack's state at any trace position is the
-  /// maximal weight-<=cap prefix of the last-occurrence (recency) order of
-  /// the preceding events, which a backward scan can reconstruct without
-  /// replaying the prefix.
-  void restore(std::span<const Symbol> top_to_bottom);
-
-  void clear();
 
  private:
   static constexpr Symbol kNil = ~Symbol{0};
@@ -90,11 +71,9 @@ class LruStack {
   std::vector<Symbol> next_;
   std::vector<Symbol> prev_;
   std::vector<std::uint8_t> present_;
-  std::vector<std::uint32_t> weights_;
   Symbol head_ = kNil;
   Symbol tail_ = kNil;
   std::size_t count_ = 0;
-  std::uint64_t weight_sum_ = 0;
 };
 
 /// Replays the whole trace through `stack` and returns the number of touches

@@ -1,82 +1,24 @@
 #include "trg/graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "locality/lru_stack.hpp"
 #include "support/check.hpp"
-#include "support/parallel.hpp"
-#include "support/registry.hpp"
-#include "support/thread_pool.hpp"
-#include "support/trace_recorder.hpp"
 
 namespace codelayout {
 namespace {
+
+/// Byte budget of one block of the pair-count matrix. The build handles the
+/// matrix's rows in blocks of this size, one trace pass per block, so the
+/// counts stay bounded at any node count: up to 1024 nodes take one pass,
+/// and the 4000 kept by the default prune take 16.
+constexpr std::size_t kCountBlockBytes = std::size_t{4} << 20;
 
 inline std::uint64_t edge_key(Symbol a, Symbol b) {
   const Symbol lo = a < b ? a : b;
   const Symbol hi = a < b ? b : a;
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-/// Partial result of one build shard: chunk-local first-appearance node
-/// order plus the chunk's edge contributions.
-struct BuildShard {
-  std::vector<Symbol> nodes;
-  FlatKeyMap<Trg::Weight> edges;
-  std::uint64_t warmup_scanned_events = 0;
-};
-
-/// Processes events [lo, hi) against `stack` (already in the exact serial
-/// state at lo), recording nodes in first-appearance order and edge credits
-/// for events inside the chunk.
-void shard_scan(std::span<const Symbol> symbols, std::size_t lo,
-                std::size_t hi, LruStack& stack, std::uint32_t window_entries,
-                Symbol space, BuildShard& shard) {
-  std::vector<std::uint8_t> noted(space, 0);
-  for (std::size_t j = lo; j < hi; ++j) {
-    const Symbol a = symbols[j];
-    if (!noted[a]) {
-      noted[a] = 1;
-      shard.nodes.push_back(a);
-    }
-    if (stack.resident(a)) {
-      // Everything above `a` occurred between its two successive
-      // occurrences — one potential conflict per such pair (Definition 6).
-      stack.for_above(a, [&](Symbol b) {
-        if (!noted[b]) {
-          noted[b] = 1;
-          shard.nodes.push_back(b);
-        }
-        shard.edges[edge_key(a, b)] += 1;
-        return true;
-      });
-    }
-    stack.touch(a);
-    stack.evict_to_weight(window_entries);
-  }
-}
-
-/// Reconstructs the serial stack state at event index `lo`: the state of a
-/// weight-capped LRU stack is the maximal <=cap prefix of the recency
-/// (last-occurrence) order of the preceding events, so a backward scan that
-/// collects each symbol at its first (most recent) sighting, stopping at the
-/// cap, recovers it exactly — no forward replay of the prefix needed. TRG
-/// stacks use unit weights, so the cap is a plain entry count.
-std::uint64_t warm_start(std::span<const Symbol> symbols, std::size_t lo,
-                         std::uint32_t window_entries, Symbol space,
-                         LruStack& stack) {
-  std::vector<Symbol> recent;  // topmost first
-  std::vector<std::uint8_t> seen(space, 0);
-  std::size_t scanned = 0;
-  for (std::size_t j = lo; j-- > 0 && recent.size() < window_entries;) {
-    ++scanned;
-    const Symbol s = symbols[j];
-    if (seen[s]) continue;
-    seen[s] = 1;
-    recent.push_back(s);
-  }
-  stack.restore(recent);
-  return scanned;
 }
 
 }  // namespace
@@ -104,70 +46,55 @@ std::uint32_t trg_slot_count(std::uint64_t cache_bytes, std::uint32_t assoc,
 
 Trg Trg::build(const Trace& trace, const TrgConfig& config) {
   CL_CHECK(config.window_entries > 0);
-
-  Trg graph;
-  const Symbol space = trace.symbol_space();
-  if (space == 0) return graph;
-
-  // The TRG is defined over the trimmed trace, but a repeat event is a
-  // stack no-op (the symbol is already on top: for_above yields nothing,
-  // touch early-returns, no eviction pressure changes), so scanning the
-  // untrimmed trace builds the identical graph without a trimmed copy.
   const std::span<const Symbol> symbols = trace.symbols();
-  std::size_t shard_count = config.shards;
-  if (shard_count == 0) {
-    shard_count = config.pool == nullptr ? 1 : config.pool->size() + 1;
-  }
-  shard_count = std::min<std::size_t>(shard_count, symbols.size());
-  std::uint64_t warmup_scanned = 0;
+  // A pair is credited at most once per event, so 32-bit counts cannot wrap.
+  CL_CHECK_MSG(symbols.size() < (std::uint64_t{1} << 32),
+               "trace of " << symbols.size()
+                           << " events overflows the TRG's pair counts");
 
-  if (shard_count <= 1) {
-    LruStack stack(space);
-    BuildShard whole;
-    shard_scan(symbols, 0, symbols.size(), stack, config.window_entries,
-               space, whole);
-    for (const Symbol s : whole.nodes) graph.note_node(s);
-    whole.edges.for_each([&](std::uint64_t key, const Weight& w) {
-      graph.edges_[key] = w;
-    });
-  } else {
-    std::vector<BuildShard> shards(shard_count);
-    const auto chunk_begin = [&](std::size_t k) {
-      return symbols.size() * k / shard_count;
-    };
-    ParallelTaskSet tasks(config.pool, shard_count, [&](std::size_t k) {
-      CODELAYOUT_PHASE("trg_shard", "analysis", "analysis.trg_shard.wall_ns",
-                       {"shard", std::uint64_t{k}});
-      const std::size_t lo = chunk_begin(k);
-      LruStack stack(space);
-      shards[k].warmup_scanned_events =
-          warm_start(symbols, lo, config.window_entries, space, stack);
-      shard_scan(symbols, lo, chunk_begin(k + 1), stack,
-                 config.window_entries, space, shards[k]);
-    });
-    // Fold in chunk order as shards complete: concatenating the chunk-local
-    // first-appearance lists and keeping each symbol's first sighting
-    // reproduces the serial first-appearance order (a symbol credited from
-    // warm-up residency necessarily occurred in an earlier chunk), and edge
-    // weights add because every event belongs to exactly one chunk. A
-    // boundary inside a run of one symbol is harmless: the chunk's first
-    // event finds that symbol on top of the warm-started stack, a no-op.
-    for (std::size_t k = 0; k < shard_count; ++k) {
-      tasks.wait(k);
-      for (const Symbol s : shards[k].nodes) graph.note_node(s);
-      shards[k].edges.for_each([&](std::uint64_t key, const Weight& w) {
-        graph.edges_[key] += w;
-      });
-      warmup_scanned += shards[k].warmup_scanned_events;
+  // Dense ids are positions in first-appearance order, i.e. in nodes_: a
+  // walk only meets symbols that have already occurred.
+  Trg graph;
+  graph.node_index_.assign(trace.symbol_space(), kNoNode);
+  for (const Symbol s : symbols) graph.note_node(s);
+  const std::size_t n = graph.nodes_.size();
+  if (n == 0) return graph;
+
+  // c[a][b] counts the reuses of a with b above it on the stack: one
+  // potential conflict each (Definition 6). Each pass replays the stack over
+  // the whole trace but walks only for rows in its block, so every walk
+  // happens in exactly one pass. The TRG is defined over the trimmed trace,
+  // but a repeat event is a stack no-op (its symbol is already on top), so
+  // the untrimmed trace builds the identical graph without a trimmed copy.
+  const std::size_t block_rows = std::clamp<std::size_t>(
+      kCountBlockBytes / (n * sizeof(std::uint32_t)), 1, n);
+  std::vector<std::uint32_t> counts(block_rows * n, 0);
+  for (std::size_t lo = 0; lo < n; lo += block_rows) {
+    const std::size_t hi = std::min(n, lo + block_rows);
+    LruStack stack(static_cast<Symbol>(n));
+    for (const Symbol s : symbols) {
+      const std::uint32_t a = graph.node_index_[s];
+      if (a >= lo && a < hi && stack.resident(a)) {
+        std::uint32_t* row = counts.data() + (a - lo) * n;
+        stack.for_above(a, [row](Symbol b) {
+          ++row[b];
+          return true;
+        });
+      }
+      stack.touch(a);
+      stack.evict_to_count(config.window_entries);
+    }
+    // weight(a, b) = c[a][b] + c[b][a]: the two additions under one key.
+    for (std::size_t a = lo; a < hi; ++a) {
+      std::uint32_t* row = counts.data() + (a - lo) * n;
+      for (std::size_t b = 0; b < n; ++b) {
+        if (row[b] == 0) continue;
+        graph.edges_[edge_key(graph.nodes_[a], graph.nodes_[b])] +=
+            std::exchange(row[b], 0);
+      }
     }
   }
-
   graph.ensure_adjacency();
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("trg.build.shards").add(shard_count);
-    registry.counter("trg.build.warmup_events").add(warmup_scanned);
-  }
   return graph;
 }
 
@@ -236,7 +163,7 @@ void Trg::ensure_adjacency() const {
     adj_[cursor[node_position(hi)]++] = Neighbor{lo, w};
   });
   // Sort each slice by neighbor symbol so iteration order is deterministic
-  // regardless of the accumulator's internal layout (and of shard count).
+  // regardless of the accumulator's internal layout.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     std::sort(adj_.begin() + adj_offsets_[i],
               adj_.begin() + adj_offsets_[i + 1],

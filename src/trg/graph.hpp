@@ -16,13 +16,11 @@
 // that table, so both edges_by_weight() and the reduction's neighbor scans
 // walk contiguous memory instead of a hash map of hash maps.
 //
-// Construction shards across the pool when TrgConfig.pool is set: the capped
-// stack's state at any position is the maximal weight-<=cap prefix of the
-// last-occurrence order of the preceding events (bounded history), so each
-// worker reconstructs the exact serial stack at its chunk boundary with a
-// backward scan, emits edges only for its own chunk, and the partial edge
-// maps merge by weight addition — an exact decomposition, bit-identical to
-// the serial build.
+// Construction renumbers the nodes densely in first-appearance order and
+// counts, per ordered pair (a, b), the reuses of a with b above it on the
+// stack into a row-major u32 matrix; weight(a, b) = c[a][b] + c[b][a]. Rows
+// are handled in blocks under one fixed byte budget, one trace pass per
+// block, so memory stays bounded at any node count (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -42,14 +40,8 @@ struct TrgConfig {
   /// trg_window_entries().
   std::uint32_t window_entries = 1024;
 
-  /// Optional shared worker pool for the sharded build. Non-owning;
-  /// nullptr = serial unless `shards` forces a decomposition.
+  /// Carries nothing; kept only while perfbench/walk.cpp assigns it.
   ThreadPool* pool = nullptr;
-
-  /// Shard count override: 0 = auto (pool width + the calling thread, or 1
-  /// without a pool). Any value yields the identical graph; tests use small
-  /// forced counts to pin chunk-boundary behaviour.
-  std::uint32_t shards = 0;
 
   /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
   AnalysisDispatch dispatch{};

@@ -76,51 +76,21 @@ TEST(LruStack, DepthOf) {
   EXPECT_EQ(s.depth_of(5), 2u);
 }
 
-TEST(LruStack, WeightedEviction) {
-  const std::vector<std::uint32_t> weights = {10, 20, 30, 40};
-  LruStack s(4, weights);
-  s.touch(0);
-  s.touch(1);
-  s.touch(2);  // weight 60
-  EXPECT_EQ(s.resident_weight(), 60u);
-  s.evict_to_weight(50);
-  // Evicts from the bottom: symbol 0 (oldest, weight 10) goes first.
-  EXPECT_FALSE(s.resident(0));
-  EXPECT_EQ(s.resident_weight(), 50u);
-  s.evict_to_weight(30);
-  EXPECT_FALSE(s.resident(1));
-  EXPECT_TRUE(s.resident(2));
-  s.evict_to_weight(29);  // 30 > 29: the last symbol goes too
-  EXPECT_FALSE(s.resident(2));
-  EXPECT_EQ(s.resident_count(), 0u);
-}
-
-TEST(LruStack, DefaultWeightIsOne) {
+TEST(LruStack, CountCapEvictsFromTheBottom) {
   LruStack s(16);
   for (Symbol i = 0; i < 10; ++i) s.touch(i);
-  EXPECT_EQ(s.resident_weight(), 10u);
   EXPECT_EQ(s.resident_count(), 10u);
-  s.evict_to_weight(4);
+  s.evict_to_count(10);  // at the cap: nothing goes
+  EXPECT_EQ(s.resident_count(), 10u);
+  s.evict_to_count(4);
   EXPECT_EQ(s.resident_count(), 4u);
+  EXPECT_FALSE(s.resident(5));
   EXPECT_EQ(top_of(s, 16), (std::vector<Symbol>{9, 8, 7, 6}));
-}
-
-TEST(LruStack, ClearEmptiesEverything) {
-  LruStack s(8);
-  s.touch(1);
-  s.touch(2);
-  s.clear();
+  s.evict_to_count(0);
   EXPECT_EQ(s.resident_count(), 0u);
-  EXPECT_FALSE(s.resident(1));
-  EXPECT_EQ(top_of(s, 8).size(), 0u);
-  // Usable again after clear.
-  s.touch(2);
-  EXPECT_EQ(s.top(), 2u);
-}
-
-TEST(LruStack, WeightsSizeMismatchRejected) {
-  const std::vector<std::uint32_t> weights = {1, 2};
-  EXPECT_THROW(LruStack(4, weights), ContractError);
+  EXPECT_EQ(top_of(s, 16).size(), 0u);
+  s.touch(3);  // usable again once empty
+  EXPECT_EQ(s.top(), 3u);
 }
 
 /// Property: against a reference deque model over random traces.
@@ -141,7 +111,7 @@ TEST_P(LruStackPropertyTest, MatchesReferenceModel) {
     model.push_front(s);
     if (rng.chance(0.05)) {
       const std::uint64_t cap = 1 + rng.below(kSpace);
-      stack.evict_to_weight(cap);
+      stack.evict_to_count(cap);
       while (model.size() > cap) model.pop_back();
     }
     ASSERT_EQ(stack.resident_count(), model.size());
@@ -152,67 +122,6 @@ TEST_P(LruStackPropertyTest, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LruStackPropertyTest,
                          ::testing::Values(1, 2, 3, 17, 99));
-
-// ---------- snapshot / restore ---------------------------------------------
-
-TEST(LruStackSnapshot, RoundTripsExactState) {
-  LruStack stack(8);
-  for (Symbol s : {3u, 1u, 4u, 1u, 5u}) stack.touch(s);
-  const std::vector<Symbol> snap = stack.snapshot();
-  EXPECT_EQ(snap, (std::vector<Symbol>{5, 1, 4, 3}));  // topmost first
-
-  LruStack copy(8);
-  copy.touch(7);  // restore must discard prior state
-  copy.restore(snap);
-  EXPECT_EQ(copy.snapshot(), snap);
-  EXPECT_EQ(copy.resident_count(), stack.resident_count());
-  EXPECT_EQ(copy.resident_weight(), stack.resident_weight());
-  EXPECT_EQ(copy.top(), stack.top());
-}
-
-TEST(LruStackSnapshot, RestoredStackEvolvesLikeTheOriginal) {
-  // The sharded TRG build's contract: a stack restored at a cut point must
-  // be indistinguishable from the serial stack from then on, under the same
-  // touch + evict_to_weight schedule.
-  Rng rng(77);
-  constexpr Symbol kSpace = 48;
-  constexpr std::uint64_t kCap = 12;
-  LruStack serial(kSpace);
-  std::vector<Symbol> events;
-  for (int i = 0; i < 3'000; ++i) {
-    events.push_back(static_cast<Symbol>(rng.zipf(kSpace, 0.7)));
-  }
-  for (std::size_t cut : {std::size_t{0}, std::size_t{5}, std::size_t{700},
-                          std::size_t{2'999}}) {
-    serial.clear();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (i == cut) {
-        LruStack resumed(kSpace);
-        resumed.restore(serial.snapshot());
-        for (std::size_t j = cut; j < events.size(); ++j) {
-          resumed.touch(events[j]);
-          resumed.evict_to_weight(kCap);
-        }
-        LruStack straight(kSpace);
-        for (const Symbol s : events) {
-          straight.touch(s);
-          straight.evict_to_weight(kCap);
-        }
-        ASSERT_EQ(resumed.snapshot(), straight.snapshot()) << "cut " << cut;
-      }
-      serial.touch(events[i]);
-      serial.evict_to_weight(kCap);
-    }
-  }
-}
-
-TEST(LruStackSnapshot, RestoreEmptyClears) {
-  LruStack stack(4);
-  stack.touch(2);
-  stack.restore({});
-  EXPECT_EQ(stack.resident_count(), 0u);
-  EXPECT_EQ(stack.snapshot(), std::vector<Symbol>{});
-}
 
 }  // namespace
 }  // namespace codelayout

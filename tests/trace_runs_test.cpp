@@ -4,8 +4,7 @@
 //   1. Golden checksums (golden_suite.inc) captured from the pre-refactor
 //      flat-vector implementation: every kernel's output over the full
 //      workload suite, plus end-to-end pipeline outputs, must match bit for
-//      bit — serially and through the pooled TRG build and model pipeline.
-//      The table is regenerated by tests/golden_capture.cpp.
+//      bit. The table is regenerated by tests/golden_capture.cpp.
 //   2. Reference replays on a spin-heavy workload (long same-symbol runs,
 //      which the suite workloads lack): each kernel is compared against a
 //      per-event reference implementation written out longhand here, so
@@ -117,16 +116,6 @@ TEST(GoldenSuite, KernelOutputsMatchPreRefactorChecksums) {
             hash_trg(Trg::build(pruned.trace,
                                 TrgConfig{.window_entries = window})),
             row.trg_hash);
-      // The sharded build warm-starts each shard from a backward scan; any
-      // pool width must reproduce the serial graph.
-      for (const unsigned threads : {2u, 8u}) {
-        ThreadPool trg_pool(threads);
-        check(threads == 2 ? "trg (2-thread pool)" : "trg (8-thread pool)",
-              hash_trg(Trg::build(pruned.trace,
-                                  TrgConfig{.window_entries = window,
-                                            .pool = &trg_pool})),
-              row.trg_hash);
-      }
       const CodeLayout original = original_layout(module);
       check("solo sim",
             hash_sim(simulate_solo(module, original, eval.block_trace)),
@@ -156,22 +145,12 @@ TEST(GoldenSuite, PipelineOutputsMatchPreRefactorChecksums) {
     pending.push_back(pool.submit([&row, &mu, &failures] {
       std::vector<std::string> local;
       const PreparedWorkload prepared = prepare_workload(find_spec(row.name));
-      // The same models built with an 8-thread analysis pool (sharded TRG
-      // build) must produce the same sequences.
-      ThreadPool analysis_pool(8);
-      PipelineConfig pooled;
-      pooled.analysis_pool = &analysis_pool;
       for (std::size_t i = 0; i < std::size(kAllOptimizers); ++i) {
         const Optimizer opt = kAllOptimizers[i];
         if (hash_sequence(model_sequence(prepared, opt)) !=
             row.sequence_hash[i]) {
           local.push_back(std::string(row.name) + ": " + opt.name() +
                           " model sequence diverged");
-        }
-        if (hash_sequence(model_sequence(prepared, opt, pooled)) !=
-            row.sequence_hash[i]) {
-          local.push_back(std::string(row.name) + ": " + opt.name() +
-                          " model sequence diverged on an 8-thread pool");
         }
         const CodeLayout layout = optimize_layout(prepared, opt);
         const SimResult sim =

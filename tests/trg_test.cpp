@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,147 @@ TEST(TrgBuild, EdgesByWeightSortedDeterministically) {
 TEST(TrgBuild, NeighborsThrowsForUnknown) {
   const Trg g = Trg::build(make_trace({1, 2, 1}));
   EXPECT_THROW((void)g.neighbors(42), ContractError);
+}
+
+// ---------- Definition-6 oracle ---------------------------------------------
+
+/// Zipf-skewed random trace with bursts (runs), the shape the real
+/// workloads produce: hot symbols recur, and repeated symbols form runs.
+Trace random_trace(std::uint64_t seed, std::size_t events, Symbol space,
+                   double burstiness = 0.3) {
+  Rng rng(seed);
+  Trace t(Trace::Granularity::kBlock);
+  while (t.size() < events) {
+    const Symbol s = static_cast<Symbol>(rng.zipf(space, 0.8));
+    const std::uint64_t run = 1 + (rng.chance(burstiness) ? rng.below(6) : 0);
+    for (std::uint64_t i = 0; i < run && t.size() < events; ++i) {
+      t.push_symbol(s);
+    }
+  }
+  return t;
+}
+
+/// Definition 6 counted event by event, with no LRU stack: an event of `a`
+/// whose previous occurrence is at p conflicts once with each distinct
+/// symbol strictly between p and the event, provided fewer than `window` of
+/// them occurred (otherwise `a` left the 2C window before its reuse).
+struct NaiveTrg {
+  std::vector<Symbol> nodes;  ///< first-appearance order
+  std::unordered_map<std::uint64_t, Trg::Weight> edges;  ///< (lo << 32) | hi
+};
+
+NaiveTrg naive_trg(const Trace& trace, std::uint32_t window) {
+  constexpr std::size_t kNever = ~std::size_t{0};
+  const std::span<const Symbol> symbols = trace.symbols();
+  NaiveTrg out;
+  std::vector<std::size_t> last(trace.symbol_space(), kNever);
+  std::vector<std::size_t> stamp(trace.symbol_space(), kNever);
+  std::vector<Symbol> between;
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    const Symbol a = symbols[i];
+    if (last[a] == kNever) {
+      out.nodes.push_back(a);
+    } else {
+      between.clear();
+      for (std::size_t j = last[a] + 1; j < i && between.size() < window;
+           ++j) {
+        if (stamp[symbols[j]] != i) {
+          stamp[symbols[j]] = i;
+          between.push_back(symbols[j]);
+        }
+      }
+      if (between.size() < window) {
+        for (const Symbol b : between) {
+          const std::uint64_t lo = std::min(a, b);
+          const std::uint64_t hi = std::max(a, b);
+          ++out.edges[(lo << 32) | hi];
+        }
+      }
+    }
+    last[a] = i;
+  }
+  return out;
+}
+
+void expect_matches_oracle(const Trace& trace, std::uint32_t window) {
+  SCOPED_TRACE(::testing::Message() << "window " << window);
+  const Trg g = Trg::build(trace, TrgConfig{.window_entries = window});
+  const NaiveTrg oracle = naive_trg(trace, window);
+  ASSERT_EQ(std::vector<Symbol>(g.nodes().begin(), g.nodes().end()),
+            oracle.nodes);
+  ASSERT_EQ(g.edge_count(), oracle.edges.size());
+  std::vector<std::vector<Trg::Neighbor>> adjacency(trace.symbol_space());
+  for (const Trg::Edge& e : g.edges_by_weight()) {
+    ASSERT_LT(e.a, e.b);
+    const auto it =
+        oracle.edges.find((static_cast<std::uint64_t>(e.a) << 32) | e.b);
+    ASSERT_NE(it, oracle.edges.end()) << e.a << "-" << e.b;
+    ASSERT_EQ(e.weight, it->second) << e.a << "-" << e.b;
+    adjacency[e.a].push_back({e.b, e.weight});
+    adjacency[e.b].push_back({e.a, e.weight});
+  }
+  // Every CSR slice holds the node's edges, sorted by neighbor symbol.
+  for (const Symbol s : oracle.nodes) {
+    std::sort(adjacency[s].begin(), adjacency[s].end(),
+              [](const Trg::Neighbor& x, const Trg::Neighbor& y) {
+                return x.to < y.to;
+              });
+    const std::span<const Trg::Neighbor> slice = g.neighbors(s);
+    ASSERT_EQ(slice.size(), adjacency[s].size()) << "node " << s;
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      ASSERT_EQ(slice[i].to, adjacency[s][i].to) << "node " << s;
+      ASSERT_EQ(slice[i].weight, adjacency[s][i].weight) << "node " << s;
+    }
+  }
+}
+
+class TrgOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TrgOracleTest, BuildMatchesDefinition6) {
+  const Trace trace = random_trace(GetParam(), 3'000, 150);
+  for (const std::uint32_t window : {1u, 2u, 8u, 64u, 1024u}) {
+    expect_matches_oracle(trace, window);
+  }
+}
+
+TEST_P(TrgOracleTest, LongRunsMatchDefinition6) {
+  // Repeat events must stay stack no-ops that credit nothing.
+  const Trace trace = random_trace(GetParam(), 2'000, 40, /*burstiness=*/0.9);
+  for (const std::uint32_t window : {1u, 2u, 8u, 64u}) {
+    expect_matches_oracle(trace, window);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TrgOracleTest,
+                         ::testing::Values(1, 7, 23, 41));
+
+TEST(TrgOracle, ManyNodesTakeSeveralRowBlocks) {
+  // Well over 1024 nodes: the count budget splits the rows into several
+  // blocks, one trace pass each. Every symbol appears once, in shuffled
+  // first-appearance order; then each run of 16 consecutive nodes loops
+  // twice, so every row (the first and last of each block included) walks,
+  // before a skewed tail of reuses.
+  constexpr Symbol kSpace = 2'000;
+  constexpr Symbol kLoop = 16;
+  Rng rng(5);
+  std::vector<Symbol> order(kSpace);
+  for (Symbol s = 0; s < kSpace; ++s) order[s] = s;
+  rng.shuffle(order);
+  Trace trace = make_trace(order);
+  for (Symbol first = 0; first < kSpace; first += kLoop) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (Symbol i = first; i < first + kLoop; ++i) {
+        trace.push_symbol(order[i]);
+      }
+    }
+  }
+  const Trace tail = random_trace(6, 2'000, kSpace, /*burstiness=*/0.2);
+  for (const Symbol s : tail.symbols()) trace.push_symbol(s);
+  ASSERT_EQ(Trg::build(trace, TrgConfig{.window_entries = 8}).node_count(),
+            kSpace);
+  for (const std::uint32_t window : {8u, 64u, 1024u}) {
+    expect_matches_oracle(trace, window);
+  }
 }
 
 // ---------- geometry helpers -------------------------------------------------
