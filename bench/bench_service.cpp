@@ -39,8 +39,8 @@ using namespace codelayout::service;
 
 /// The benched job mix: every job kind, both measurement flavours, all three
 /// priority classes. Solo and co-run jobs carry `hierarchy` (--geometry /
-/// --l2), so a non-default spec exercises the v2 wire field and per-geometry
-/// memo keys end to end.
+/// --l2), so a non-default spec exercises the request's hierarchy field and
+/// per-geometry memo keys end to end.
 std::vector<JobRequest> build_mix(const HierarchySpec& hierarchy) {
   std::vector<JobRequest> mix;
 
@@ -124,7 +124,7 @@ std::string json_report(const LoadGenOptions& load, const LoadGenReport& report,
   json.field("exec_wall_ms",
              static_cast<double>(report.cost.wall_nanos) / 1e6);
   json.field("cached_jobs", report.cost.cached_jobs);
-  // v5 receipts: closed-form predictor work summed over every kOk response.
+  // Closed-form predictor work summed over every kOk response's receipt.
   json.field("predict_calls", report.cost.predict_calls);
   json.field("profile_memo_hits", report.cost.profile_memo_hits);
   json.end_object();
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
   std::printf("%s", table.render().c_str());
 
   // Where the daemon's time and simulated work went, summed over every kOk
-  // response's CostReceipt (all-zero against a pre-v3 daemon).
+  // response's CostReceipt.
   TextTable cost({"cost", "total"});
   cost.add_row({"events simulated", fmt_count(report.cost.events)});
   cost.add_row({"cache probes", fmt_count(report.cost.cache_probes)});

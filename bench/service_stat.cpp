@@ -124,7 +124,7 @@ std::string render_recent_table(const std::string& doc) {
            fmt_fixed(static_cast<double>(find_u64(job, "wall_ns")) / 1e6, 3) +
                " ms",
            find_raw(job, "cached"),
-           // Predictor attribution (wire v5): closed-form predictions the
+           // Predictor attribution: closed-form predictions the
            // job ran vs solo-profile memo hits it was served.
            std::to_string(find_u64(job, "predict_calls")) + "p/" +
                std::to_string(find_u64(job, "profile_memo_hits")) + "h"});

@@ -381,17 +381,18 @@ const CorunResult& Lab::corun(const std::string& self_name,
         fetch_plan(self_name, self_opt, key.hierarchy.l1.line_bytes);
     const FetchPlan& peer_plan =
         fetch_plan(peer_name, peer_opt, key.hierarchy.l1.line_bytes);
-    // SMT threads progress inversely to their CPIs: a data-stalled self sees
-    // a proportionally faster peer fetch stream.
-    const double self_cpi =
-        options_.perf().base_cpi + self.spec.data_stall_cpi;
-    const double peer_cpi =
-        options_.perf().base_cpi + peer.spec.data_stall_cpi;
-    const double peer_speed = std::clamp(self_cpi / peer_cpi, 0.25, 4.0);
     return simulate_corun(self_plan, self.eval_blocks, peer_plan,
                           peer.eval_blocks, sim_options(measure, key.hierarchy),
-                          peer_speed);
+                          peer_speed(self, peer));
   });
+}
+
+double Lab::peer_speed(const PreparedWorkload& self,
+                       const PreparedWorkload& peer) const {
+  // A data-stalled self sees a proportionally faster peer fetch stream.
+  const double self_cpi = options_.perf().base_cpi + self.spec.data_stall_cpi;
+  const double peer_cpi = options_.perf().base_cpi + peer.spec.data_stall_cpi;
+  return std::clamp(self_cpi / peer_cpi, 0.25, 4.0);
 }
 
 double Lab::solo_cycles(const std::string& name,

@@ -143,6 +143,12 @@ class Lab {
                            Measure measure,
                            const HierarchySpec& hierarchy = {});
 
+  /// Speed of `peer`'s fetch stream relative to `self`'s in a co-run. SMT
+  /// threads progress inversely to their CPIs, so this is
+  /// clamp(self CPI / peer CPI, 0.25, 4).
+  [[nodiscard]] double peer_speed(const PreparedWorkload& self,
+                                  const PreparedWorkload& peer) const;
+
   /// Modeled runtimes (hardware flavour, per the paper's wall-clock timing).
   /// A multi-level hierarchy adds the memory-gap term for demand misses that
   /// fell through the shared L2 (perfmodel Eq. 1/2 composition).

@@ -142,7 +142,7 @@ JobResponse ServiceClient::roundtrip(const JobRequest& request) {
                "service client: expected a response frame");
   std::string payload(header.payload_len, '\0');
   if (header.payload_len > 0) read_exact(fd_, payload.data(), payload.size());
-  JobResponse response = decode_response_payload(payload, header.version);
+  JobResponse response = decode_response_payload(payload);
   CL_CHECK_MSG(response.id == request.id || response.id == 0,
                "service client: response id " << response.id
                                               << " does not match request id "

@@ -71,7 +71,7 @@ struct LoadGenReport {
   /// Client-observed per-job round-trip latency (includes queueing).
   LatencyHistogram::Summary latency;
   /// CostReceipts summed over every kOk response: where the daemon's time
-  /// and simulated work went. All-zero against a pre-v3 daemon.
+  /// and simulated work went.
   struct Cost {
     std::uint64_t events = 0;
     std::uint64_t cache_probes = 0;
@@ -82,7 +82,7 @@ struct LoadGenReport {
     std::uint64_t queue_wait_nanos = 0;
     std::uint64_t wall_nanos = 0;
     std::uint64_t cached_jobs = 0;  ///< responses served from the cache
-    /// v5: closed-form predictor work summed over every kOk response.
+    /// Closed-form predictor work summed over every kOk response.
     std::uint64_t predict_calls = 0;
     std::uint64_t profile_memo_hits = 0;
   } cost;

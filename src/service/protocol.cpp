@@ -60,8 +60,7 @@ void put_sim_result(std::string& out, const SimResult& r) {
   put_varint(out, r.demand_misses);
   put_varint(out, r.wrong_path_misses);
   put_varint(out, r.blocks);
-  // v2 trailing fields (zero under a flat hierarchy).
-  put_varint(out, r.l2_probes);
+  put_varint(out, r.l2_probes);  // zero under a flat hierarchy
   put_varint(out, r.l2_misses);
 }
 
@@ -149,7 +148,7 @@ Trace get_trace(Reader& in) {
   return trace;
 }
 
-SimResult get_sim_result(Reader& in, std::uint16_t version) {
+SimResult get_sim_result(Reader& in) {
   SimResult r;
   r.instructions = in.varint();
   r.overhead_instructions = in.varint();
@@ -157,10 +156,8 @@ SimResult get_sim_result(Reader& in, std::uint16_t version) {
   r.demand_misses = in.varint();
   r.wrong_path_misses = in.varint();
   r.blocks = in.varint();
-  if (version >= 2) {
-    r.l2_probes = in.varint();
-    r.l2_misses = in.varint();
-  }
+  r.l2_probes = in.varint();
+  r.l2_misses = in.varint();
   return r;
 }
 
@@ -169,7 +166,7 @@ SimResult get_sim_result(Reader& in, std::uint16_t version) {
 /// normalized away.
 std::string encode_request_body(const JobRequest& request, std::uint64_t id,
                                 JobPriority priority, std::uint64_t trace_id,
-                                std::uint64_t span_id, std::uint16_t version) {
+                                std::uint64_t span_id) {
   std::string out;
   put_varint(out, id);
   put_u8(out, static_cast<std::uint8_t>(priority));
@@ -185,31 +182,20 @@ std::string encode_request_body(const JobRequest& request, std::uint64_t id,
   }
   put_u8(out, request.cpi_speeds ? 1 : 0);
   put_trace(out, request.trace);
-  if (version >= 2) {
-    // v2 trailing field: the spec's canonical encoding, length-prefixed.
-    put_string(out, request.hierarchy.encode());
-  }
-  if (version >= 3) {
-    // v3 trailing fields: trace context + introspection selector.
-    put_varint(out, trace_id);
-    put_varint(out, span_id);
-    put_u8(out, static_cast<std::uint8_t>(request.introspect));
-  }
-  if (version >= 5) {
-    // v5 trailing fields: the co-scheduling problem shape.
-    put_varint(out, request.slots);
-    put_varint(out, request.verify_top_k);
-  }
+  put_string(out, request.hierarchy.encode());  // canonical spec encoding
+  put_varint(out, trace_id);
+  put_varint(out, span_id);
+  put_u8(out, static_cast<std::uint8_t>(request.introspect));
+  put_varint(out, request.slots);
+  put_varint(out, request.verify_top_k);
   return out;
 }
 
-std::string frame(FrameType type, const std::string& payload,
-                  std::uint16_t version) {
+std::string frame(FrameType type, const std::string& payload) {
   CL_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                "service frame payload too large: " << payload.size()
                                                    << " bytes");
   FrameHeader header;
-  header.version = version;
   header.type = type;
   header.payload_len = static_cast<std::uint32_t>(payload.size());
   std::string out(kFrameHeaderBytes, '\0');
@@ -255,8 +241,7 @@ const char* job_status_name(JobStatus status) {
 }
 
 std::string JobRequest::canonical_key() const {
-  return encode_request_body(*this, 0, JobPriority::kNormal, 0, 0,
-                             kWireVersion);
+  return encode_request_body(*this, 0, JobPriority::kNormal, 0, 0);
 }
 
 std::string JobRequest::to_string() const {
@@ -288,14 +273,12 @@ std::string JobRequest::to_string() const {
   return os.str();
 }
 
-std::string encode_request_payload(const JobRequest& request,
-                                   std::uint16_t version) {
+std::string encode_request_payload(const JobRequest& request) {
   return encode_request_body(request, request.id, request.priority,
-                             request.trace_id, request.span_id, version);
+                             request.trace_id, request.span_id);
 }
 
-std::string encode_response_payload(const JobResponse& response,
-                                    std::uint16_t version) {
+std::string encode_response_payload(const JobResponse& response) {
   std::string out;
   put_varint(out, response.id);
   put_u8(out, static_cast<std::uint8_t>(response.status));
@@ -311,52 +294,43 @@ std::string encode_response_payload(const JobResponse& response,
   put_varint(out, response.trace_stats.runs);
   put_varint(out, response.trace_stats.distinct_symbols);
   put_varint(out, response.trace_stats.checksum);
-  if (version >= 3) {
-    // v3 trailing fields: the cost receipt + introspection document.
-    put_varint(out, response.receipt.events);
-    // Retired slots (rounds_fast, rounds_fallback of the deleted co-run
-    // collapse): always 0, kept so reply bytes do not move.
-    put_varint(out, 0);
-    put_varint(out, 0);
-    put_varint(out, response.receipt.cache_probes);
-    put_varint(out, response.receipt.l2_probes);
-    put_varint(out, response.receipt.memo_hits);
-    put_varint(out, response.receipt.memo_misses);
-    put_varint(out, response.receipt.bytes_decoded);
-    put_varint(out, response.receipt.queue_wait_nanos);
-    put_varint(out, response.receipt.wall_nanos);
-    put_u8(out, response.receipt.cached ? 1 : 0);
-    put_string(out, response.introspect);
+  put_varint(out, response.receipt.events);
+  // Retired slots (rounds_fast, rounds_fallback of the deleted co-run
+  // collapse): always 0, kept so reply bytes do not move.
+  put_varint(out, 0);
+  put_varint(out, 0);
+  put_varint(out, response.receipt.cache_probes);
+  put_varint(out, response.receipt.l2_probes);
+  put_varint(out, response.receipt.memo_hits);
+  put_varint(out, response.receipt.memo_misses);
+  put_varint(out, response.receipt.bytes_decoded);
+  put_varint(out, response.receipt.queue_wait_nanos);
+  put_varint(out, response.receipt.wall_nanos);
+  put_u8(out, response.receipt.cached ? 1 : 0);
+  put_string(out, response.introspect);
+  // Retired slots (dispatch_run, dispatch_flat, run_compression of the
+  // deleted kernel dispatch): always 0, kept so reply bytes do not move.
+  put_varint(out, 0);
+  put_varint(out, 0);
+  put_double(out, 0.0);
+  put_varint(out, response.schedule.pairs.size());
+  for (const CoScheduleResult::Pair& pair : response.schedule.pairs) {
+    put_varint(out, pair.a);
+    put_varint(out, pair.b);
+    put_double(out, pair.predicted_misses);
   }
-  if (version >= 4) {
-    // Retired v4 slots (dispatch_run, dispatch_flat, run_compression of the
-    // deleted kernel dispatch): always 0, kept so reply bytes do not move.
-    put_varint(out, 0);
-    put_varint(out, 0);
-    put_double(out, 0.0);
-  }
-  if (version >= 5) {
-    // v5 trailing fields: the co-schedule assignment + predictor attribution.
-    put_varint(out, response.schedule.pairs.size());
-    for (const CoScheduleResult::Pair& pair : response.schedule.pairs) {
-      put_varint(out, pair.a);
-      put_varint(out, pair.b);
-      put_double(out, pair.predicted_misses);
-    }
-    put_varint(out, response.schedule.unpaired.size());
-    for (std::uint64_t idx : response.schedule.unpaired) put_varint(out, idx);
-    put_double(out, response.schedule.predicted_total_misses);
-    put_varint(out, response.schedule.refine_passes);
-    put_varint(out, response.schedule.verified.size());
-    for (std::uint64_t idx : response.schedule.verified) put_varint(out, idx);
-    put_varint(out, response.receipt.predict_calls);
-    put_varint(out, response.receipt.profile_memo_hits);
-  }
+  put_varint(out, response.schedule.unpaired.size());
+  for (std::uint64_t idx : response.schedule.unpaired) put_varint(out, idx);
+  put_double(out, response.schedule.predicted_total_misses);
+  put_varint(out, response.schedule.refine_passes);
+  put_varint(out, response.schedule.verified.size());
+  for (std::uint64_t idx : response.schedule.verified) put_varint(out, idx);
+  put_varint(out, response.receipt.predict_calls);
+  put_varint(out, response.receipt.profile_memo_hits);
   return out;
 }
 
-JobRequest decode_request_payload(std::string_view payload,
-                                  std::uint16_t version) {
+JobRequest decode_request_payload(std::string_view payload) {
   Reader in(payload);
   JobRequest request;
   request.id = in.varint();
@@ -365,13 +339,7 @@ JobRequest decode_request_payload(std::string_view payload,
                "service payload: priority out of range");
   request.priority = static_cast<JobPriority>(priority);
   const std::uint8_t kind = in.u8();
-  // kIntrospect exists only in v3 and kCoSchedule only in v5: older frames
-  // carrying the byte are corrupt, not forward-compatible.
-  CL_CHECK_MSG(kind <= static_cast<std::uint8_t>(JobKind::kTraceStats) ||
-                   (version >= 3 &&
-                    kind <= static_cast<std::uint8_t>(JobKind::kIntrospect)) ||
-                   (version >= 5 &&
-                    kind <= static_cast<std::uint8_t>(JobKind::kCoSchedule)),
+  CL_CHECK_MSG(kind <= static_cast<std::uint8_t>(JobKind::kCoSchedule),
                "service payload: job kind out of range");
   request.kind = static_cast<JobKind>(kind);
   const std::uint8_t measure = in.u8();
@@ -394,29 +362,22 @@ JobRequest decode_request_payload(std::string_view payload,
   CL_CHECK_MSG(cpi <= 1, "service payload: bad cpi_speeds flag");
   request.cpi_speeds = cpi != 0;
   request.trace = get_trace(in);
-  if (version >= 2) {
-    request.hierarchy = HierarchySpec::decode(in.str());
-    request.hierarchy.validate();
-  }
-  if (version >= 3) {
-    request.trace_id = in.varint();
-    request.span_id = in.varint();
-    const std::uint8_t introspect = in.u8();
-    CL_CHECK_MSG(
-        introspect <= static_cast<std::uint8_t>(IntrospectKind::kTraceExport),
-        "service payload: introspect kind out of range");
-    request.introspect = static_cast<IntrospectKind>(introspect);
-  }
-  if (version >= 5) {
-    request.slots = in.varint();
-    request.verify_top_k = in.varint();
-  }
+  request.hierarchy = HierarchySpec::decode(in.str());
+  request.hierarchy.validate();
+  request.trace_id = in.varint();
+  request.span_id = in.varint();
+  const std::uint8_t introspect = in.u8();
+  CL_CHECK_MSG(
+      introspect <= static_cast<std::uint8_t>(IntrospectKind::kTraceExport),
+      "service payload: introspect kind out of range");
+  request.introspect = static_cast<IntrospectKind>(introspect);
+  request.slots = in.varint();
+  request.verify_top_k = in.varint();
   CL_CHECK_MSG(in.done(), "service payload: trailing bytes after request");
   return request;
 }
 
-JobResponse decode_response_payload(std::string_view payload,
-                                    std::uint16_t version) {
+JobResponse decode_response_payload(std::string_view payload) {
   Reader in(payload);
   JobResponse response;
   response.id = in.varint();
@@ -429,7 +390,7 @@ JobResponse decode_response_payload(std::string_view payload,
   CL_CHECK_MSG(result_count <= 64, "service payload: too many results");
   response.results.reserve(result_count);
   for (std::uint64_t i = 0; i < result_count; ++i) {
-    response.results.push_back(get_sim_result(in, version));
+    response.results.push_back(get_sim_result(in));
   }
   response.layout.blocks = in.varint();
   response.layout.total_bytes = in.varint();
@@ -443,62 +404,56 @@ JobResponse decode_response_payload(std::string_view payload,
   response.trace_stats.runs = in.varint();
   response.trace_stats.distinct_symbols = in.varint();
   response.trace_stats.checksum = in.varint();
-  if (version >= 3) {
-    response.receipt.events = in.varint();
-    // The two retired slots: read and discarded.
-    static_cast<void>(in.varint());
-    static_cast<void>(in.varint());
-    response.receipt.cache_probes = in.varint();
-    response.receipt.l2_probes = in.varint();
-    response.receipt.memo_hits = in.varint();
-    response.receipt.memo_misses = in.varint();
-    response.receipt.bytes_decoded = in.varint();
-    response.receipt.queue_wait_nanos = in.varint();
-    response.receipt.wall_nanos = in.varint();
-    const std::uint8_t cached = in.u8();
-    CL_CHECK_MSG(cached <= 1, "service payload: bad receipt cached flag");
-    response.receipt.cached = cached != 0;
-    response.introspect = in.str();
+  response.receipt.events = in.varint();
+  // Two retired slots: read and discarded.
+  static_cast<void>(in.varint());
+  static_cast<void>(in.varint());
+  response.receipt.cache_probes = in.varint();
+  response.receipt.l2_probes = in.varint();
+  response.receipt.memo_hits = in.varint();
+  response.receipt.memo_misses = in.varint();
+  response.receipt.bytes_decoded = in.varint();
+  response.receipt.queue_wait_nanos = in.varint();
+  response.receipt.wall_nanos = in.varint();
+  const std::uint8_t cached = in.u8();
+  CL_CHECK_MSG(cached <= 1, "service payload: bad receipt cached flag");
+  response.receipt.cached = cached != 0;
+  response.introspect = in.str();
+  // Three retired slots: read and discarded.
+  static_cast<void>(in.varint());
+  static_cast<void>(in.varint());
+  static_cast<void>(in.f64());
+  const std::uint64_t pair_count = in.varint();
+  CL_CHECK_MSG(pair_count <= 64, "service payload: too many schedule pairs");
+  response.schedule.pairs.reserve(pair_count);
+  for (std::uint64_t i = 0; i < pair_count; ++i) {
+    CoScheduleResult::Pair pair;
+    pair.a = in.varint();
+    pair.b = in.varint();
+    pair.predicted_misses = in.f64();
+    response.schedule.pairs.push_back(pair);
   }
-  if (version >= 4) {
-    // The three retired v4 slots: read and discarded.
-    static_cast<void>(in.varint());
-    static_cast<void>(in.varint());
-    static_cast<void>(in.f64());
+  const std::uint64_t unpaired_count = in.varint();
+  CL_CHECK_MSG(unpaired_count <= 64,
+               "service payload: too many unpaired parties");
+  response.schedule.unpaired.reserve(unpaired_count);
+  for (std::uint64_t i = 0; i < unpaired_count; ++i) {
+    response.schedule.unpaired.push_back(in.varint());
   }
-  if (version >= 5) {
-    const std::uint64_t pair_count = in.varint();
-    CL_CHECK_MSG(pair_count <= 64, "service payload: too many schedule pairs");
-    response.schedule.pairs.reserve(pair_count);
-    for (std::uint64_t i = 0; i < pair_count; ++i) {
-      CoScheduleResult::Pair pair;
-      pair.a = in.varint();
-      pair.b = in.varint();
-      pair.predicted_misses = in.f64();
-      response.schedule.pairs.push_back(pair);
-    }
-    const std::uint64_t unpaired_count = in.varint();
-    CL_CHECK_MSG(unpaired_count <= 64,
-                 "service payload: too many unpaired parties");
-    response.schedule.unpaired.reserve(unpaired_count);
-    for (std::uint64_t i = 0; i < unpaired_count; ++i) {
-      response.schedule.unpaired.push_back(in.varint());
-    }
-    response.schedule.predicted_total_misses = in.f64();
-    const std::uint64_t refine = in.varint();
-    CL_CHECK_MSG(refine <= ~std::uint32_t{0},
-                 "service payload: refine passes out of range");
-    response.schedule.refine_passes = static_cast<std::uint32_t>(refine);
-    const std::uint64_t verified_count = in.varint();
-    CL_CHECK_MSG(verified_count <= 64,
-                 "service payload: too many verified pairs");
-    response.schedule.verified.reserve(verified_count);
-    for (std::uint64_t i = 0; i < verified_count; ++i) {
-      response.schedule.verified.push_back(in.varint());
-    }
-    response.receipt.predict_calls = in.varint();
-    response.receipt.profile_memo_hits = in.varint();
+  response.schedule.predicted_total_misses = in.f64();
+  const std::uint64_t refine = in.varint();
+  CL_CHECK_MSG(refine <= ~std::uint32_t{0},
+               "service payload: refine passes out of range");
+  response.schedule.refine_passes = static_cast<std::uint32_t>(refine);
+  const std::uint64_t verified_count = in.varint();
+  CL_CHECK_MSG(verified_count <= 64,
+               "service payload: too many verified pairs");
+  response.schedule.verified.reserve(verified_count);
+  for (std::uint64_t i = 0; i < verified_count; ++i) {
+    response.schedule.verified.push_back(in.varint());
   }
+  response.receipt.predict_calls = in.varint();
+  response.receipt.profile_memo_hits = in.varint();
   CL_CHECK_MSG(in.done(), "service payload: trailing bytes after response");
   return response;
 }
@@ -509,8 +464,8 @@ void encode_frame_header(const FrameHeader& header,
     for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   };
   put32(out, kWireMagic);
-  out[4] = static_cast<char>(header.version & 0xff);
-  out[5] = static_cast<char>((header.version >> 8) & 0xff);
+  out[4] = static_cast<char>(kWireVersion & 0xff);
+  out[5] = static_cast<char>((kWireVersion >> 8) & 0xff);
   out[6] = static_cast<char>(header.type);
   out[7] = 0;  // reserved
   put32(out + 8, header.payload_len);
@@ -528,15 +483,13 @@ FrameHeader decode_frame_header(const char in[kFrameHeaderBytes]) {
   const std::uint32_t magic = get32(in);
   CL_CHECK_MSG(magic == kWireMagic,
                "service frame: bad magic 0x" << std::hex << magic);
-  FrameHeader header;
-  header.version = static_cast<std::uint16_t>(
+  const unsigned version =
       static_cast<std::uint8_t>(in[4]) |
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(in[5])) << 8));
-  CL_CHECK_MSG(
-      header.version >= kMinWireVersion && header.version <= kWireVersion,
-      "service frame: unsupported wire version "
-          << header.version << " (this build speaks " << kMinWireVersion
-          << ".." << kWireVersion << ")");
+      (static_cast<unsigned>(static_cast<std::uint8_t>(in[5])) << 8);
+  CL_CHECK_MSG(version == kWireVersion,
+               "service frame: unsupported wire version "
+                   << version << " (this build speaks " << kWireVersion << ")");
+  FrameHeader header;
   const std::uint8_t type = static_cast<std::uint8_t>(in[6]);
   CL_CHECK_MSG(type <= static_cast<std::uint8_t>(FrameType::kResponse),
                "service frame: bad frame type");
@@ -548,16 +501,12 @@ FrameHeader decode_frame_header(const char in[kFrameHeaderBytes]) {
   return header;
 }
 
-std::string encode_request_frame(const JobRequest& request,
-                                 std::uint16_t version) {
-  return frame(FrameType::kRequest, encode_request_payload(request, version),
-               version);
+std::string encode_request_frame(const JobRequest& request) {
+  return frame(FrameType::kRequest, encode_request_payload(request));
 }
 
-std::string encode_response_frame(const JobResponse& response,
-                                  std::uint16_t version) {
-  return frame(FrameType::kResponse,
-               encode_response_payload(response, version), version);
+std::string encode_response_frame(const JobResponse& response) {
+  return frame(FrameType::kResponse, encode_response_payload(response));
 }
 
 }  // namespace codelayout::service

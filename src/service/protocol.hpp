@@ -1,4 +1,4 @@
-// Versioned wire schema of the layout-optimization service.
+// Wire schema of the layout-optimization service.
 //
 // A job names an optimization-pipeline product the daemon can compute — a
 // solo or co-run miss-ratio simulation, an optimized layout, or statistics
@@ -11,47 +11,17 @@
 // with a little-endian fixed header and a varint-encoded payload (strings
 // are length-prefixed, doubles travel as IEEE-754 bit patterns so responses
 // are byte-deterministic, and an uploaded trace embeds the trace/io varint
-// v2 stream verbatim). Decoding is hardened the same way trace/io is: bad
+// stream verbatim). Decoding is hardened the same way trace/io is: bad
 // magic, unsupported version, truncated or over-long payloads, out-of-range
 // enums, and trailing garbage all throw ContractError instead of
 // propagating garbage into the engine.
 //
-// Versioning: kWireVersion stamps every frame; a server rejects frames it
-// does not speak with JobStatus::kError naming both versions. Fields are
-// only ever appended to the payloads, so a vN+1 decoder reads vN payloads:
-// the payload decoders take the frame's version and stop before the fields
-// that version did not carry (absent fields decode to their defaults).
-// Frames inside [kMinWireVersion, kWireVersion] are accepted.
-//
-// v1 -> v2: the request grew a trailing hierarchy field (the canonical
-// HierarchySpec encoding, length-prefixed; absent = the paper's flat L1I)
-// and each SimResult grew trailing l2_probes/l2_misses varints.
-//
-// v2 -> v3 (observability): the request grew trailing trace_id/span_id
-// varints (client-assigned trace context, 0 = none) plus an IntrospectKind
-// byte, and a new JobKind::kIntrospect reads the daemon's live state without
-// touching the worker queues. The response grew a trailing CostReceipt (per
-// -job cost attribution) and a length-prefixed introspection document.
-// Responses to v1/v2 requests are still stamped with the *request's* wire
-// version and omit every v3 field, so old clients see byte-identical frames.
-//
-// v3 -> v4 (adaptive dispatch): the CostReceipt grew two trailing varints
-// and a double: the kernel-path decision counts (dispatch_run,
-// dispatch_flat) and the events-per-run ratio (run_compression) of a
-// since-deleted dispatch layer. The three slots are retired: encoders write
-// 0, 0, 0.0 and decoders read and discard them (see CostReceipt). The
-// request payload is unchanged, so v4 cache keys equal v3 keys; responses to
-// <= v3 requests omit the slots byte-for-byte.
-//
-// v4 -> v5 (co-scheduling): a new JobKind::kCoSchedule runs the analytic
-// co-scheduler (perfmodel/scheduler.hpp) over the request's `parties` as a
-// candidate pool. The request grew trailing slots/verify_top_k varints, the
-// response a CoScheduleResult (chosen pairs, unpaired programs, predictor
-// objective, verified-pair indices — the bit-exact results of the verified
-// pairs ride in `results`, two directional SimResults per pair), and the
-// CostReceipt trailing predict_calls/profile_memo_hits varints (closed-form
-// predictor work attribution). Responses to <= v4 requests are
-// byte-identical to a v4 build's.
+// One dialect: every frame carries kWireVersion, and decode_frame_header
+// rejects any other version. The server answers such a frame with a
+// JobStatus::kError naming both versions, then hangs up. Every payload field
+// is written and read unconditionally, in one fixed order that the encoders
+// in protocol.cpp define (the receipt's retired slots included; see
+// CostReceipt).
 #pragma once
 
 #include <cstdint>
@@ -69,8 +39,6 @@ namespace codelayout::service {
 
 inline constexpr std::uint32_t kWireMagic = 0x434c5356;  // "CLSV"
 inline constexpr std::uint16_t kWireVersion = 5;
-/// Oldest version this build still decodes (append-only payload evolution).
-inline constexpr std::uint16_t kMinWireVersion = 1;
 /// Admission-time cap on one frame's payload (a full varint trace fits
 /// comfortably; a hostile length field does not get to allocate gigabytes).
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
@@ -82,8 +50,8 @@ enum class JobKind : std::uint8_t {
   kLayout = 1,      ///< optimized-layout summary of (workload, optimizer)
   kCorun = 2,       ///< N-party shared-cache co-run over `parties`
   kTraceStats = 3,  ///< statistics of the uploaded varint trace
-  kIntrospect = 4,  ///< v3: live daemon state; never queued, never cached
-  kCoSchedule = 5,  ///< v5: predictor-driven pairing of `parties` onto slots
+  kIntrospect = 4,  ///< live daemon state; never queued, never cached
+  kCoSchedule = 5,  ///< predictor-driven pairing of `parties` onto slots
 };
 
 /// What a kIntrospect job reads. Served inline on the submitting thread —
@@ -135,8 +103,8 @@ struct JobRequest {
   Measure measure = Measure::kHardware;
   std::string workload;                ///< kSolo / kLayout
   std::optional<Optimizer> optimizer;  ///< kSolo / kLayout
-  /// kCorun: parties[0] measured. kCoSchedule (v5): the candidate program
-  /// pool the scheduler pairs onto `slots` (speed fields ignored).
+  /// kCorun: parties[0] measured. kCoSchedule: the candidate program pool
+  /// the scheduler pairs onto `slots` (speed fields ignored).
   std::vector<CorunPartyRequest> parties;
   /// kCorun: when true (the default), party speeds are derived from the
   /// workloads' CPIs exactly like Lab::corun (SMT threads progress inversely
@@ -145,18 +113,18 @@ struct JobRequest {
   bool cpi_speeds = true;
   /// kTraceStats payload (embedded as a trace/io varint stream).
   Trace trace{Trace::Granularity::kBlock};
-  /// Cache shape for kSolo / kCorun jobs (v2+). The default is the paper's
-  /// flat L1I, which is also what a v1 request decodes to.
+  /// Cache shape for kSolo / kCorun jobs. The default is the paper's flat
+  /// L1I.
   HierarchySpec hierarchy{};
-  /// v3 trace context: a client-assigned correlation pair. 0 = no context.
+  /// Trace context: a client-assigned correlation pair. 0 = no context.
   /// The daemon tags every span it records for this job with the trace id,
   /// so a merged client+daemon Perfetto export joins on it. Normalized away
   /// in canonical_key(): tracing never perturbs response caching.
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
-  /// v3: what a kIntrospect job reads (ignored for other kinds).
+  /// What a kIntrospect job reads (ignored for other kinds).
   IntrospectKind introspect = IntrospectKind::kStats;
-  /// v5 kCoSchedule: SMT pair slots to assign `parties` onto (required) and
+  /// kCoSchedule: SMT pair slots to assign `parties` onto (required) and
   /// how many of the costliest chosen pairs to verify with the bit-exact
   /// co-run simulator (0 = predictions only).
   std::uint64_t slots = 0;
@@ -196,18 +164,19 @@ struct TraceStatsResult {
                          const TraceStatsResult&) = default;
 };
 
-/// v3 per-job cost attribution, stamped on every response the daemon sends
-/// to a v3 client: where the job's time and simulated work went. For a
+/// Per-job cost attribution, stamped on every response the daemon sends:
+/// where the job's time and simulated work went. For a
 /// response served from the daemon's cache, `cached` is true, the counts are
 /// the original computation's, and the timing fields are zero (the cache
 /// lookup itself is effectively free).
 ///
 /// On the wire the receipt also holds five retired slots, which encoders
 /// write as 0 and decoders read and discard, so reply bytes match those of
-/// earlier daemons: two v3 varints between `events` and `cache_probes` (the
+/// earlier daemons: two varints between `events` and `cache_probes` (the
 /// fast and fallback co-run round counts of a deleted co-run fast path),
-/// and the v4 trailer of two varints and a double (dispatch_run,
-/// dispatch_flat and run_compression of the deleted kernel dispatch).
+/// and, after the introspect document, two varints and a double
+/// (dispatch_run, dispatch_flat and run_compression of the deleted kernel
+/// dispatch).
 struct CostReceipt {
   std::uint64_t events = 0;           ///< instructions + overhead simulated
   std::uint64_t cache_probes = 0;     ///< L1I line probes across all results
@@ -218,7 +187,7 @@ struct CostReceipt {
   std::uint64_t queue_wait_nanos = 0;
   std::uint64_t wall_nanos = 0;       ///< execute wall time (0 when cached)
   bool cached = false;
-  /// v5: closed-form predictor attribution — predict_corun evaluations this
+  /// Closed-form predictor attribution — predict_corun evaluations this
   /// job ran, and solo-profile memo lookups served without a kernel pass.
   std::uint64_t predict_calls = 0;
   std::uint64_t profile_memo_hits = 0;
@@ -226,7 +195,7 @@ struct CostReceipt {
   friend bool operator==(const CostReceipt&, const CostReceipt&) = default;
 };
 
-/// v5 kCoSchedule response payload: the chosen assignment plus the
+/// kCoSchedule response payload: the chosen assignment plus the
 /// predictor's objective. Pair members are indices into the request's
 /// `parties`. The bit-exact simulations of the verified pairs ride in
 /// JobResponse::results — two directional SimResults per entry of
@@ -257,53 +226,40 @@ struct JobResponse {
   std::vector<SimResult> results;
   LayoutSummary layout;          ///< kLayout
   TraceStatsResult trace_stats;  ///< kTraceStats
-  CostReceipt receipt;           ///< v3: cost attribution (all-zero on v1/v2)
-  std::string introspect;        ///< v3: kIntrospect document (JSON or text)
-  CoScheduleResult schedule;     ///< v5: kCoSchedule assignment
+  CostReceipt receipt;           ///< cost attribution
+  std::string introspect;        ///< kIntrospect document (JSON or text)
+  CoScheduleResult schedule;     ///< kCoSchedule assignment
 
   friend bool operator==(const JobResponse&, const JobResponse&) = default;
 };
 
 // ---- Payload codecs ---------------------------------------------------------
 
-/// `version` selects the payload schema: fields introduced after it are not
-/// written, so a v2-encoded response is byte-identical to what a v2 build
-/// produced. The server answers every request in the request's own version.
-[[nodiscard]] std::string encode_request_payload(
-    const JobRequest& request, std::uint16_t version = kWireVersion);
-[[nodiscard]] std::string encode_response_payload(
-    const JobResponse& response, std::uint16_t version = kWireVersion);
+[[nodiscard]] std::string encode_request_payload(const JobRequest& request);
+[[nodiscard]] std::string encode_response_payload(const JobResponse& response);
 
 /// Throw ContractError on any malformed payload (truncation, varint
 /// overflow, enum out of range, embedded-trace corruption, trailing bytes).
-/// `version` is the frame header's wire version: decoders stop before the
-/// fields that version did not carry, so v1 payloads decode with the new
-/// fields at their defaults.
-[[nodiscard]] JobRequest decode_request_payload(
-    std::string_view payload, std::uint16_t version = kWireVersion);
-[[nodiscard]] JobResponse decode_response_payload(
-    std::string_view payload, std::uint16_t version = kWireVersion);
+[[nodiscard]] JobRequest decode_request_payload(std::string_view payload);
+[[nodiscard]] JobResponse decode_response_payload(std::string_view payload);
 
 // ---- Framing ----------------------------------------------------------------
 
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 
 struct FrameHeader {
-  std::uint16_t version = kWireVersion;
   FrameType type = FrameType::kRequest;
   std::uint32_t payload_len = 0;
 };
 
-/// Packs/unpacks the fixed 12-byte header. decode_frame_header validates
-/// magic, version, type, and the payload-length cap.
+/// Packs/unpacks the fixed 12-byte header. encode_frame_header stamps
+/// kWireVersion; decode_frame_header validates magic, version (exactly
+/// kWireVersion), type, and the payload-length cap.
 void encode_frame_header(const FrameHeader& header, char out[kFrameHeaderBytes]);
 [[nodiscard]] FrameHeader decode_frame_header(const char in[kFrameHeaderBytes]);
 
-/// Header + payload in one buffer, ready for a socket write. `version`
-/// stamps the header and selects the payload schema.
-[[nodiscard]] std::string encode_request_frame(
-    const JobRequest& request, std::uint16_t version = kWireVersion);
-[[nodiscard]] std::string encode_response_frame(
-    const JobResponse& response, std::uint16_t version = kWireVersion);
+/// Header + payload in one buffer, ready for a socket write.
+[[nodiscard]] std::string encode_request_frame(const JobRequest& request);
+[[nodiscard]] std::string encode_response_frame(const JobResponse& response);
 
 }  // namespace codelayout::service

@@ -199,24 +199,18 @@ JobResponse LabExecutor::run(const JobRequest& request) {
                          : SimOptions{};
       spec.options.hierarchy = request.hierarchy;
       spec.parties.reserve(request.parties.size());
-      const double self_cpi =
-          lab_.perf().base_cpi +
-          lab_.workload(request.parties[0].workload).spec.data_stall_cpi;
+      const PreparedWorkload& self = lab_.workload(request.parties[0].workload);
       for (std::size_t i = 0; i < request.parties.size(); ++i) {
         const CorunPartyRequest& party = request.parties[i];
+        const PreparedWorkload& prepared = lab_.workload(party.workload);
         CorunSpec::Party p;
         p.plan = &lab_.fetch_plan(party.workload, party.optimizer,
                                   request.hierarchy.l1.line_bytes);
-        p.trace = &lab_.workload(party.workload).eval_blocks;
+        p.trace = &prepared.eval_blocks;
         if (i == 0) {
           p.speed = 1.0;
         } else if (request.cpi_speeds) {
-          // SMT threads progress inversely to their CPIs, clamped exactly
-          // like Lab::corun.
-          const double party_cpi =
-              lab_.perf().base_cpi +
-              lab_.workload(party.workload).spec.data_stall_cpi;
-          p.speed = std::clamp(self_cpi / party_cpi, 0.25, 4.0);
+          p.speed = lab_.peer_speed(self, prepared);  // as Lab::corun
         } else {
           p.speed = party.speed;
         }
@@ -544,7 +538,7 @@ void ServiceServer::finish_job(QueuedJob job) {
   receipt.bytes_decoded = job.request_bytes;
   receipt.queue_wait_nanos = queue_wait;
   receipt.wall_nanos = wall;
-  // v5: closed-form predictor attribution out of the same accumulator.
+  // Closed-form predictor attribution out of the same accumulator.
   receipt.predict_calls = cost.predict_calls.load(std::memory_order_relaxed);
   receipt.profile_memo_hits =
       cost.predict_profile_hits.load(std::memory_order_relaxed);
@@ -828,15 +822,9 @@ void ServiceServer::connection_loop(int fd) {
     char header_bytes[kFrameHeaderBytes];
     if (!read_exact(fd, header_bytes, kFrameHeaderBytes)) break;
     JobRequest request;
-    // Answer in the client's dialect: pre-v3 requests get responses stamped
-    // wire version 2 with no v3 trailing fields — byte-identical to what a
-    // v2 build sent (which already stamped v2 on v1 requests). Unreadable
-    // headers fall back to our own version; that stream is garbage anyway.
-    std::uint16_t response_version = kWireVersion;
     std::uint64_t request_bytes = 0;
     try {
       const FrameHeader header = decode_frame_header(header_bytes);
-      response_version = header.version >= 3 ? header.version : 2;
       CL_CHECK_MSG(header.type == FrameType::kRequest,
                    "service frame: expected a request frame");
       std::string payload(header.payload_len, '\0');
@@ -845,13 +833,14 @@ void ServiceServer::connection_loop(int fd) {
         break;
       }
       request_bytes = header.payload_len;
-      request = decode_request_payload(payload, header.version);
+      request = decode_request_payload(payload);
     } catch (const std::exception& e) {
-      // The stream is desynchronized; report and hang up.
+      // The stream is desynchronized (or speaks another wire version);
+      // report and hang up.
       JobResponse response;
       response.status = JobStatus::kError;
       response.error = e.what();
-      write_end->send_frame(encode_response_frame(response, response_version));
+      write_end->send_frame(encode_response_frame(response));
       break;
     }
     {
@@ -860,9 +849,8 @@ void ServiceServer::connection_loop(int fd) {
     }
     submit(
         std::move(request),
-        [write_end, response_version](JobResponse response) {
-          write_end->send_frame(
-              encode_response_frame(response, response_version));
+        [write_end](JobResponse response) {
+          write_end->send_frame(encode_response_frame(response));
           write_end->job_done();
         },
         request_bytes);

@@ -13,7 +13,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x434c5452;  // "CLTR"
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kVersionFixedPairs = 1;
 
 void put_u32(std::ostream& os, std::uint32_t v) {
   char buf[4];
@@ -99,9 +98,7 @@ void write_trace(std::ostream& os, const Trace& trace) {
 Trace read_trace(std::istream& is) {
   const std::istream::pos_type begin = is.tellg();
   CL_CHECK_MSG(get_u32(is) == kMagic, "bad trace magic");
-  const std::uint32_t version = get_u32(is);
-  CL_CHECK_MSG(version == kVersion || version == kVersionFixedPairs,
-               "unsupported trace version");
+  CL_CHECK_MSG(get_u32(is) == kVersion, "unsupported trace version");
   const auto gran = get_u32(is) == 0 ? Trace::Granularity::kBlock
                                      : Trace::Granularity::kFunction;
   const std::uint64_t events = get_u64(is);
@@ -118,15 +115,8 @@ Trace read_trace(std::istream& is) {
   out.reserve(events);
   std::uint64_t decoded = 0;
   for (std::uint64_t i = 0; i < pairs; ++i) {
-    Symbol symbol;
-    std::uint32_t length;
-    if (version == kVersionFixedPairs) {
-      symbol = get_u32(is);
-      length = get_u32(is);
-    } else {
-      symbol = get_varint32(is, "symbol");
-      length = get_varint32(is, "run length");
-    }
+    const Symbol symbol = get_varint32(is, "symbol");
+    const std::uint32_t length = get_varint32(is, "run length");
     CL_CHECK_MSG(length > 0, "zero-length run in trace stream");
     // Checked against the remaining count, so the running sum never passes
     // the declared total.

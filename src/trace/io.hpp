@@ -1,11 +1,11 @@
 // Trace serialization (paper Sec. II-F "Instrumentation" records traces and a
 // symbol mapping to files between the profiling run and the analysis).
 //
-// Format v2: magic, version, granularity, event count, run count, then one
+// Format: magic, version (2), granularity, event count, run count, then one
 // LEB128-varint (symbol, length) pair per maximal run. The run-length pairs
 // are an encoding only: write_trace derives them from the flat event
-// sequence as it writes, and read_trace expands them back. v1 streams
-// (fixed-width u32 pairs) remain readable.
+// sequence as it writes, and read_trace expands them back. read_trace
+// accepts version 2 only.
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,16 @@
 // gated executor, and the golden round-trip — jobs driven through a real
 // unix socket answer byte-identically to the in-process engine.
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -163,10 +167,10 @@ TEST(ServiceProtocol, CorunReplyBytesArePinned) {
             "c0c407" "b817" "fa01"                     //   ... blocks, L2
             "0000000000"                               // layout summary
             "00000000"                                 // trace stats
-            "00" "0000" "0000000000000000" "00"        // v3 receipt: events,
+            "00" "0000" "0000000000000000" "00"        // receipt: events,
                                                        // retired slots, ...
-            "0000" "0000000000000000"                  // v4 retired slots
-            "00" "00" "0000000000000000" "00" "00"     // v5 schedule ...
+            "0000" "0000000000000000"                  // 3 retired slots
+            "00" "00" "0000000000000000" "00" "00"     // schedule ...
             "0000");                                   //   ... predictor
   EXPECT_EQ(decode_response_payload(payload), response);
 }
@@ -189,8 +193,10 @@ TEST(ServiceProtocol, FrameHeaderRoundTrips) {
   header.payload_len = 123456;
   char bytes[kFrameHeaderBytes];
   encode_frame_header(header, bytes);
+  EXPECT_EQ(static_cast<std::uint8_t>(bytes[4]) |
+                (static_cast<std::uint8_t>(bytes[5]) << 8),
+            kWireVersion);
   const FrameHeader decoded = decode_frame_header(bytes);
-  EXPECT_EQ(decoded.version, kWireVersion);
   EXPECT_EQ(decoded.type, FrameType::kResponse);
   EXPECT_EQ(decoded.payload_len, 123456u);
 }
@@ -244,11 +250,11 @@ TEST(ServiceProtocol, RejectsHostilePayloads) {
   EXPECT_THROW((void)decode_request_payload(bad_kind), ContractError);
 
   // A corrupt embedded trace blob must throw, not crash. Aim the bit flip
-  // at the middle of the trace region: the payload ends with the v2
-  // hierarchy blob (length prefix + encoding), the three v3 trailing bytes
-  // (trace_id, span_id, introspect), and the two v5 trailing bytes (slots,
-  // verify_top_k), which must be skipped or the flip may land in a latency
-  // double and still decode cleanly.
+  // at the middle of the trace region: the payload ends with the hierarchy
+  // blob (length prefix + encoding), three trace-context bytes (trace_id,
+  // span_id, introspect), and two co-schedule bytes (slots, verify_top_k),
+  // which must be skipped or the flip may land in a latency double and
+  // still decode cleanly.
   JobRequest stats;
   stats.kind = JobKind::kTraceStats;
   stats.trace = synthetic_trace();
@@ -257,6 +263,62 @@ TEST(ServiceProtocol, RejectsHostilePayloads) {
   ASSERT_GT(stats_payload.size(), tail);
   stats_payload[(stats_payload.size() - tail) / 2] ^= 0x5a;
   EXPECT_THROW((void)decode_request_payload(stats_payload), std::exception);
+}
+
+TEST(ServiceProtocol, RejectsTheFirstIllegalValueOfEveryEnumByte) {
+  // Each enum byte is set to its largest legal value, which must decode,
+  // then to one past it, which must not. The id, slots and verify_top_k
+  // are one-byte varints, so the request's priority, kind and measure are
+  // bytes 1-3 and its introspect byte is third from the end. The response
+  // status is byte 1; the cached flag is followed by 25 bytes (see
+  // RejectsHostileV3Tails).
+  const std::string request = encode_request_payload(
+      solo_request("429.mcf", kBBAffinity, Measure::kHardware, 1));
+  JobResponse ok;
+  ok.id = 1;
+  const std::string response = encode_response_payload(ok);
+  struct Case {
+    const char* field;
+    const std::string& payload;
+    std::size_t offset;
+    unsigned first_illegal;
+    unsigned (*decoded)(std::string_view);  ///< the field, decoded
+  };
+  const Case cases[] = {
+      {"priority", request, 1, 3,
+       [](std::string_view p) {
+         return static_cast<unsigned>(decode_request_payload(p).priority);
+       }},
+      {"kind", request, 2, 6,
+       [](std::string_view p) {
+         return static_cast<unsigned>(decode_request_payload(p).kind);
+       }},
+      {"measure", request, 3, 2,
+       [](std::string_view p) {
+         return static_cast<unsigned>(decode_request_payload(p).measure);
+       }},
+      {"introspect", request, request.size() - 3, 6,
+       [](std::string_view p) {
+         return static_cast<unsigned>(decode_request_payload(p).introspect);
+       }},
+      {"status", response, 1, 4,
+       [](std::string_view p) {
+         return static_cast<unsigned>(decode_response_payload(p).status);
+       }},
+      {"cached", response, response.size() - 26, 2,
+       [](std::string_view p) {
+         const JobResponse decoded = decode_response_payload(p);
+         return static_cast<unsigned>(decoded.receipt.cached);
+       }},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = c.payload;
+    bytes[c.offset] = static_cast<char>(c.first_illegal - 1);
+    EXPECT_EQ(c.decoded(bytes), c.first_illegal - 1) << c.field;
+    bytes[c.offset] = static_cast<char>(c.first_illegal);
+    EXPECT_THROW(static_cast<void>(c.decoded(bytes)), ContractError)
+        << c.field;
+  }
 }
 
 TEST(ServiceProtocol, HierarchyRoundTripsThroughRequestPayload) {
@@ -285,51 +347,8 @@ TEST(ServiceProtocol, HierarchyRoundTripsThroughRequestPayload) {
                ContractError);
 }
 
-TEST(ServiceProtocol, Version1PayloadsStillDecode) {
-  // A v1 request lacks the trailing length-prefixed hierarchy blob (v2),
-  // the trace-context tail (v3), and the co-schedule tail (v5). Decoding it
-  // under version=1 must succeed and leave the paper-default spec in place.
-  const JobRequest request =
-      solo_request("429.mcf", kBBAffinity, Measure::kHardware, 11);
-  std::string payload = encode_request_payload(request, /*version=*/1);
-  // The versioned encoder and hand-truncation of the full encoding agree.
-  std::string truncated = encode_request_payload(request);
-  const std::size_t tail = request.hierarchy.encode().size() + 1 + 3 + 2;
-  ASSERT_GT(truncated.size(), tail);
-  truncated.resize(truncated.size() - tail);
-  EXPECT_EQ(payload, truncated);
-  const JobRequest decoded = decode_request_payload(payload, /*version=*/1);
-  EXPECT_EQ(decoded, request);
-  EXPECT_EQ(decoded.hierarchy, HierarchySpec{});
-  // The same bytes under current framing are a truncated payload.
-  EXPECT_THROW((void)decode_request_payload(payload), ContractError);
-
-  // A v1 response lacks the two trailing per-result varints. Build one by
-  // erasing them from a v2 encoding whose fields are all single-byte
-  // varints: 4 header bytes + 6 result bytes put the l2 pair at offset 10.
-  JobResponse response;
-  response.id = 5;
-  response.status = JobStatus::kOk;
-  SimResult r;
-  r.instructions = 100;
-  r.overhead_instructions = 2;
-  r.line_probes = 90;
-  r.demand_misses = 7;
-  r.wrong_path_misses = 1;
-  r.blocks = 12;
-  response.results = {r};
-  std::string response_payload = encode_response_payload(response, 2);
-  ASSERT_EQ(response_payload[10], '\0');  // l2_probes = 0
-  ASSERT_EQ(response_payload[11], '\0');  // l2_misses = 0
-  response_payload.erase(10, 2);
-  const JobResponse decoded_response =
-      decode_response_payload(response_payload, /*version=*/1);
-  EXPECT_EQ(decoded_response, response);
-  EXPECT_THROW((void)decode_response_payload(response_payload), ContractError);
-}
-
-TEST(ServiceProtocol, V5CoScheduleRoundTripsAndV4StaysByteIdentical) {
-  // v5 appended the co-schedule request fields (slots, verify_top_k), the
+TEST(ServiceProtocol, CoScheduleRoundTrips) {
+  // The co-schedule request fields (slots, verify_top_k), the
   // CoScheduleResult response block, and the predictor receipt varints.
   JobRequest request;
   request.id = 31;
@@ -351,13 +370,7 @@ TEST(ServiceProtocol, V5CoScheduleRoundTripsAndV4StaysByteIdentical) {
   other_slots.slots = 3;
   EXPECT_NE(request.canonical_key(), other_slots.canonical_key());
 
-  // kCoSchedule is a v5 kind: the same bytes under a v4 header are hostile.
-  EXPECT_THROW(
-      static_cast<void>(decode_request_payload(
-          encode_request_payload(request, /*version=*/4), /*version=*/4)),
-      ContractError);
-
-  // Response side: the schedule block rides the v5 tail and round-trips.
+  // Response side: the schedule block round-trips.
   JobResponse response;
   response.id = 31;
   response.status = JobStatus::kOk;
@@ -368,40 +381,37 @@ TEST(ServiceProtocol, V5CoScheduleRoundTripsAndV4StaysByteIdentical) {
   response.schedule.verified = {0};
   response.receipt.predict_calls = 10;
   response.receipt.profile_memo_hits = 5;
-  const std::string v5 = encode_response_payload(response);
-  EXPECT_EQ(decode_response_payload(v5), response);
+  const std::string payload = encode_response_payload(response);
+  EXPECT_EQ(decode_response_payload(payload), response);
 
-  // A v4 response omits the v5 tail byte-for-byte: the v4 encoding equals
-  // the v5 encoding of the same response with the schedule and predictor
-  // fields cleared, truncated by the empty v5 tail (two zero counts, an
-  // 8-byte double, refine_passes, the verified count, and two predictor
-  // varints — 14 bytes).
-  const std::string v4 = encode_response_payload(response, 4);
+  // The schedule block and the predictor varints end the payload. Cleared,
+  // they are its last 14 bytes: two zero counts, an 8-byte double,
+  // refine_passes, the verified count, and two predictor varints.
   JobResponse cleared = response;
   cleared.schedule = CoScheduleResult{};
   cleared.receipt.predict_calls = 0;
   cleared.receipt.profile_memo_hits = 0;
-  const std::string v5_cleared = encode_response_payload(cleared);
-  ASSERT_GT(v5_cleared.size(), 14u);
-  EXPECT_EQ(v4, v5_cleared.substr(0, v5_cleared.size() - 14));
-  const JobResponse v4_decoded = decode_response_payload(v4, 4);
-  EXPECT_EQ(v4_decoded.schedule, CoScheduleResult{});
-  EXPECT_EQ(v4_decoded.receipt.predict_calls, 0u);
-  EXPECT_EQ(v4_decoded.receipt.profile_memo_hits, 0u);
+  const std::string cleared_payload = encode_response_payload(cleared);
+  ASSERT_GT(cleared_payload.size(), 14u);
+  const std::size_t tail_start = cleared_payload.size() - 14;
+  ASSERT_GT(payload.size(), tail_start);
+  EXPECT_EQ(payload.substr(0, tail_start),
+            cleared_payload.substr(0, tail_start));
 
-  // Truncating anywhere inside the v5 tail must throw, never half-decode.
-  ASSERT_GT(v5.size(), v4.size());
-  for (std::size_t cut = 1; cut <= v5.size() - v4.size(); ++cut) {
-    EXPECT_THROW(static_cast<void>(decode_response_payload(
-                     std::string_view(v5).substr(0, v5.size() - cut))),
+  // Truncating anywhere inside the schedule tail must throw, never
+  // half-decode.
+  for (std::size_t cut = 1; cut <= payload.size() - tail_start; ++cut) {
+    const std::string_view truncated =
+        std::string_view(payload).substr(0, payload.size() - cut);
+    EXPECT_THROW(static_cast<void>(decode_response_payload(truncated)),
                  ContractError)
         << "cut " << cut;
   }
 
   // A hostile pair count (> 64) must be rejected before any allocation of
-  // that size. The pairs count byte is the first byte after the v4 prefix.
-  std::string hostile = v5_cleared;
-  hostile[v4.size()] = '\x41';  // claims 65 pairs
+  // that size. The pair count is the first byte of the tail.
+  std::string hostile = cleared_payload;
+  hostile[tail_start] = '\x41';  // claims 65 pairs
   EXPECT_THROW(static_cast<void>(decode_response_payload(hostile)),
                ContractError);
 }
@@ -789,16 +799,16 @@ TEST(ServiceSocket, GoldenRoundTripIsByteIdenticalToInProcess) {
     jobs[i].span_id = 1;
     const JobResponse remote = client.call(jobs[i]);
     const JobResponse expected = local.execute(jobs[i]);
-    // Byte-identical on the wire, not merely approximately equal. Compared
-    // in the v2 encoding: the v3 CostReceipt carries wall-clock timings,
-    // which are real per-call data, not determinism violations.
-    EXPECT_EQ(encode_response_payload(remote, 2),
-              encode_response_payload(expected, 2))
-        << jobs[i].to_string();
+    // Byte-identical on the wire, not merely approximately equal. The
+    // CostReceipt carries wall-clock timings, which are real per-call data,
+    // not determinism violations, so both sides are encoded with it zeroed.
     JobResponse remote_core = remote;
     JobResponse expected_core = expected;
     remote_core.receipt = CostReceipt{};
     expected_core.receipt = CostReceipt{};
+    EXPECT_EQ(encode_response_payload(remote_core),
+              encode_response_payload(expected_core))
+        << jobs[i].to_string();
     EXPECT_EQ(remote_core, expected_core) << jobs[i].to_string();
     // The receipt's simulated-work counts must match the SimResults they
     // ride with (the acceptance contract for per-job cost attribution).
@@ -886,6 +896,77 @@ TEST(ServiceSocket, NonDefaultHierarchyRoundTripsOverTheWire) {
   EXPECT_GT(corun_remote.results[0].l2_probes, 0u);
 
   server.shutdown();
+}
+
+// ---- Executor: the general N-party co-run path ------------------------------
+
+TEST(ServiceExecutor, GeneralCorunPathMatchesSimulateCorun) {
+  // Three parties never take the Lab::corun pair route: the executor builds
+  // a CorunSpec over the Lab's memoized fetch plans. The reference builds
+  // the same spec by hand over a fresh Lab.
+  LabExecutor executor(LabOptions{}.threads(2));
+  JobRequest job;
+  job.id = 5;
+  job.kind = JobKind::kCorun;
+  job.measure = Measure::kHardware;
+  job.cpi_speeds = false;
+  job.parties.push_back({"429.mcf", kBBAffinity, 1.0});
+  job.parties.push_back({"458.sjeng", std::nullopt, 1.25});
+  job.parties.push_back({"403.gcc", kFuncAffinity, 0.5});
+
+  Lab lab(LabOptions{}.threads(2));
+  const auto simulate = [&](const std::vector<double>& speeds) {
+    CorunSpec spec;
+    spec.options = hardware_proxy_options();
+    for (std::size_t i = 0; i < job.parties.size(); ++i) {
+      const CorunPartyRequest& party = job.parties[i];
+      spec.parties.push_back(
+          {&lab.fetch_plan(party.workload, party.optimizer),
+           &lab.workload(party.workload).eval_blocks, speeds[i]});
+    }
+    return simulate_corun(spec);
+  };
+
+  const JobResponse wire_speeds = executor.execute(job);
+  ASSERT_EQ(wire_speeds.status, JobStatus::kOk) << wire_speeds.error;
+  EXPECT_EQ(wire_speeds.results, simulate({1.0, 1.25, 0.5}));
+
+  // CPI-derived speeds: SMT threads progress inversely to their CPIs,
+  // clamped to [0.25, 4].
+  const auto cpi = [&](const CorunPartyRequest& party) {
+    return lab.perf().base_cpi +
+           lab.workload(party.workload).spec.data_stall_cpi;
+  };
+  std::vector<double> cpi_ratios{1.0};
+  for (std::size_t i = 1; i < job.parties.size(); ++i) {
+    cpi_ratios.push_back(
+        std::clamp(cpi(job.parties[0]) / cpi(job.parties[i]), 0.25, 4.0));
+  }
+  job.cpi_speeds = true;
+  const JobResponse derived = executor.execute(job);
+  ASSERT_EQ(derived.status, JobStatus::kOk) << derived.error;
+  EXPECT_EQ(derived.results, simulate(cpi_ratios));
+  EXPECT_NE(derived.results, wire_speeds.results);
+
+  // Wire speeds are validated before any simulation.
+  job.cpi_speeds = false;
+  const auto error_of = [&](JobRequest bad) {
+    const JobResponse response = executor.execute(bad);
+    EXPECT_EQ(response.status, JobStatus::kError);
+    return response.error;
+  };
+  JobRequest bad = job;
+  bad.parties[0].speed = 2.0;
+  EXPECT_NE(error_of(bad).find("speed must be 1.0"), std::string::npos);
+  bad = job;
+  bad.parties[1].speed = 0.0;
+  EXPECT_NE(error_of(bad).find("finite and positive"), std::string::npos);
+  bad = job;
+  bad.parties[2].speed = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(error_of(bad).find("finite and positive"), std::string::npos);
+  bad = job;
+  bad.parties.resize(1);
+  EXPECT_NE(error_of(bad).find(">= 2 parties"), std::string::npos);
 }
 
 TEST(ServiceSocket, CoScheduleGoldenMatchesInProcessScheduler) {
@@ -1039,7 +1120,7 @@ TEST(ServiceSocket, GarbageFramesGetAnErrorResponseAndHangup) {
   server.shutdown();
 }
 
-// ---- Observability: v3 tail hardening, introspection, trace context ---------
+// ---- Observability: tail hardening, introspection, trace context ------------
 
 TEST(ServiceProtocol, TraceContextDoesNotPerturbTheCanonicalKey) {
   JobRequest plain = solo_request("429.mcf", kBBAffinity, Measure::kHardware);
@@ -1075,8 +1156,8 @@ TEST(ServiceProtocol, RejectsHostileV3Tails) {
   request.span_id = 3;
   const std::string payload = encode_request_payload(request);
 
-  // Truncating anywhere inside the v3 tail (trace varint, span varint,
-  // introspect byte) must throw, never decode half a context.
+  // Truncating anywhere inside the trace-context tail (trace varint, span
+  // varint, introspect byte) must throw, never decode half a context.
   for (std::size_t cut = 1; cut <= 5 && cut < payload.size(); ++cut) {
     EXPECT_THROW(static_cast<void>(decode_request_payload(
                      std::string_view(payload).substr(0, payload.size() - cut))),
@@ -1084,17 +1165,11 @@ TEST(ServiceProtocol, RejectsHostileV3Tails) {
         << "cut " << cut;
   }
 
-  // Introspect byte out of range (it sits before the two v5 tail bytes).
+  // Introspect byte out of range (it sits before the two co-schedule
+  // bytes).
   std::string bad_introspect = payload;
   bad_introspect[bad_introspect.size() - 3] = '\x66';
   EXPECT_THROW(static_cast<void>(decode_request_payload(bad_introspect)),
-               ContractError);
-
-  // kIntrospect is a v3 kind: the same bytes under a v2 header are hostile.
-  JobRequest introspect;
-  introspect.kind = JobKind::kIntrospect;
-  const std::string v3_only = encode_request_payload(introspect);
-  EXPECT_THROW(static_cast<void>(decode_request_payload(v3_only, 2)),
                ContractError);
 
   // Response side: truncated receipt and a cached flag that is not 0/1.
@@ -1114,17 +1189,17 @@ TEST(ServiceProtocol, RejectsHostileV3Tails) {
   flagged.receipt.cached = true;
   std::string bad_cached = encode_response_payload(flagged);
   // The cached byte is followed by the (empty varint-length) introspect
-  // string, the retired v4 slots (two one-byte zero varints plus an 8-byte
-  // double), and the empty v5 tail (two zero counts, an
-  // 8-byte double, refine_passes, the verified count, and two predictor
-  // varints) — 25 trailing bytes.
+  // string, three retired slots (two one-byte zero varints plus an 8-byte
+  // double), and the empty schedule tail (two zero counts, an 8-byte
+  // double, refine_passes, the verified count, and two predictor varints) —
+  // 25 trailing bytes.
   bad_cached[bad_cached.size() - 26] = '\x02';
   EXPECT_THROW(static_cast<void>(decode_response_payload(bad_cached)),
                ContractError);
 }
 
-/// Connects a raw AF_UNIX stream to `path` (test-side plumbing for speaking
-/// old wire dialects on purpose).
+/// Connects a raw AF_UNIX stream to `path` (test-side plumbing for sending
+/// hand-made frames on purpose).
 int raw_connect(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -1141,7 +1216,7 @@ int raw_connect(const std::string& path) {
 /// Returns (header, payload).
 std::pair<FrameHeader, std::string> raw_roundtrip(int fd,
                                                   const std::string& frame) {
-  EXPECT_EQ(::send(fd, frame.data(), frame.size(), 0),
+  EXPECT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(frame.size()));
   char header_bytes[kFrameHeaderBytes];
   std::size_t got = 0;
@@ -1164,51 +1239,54 @@ std::pair<FrameHeader, std::string> raw_roundtrip(int fd,
   return {header, std::move(payload)};
 }
 
-TEST(ServiceSocket, OlderClientsGetByteIdenticalV2Responses) {
+TEST(ServiceSocket, OtherWireVersionsGetAnErrorAndAHangup) {
   ServerConfig config;
   config.workers = 1;
-  config.cache_enabled = false;
   ServiceServer server(config, std::make_unique<CountingExecutor>());
   const std::string socket_path = "svc_versions.sock";
   server.listen_unix(socket_path);
 
-  JobRequest job =
-      solo_request("429.mcf", std::nullopt, Measure::kHardware, 21);
-  // Pin the trace context: with CODELAYOUT_TRACE=1 the client would assign
-  // random ids, and the receipt's byte count must stay deterministic.
-  job.trace_id = 0xfeed;
-  job.span_id = 1;
+  const std::string frame = encode_request_frame(
+      solo_request("429.mcf", std::nullopt, Measure::kHardware, 21));
+  for (const std::uint16_t version : {1, 4, 6}) {
+    std::string stamped = frame;
+    stamped[4] = static_cast<char>(version & 0xff);
+    stamped[5] = static_cast<char>(version >> 8);
+    const int fd = raw_connect(socket_path);
+    // Bounded reads: a server that keeps the connection open fails the test
+    // instead of hanging it.
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    const auto [header, payload] = raw_roundtrip(fd, stamped);
+    EXPECT_EQ(header.type, FrameType::kResponse);
+    const JobResponse response = decode_response_payload(payload);
+    EXPECT_EQ(response.status, JobStatus::kError);
+    EXPECT_NE(response.error.find("unsupported wire version " +
+                                  std::to_string(version) +
+                                  " (this build speaks " +
+                                  std::to_string(kWireVersion) + ")"),
+              std::string::npos)
+        << response.error;
+    // Then a hangup. The server closes without reading the payload, so the
+    // next recv sees the reset (-1, ECONNRESET) or an orderly EOF (0); a
+    // read timeout means the connection stayed open.
+    char byte;
+    const ssize_t r = ::recv(fd, &byte, 1, 0);
+    EXPECT_TRUE(r == 0 || (r < 0 && errno == ECONNRESET))
+        << "version " << version << ": recv " << r << ", "
+        << std::strerror(errno);
+    ::close(fd);
+  }
 
-  // A v3 client sees a receipt stamped with real timings.
-  ServiceClient v3_client = ServiceClient::connect_unix(socket_path);
-  const JobResponse v3 = v3_client.call(job);
-  ASSERT_EQ(v3.status, JobStatus::kOk);
-  EXPECT_GT(v3.receipt.wall_nanos, 0u);
-  EXPECT_EQ(v3.receipt.bytes_decoded, encode_request_payload(job).size());
-
-  // v1 and v2 clients get answers stamped v2 with no receipt bytes — and
-  // byte-identical to each other (the daemon answers in the caller's
-  // dialect, so old clients see exactly what a v2 build sent).
-  const int v1_fd = raw_connect(socket_path);
-  const auto [v1_header, v1_payload] =
-      raw_roundtrip(v1_fd, encode_request_frame(job, 1));
-  const int v2_fd = raw_connect(socket_path);
-  const auto [v2_header, v2_payload] =
-      raw_roundtrip(v2_fd, encode_request_frame(job, 2));
-  EXPECT_EQ(v1_header.version, 2u);
-  EXPECT_EQ(v2_header.version, 2u);
-  EXPECT_EQ(v1_payload, v2_payload);
-
-  // The v2 payload is exactly the v3 response minus its receipt tail.
-  JobResponse expected = v3;
-  expected.receipt = CostReceipt{};
-  expected.introspect.clear();
-  EXPECT_EQ(v2_payload, encode_response_payload(expected, 2));
-  const JobResponse decoded = decode_response_payload(v2_payload, 2);
-  EXPECT_EQ(decoded.receipt, CostReceipt{});
-
-  ::close(v1_fd);
-  ::close(v2_fd);
+  // A current client is still served, and its receipt carries real
+  // timings.
+  ServiceClient client = ServiceClient::connect_unix(socket_path);
+  const JobResponse response =
+      client.call(solo_request("w", std::nullopt, Measure::kHardware, 22));
+  EXPECT_EQ(response.status, JobStatus::kOk);
+  EXPECT_GT(response.receipt.wall_nanos, 0u);
   server.shutdown();
 }
 
@@ -1219,8 +1297,8 @@ TEST(ServiceSocket, TruncatedFrameDoesNotWedgeTheServer) {
   const std::string socket_path = "svc_trunc.sock";
   server.listen_unix(socket_path);
 
-  // A v3 header promising more payload than ever arrives: the connection
-  // dies, the server does not.
+  // A header promising more payload than ever arrives: the connection dies,
+  // the server does not.
   const std::string frame = encode_request_frame(
       solo_request("429.mcf", std::nullopt, Measure::kHardware, 2));
   const int fd = raw_connect(socket_path);
@@ -1331,10 +1409,10 @@ TEST(ServiceServer, RecentJobsRingKeepsNewestCapped) {
   EXPECT_NE(doc.introspect.find("\"count\":32"), std::string::npos)
       << doc.introspect;
   EXPECT_NE(doc.introspect.find("\"id\":999"), std::string::npos);
-  // The retired v4 dispatch fields are gone from the ring entries.
+  // The retired dispatch fields are gone from the ring entries.
   EXPECT_EQ(doc.introspect.find("dispatch"), std::string::npos)
       << doc.introspect;
-  // v5 predictor attribution rides the same ring entries.
+  // Predictor attribution rides the same ring entries.
   EXPECT_NE(doc.introspect.find("\"predict_calls\":"), std::string::npos);
   EXPECT_NE(doc.introspect.find("\"profile_memo_hits\":"), std::string::npos);
   server.shutdown();

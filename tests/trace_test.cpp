@@ -346,22 +346,14 @@ TEST(TraceIoHostile, DeclaredEventCountAboveDecodeCapThrows) {
 }
 
 TEST(TraceIoHostile, UnsupportedVersionThrows) {
-  const std::string s = header(3, 0, 0);
-  EXPECT_NE(thrown_message(s).find("unsupported trace version"),
-            std::string::npos);
-}
-
-TEST(TraceIo, VersionOneFixedPairStreamsStillReadable) {
-  // The pre-varint v1 format: fixed little-endian u32 (symbol, length) pairs.
-  std::string s = header(1, /*events=*/7, /*pairs=*/3);
-  append_u32(s, 4);
-  append_u32(s, 3);
-  append_u32(s, 9);
-  append_u32(s, 1);
-  append_u32(s, 4);
-  append_u32(s, 3);
-  std::stringstream ss(s);
-  EXPECT_EQ(read_trace(ss), make_trace({4, 4, 4, 9, 4, 4, 4}));
+  // Version 2 is the only stream version; the retired fixed-width v1 and
+  // any later number are rejected alike.
+  for (const std::uint32_t version : {1u, 3u}) {
+    const std::string s = header(version, 0, 0);
+    EXPECT_NE(thrown_message(s).find("unsupported trace version"),
+              std::string::npos)
+        << "version " << version;
+  }
 }
 
 }  // namespace
