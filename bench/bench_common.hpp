@@ -87,7 +87,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
 }
 
 inline LabOptions bench_lab_options(const BenchArgs& args) {
-  return LabOptions().threads(args.threads).metrics(true);
+  return LabOptions().threads(args.threads);
 }
 
 /// Prints the engine metrics as one JSON line when --json was given.

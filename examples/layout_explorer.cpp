@@ -1,7 +1,6 @@
 // Example: explore every layout strategy on one suite workload — the four
-// paper optimizers, the Gloy-Smith padded placement, the hotness-ordered
-// affinity variant, and a random worst case — solo and under a gamess
-// co-run.
+// paper optimizers, the Gloy-Smith padded placement, and a random worst
+// case — solo and under a gamess co-run.
 //
 // Usage: layout_explorer [workload]   (default 458.sjeng)
 #include <cstdio>
@@ -46,14 +45,6 @@ int main(int argc, char** argv) {
       continue;
     }
     evaluate(opt.name(), lab.layout(name, opt));
-  }
-  // Hotness-ordered affinity: groups sorted by execution count instead of
-  // first appearance.
-  {
-    const AffinityHierarchy h = analyze_affinity(w.profile_blocks);
-    evaluate("BB Affinity (hotness)",
-             bb_reordering(w.module, h.layout_order(
-                                          AffinityHierarchy::Order::kHotness)));
   }
   // Gloy-Smith padded placement.
   {

@@ -39,24 +39,20 @@ std::vector<std::uint32_t> AffinityHierarchy::partition_at(
   return out;
 }
 
-void AffinityHierarchy::order_children(std::vector<std::uint32_t>& ids,
-                                       Order order) const {
+void AffinityHierarchy::order_children(std::vector<std::uint32_t>& ids) const {
   std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (order == Order::kHotness && nodes_[a].occurrences != nodes_[b].occurrences) {
-      return nodes_[a].occurrences > nodes_[b].occurrences;
-    }
     return nodes_[a].first_occurrence < nodes_[b].first_occurrence;
   });
 }
 
-std::vector<Symbol> AffinityHierarchy::layout_order(Order order) const {
+std::vector<Symbol> AffinityHierarchy::layout_order() const {
   std::vector<Symbol> out;
   out.reserve(symbol_count());
   std::vector<std::uint32_t> top(roots_.begin(), roots_.end());
-  order_children(top, order);
+  order_children(top);
 
-  // Iterative depth-first emission; children of each group are visited in
-  // the chosen order, leaves contribute their members.
+  // Iterative depth-first emission; children of each group are visited by
+  // first occurrence, leaves contribute their members.
   std::vector<std::uint32_t> stack(top.rbegin(), top.rend());
   while (!stack.empty()) {
     const std::uint32_t id = stack.back();
@@ -67,7 +63,7 @@ std::vector<Symbol> AffinityHierarchy::layout_order(Order order) const {
       continue;
     }
     std::vector<std::uint32_t> kids(g.children.begin(), g.children.end());
-    order_children(kids, order);
+    order_children(kids);
     stack.insert(stack.end(), kids.rbegin(), kids.rend());
   }
   return out;

@@ -27,17 +27,10 @@ struct AffinityGroup {
   std::vector<std::uint32_t> children;
   /// Earliest trace position at which any member occurs (ordering key).
   std::uint64_t first_occurrence = 0;
-  /// Total occurrences of the members (hotness ordering key).
-  std::uint64_t occurrences = 0;
 };
 
 class AffinityHierarchy {
  public:
-  enum class Order {
-    kFirstAppearance,  ///< groups by earliest trace occurrence (paper Fig. 1)
-    kHotness,          ///< groups by descending total occurrence count
-  };
-
   AffinityHierarchy(std::vector<AffinityGroup> nodes,
                     std::vector<std::uint32_t> roots);
 
@@ -49,9 +42,9 @@ class AffinityHierarchy {
   /// below w.
   [[nodiscard]] std::vector<std::uint32_t> partition_at(std::uint32_t w) const;
 
-  /// Bottom-up traversal: the optimized symbol order.
-  [[nodiscard]] std::vector<Symbol> layout_order(
-      Order order = Order::kFirstAppearance) const;
+  /// Bottom-up traversal: the optimized symbol order, sibling groups by
+  /// earliest trace occurrence (paper Fig. 1).
+  [[nodiscard]] std::vector<Symbol> layout_order() const;
 
   /// Number of symbols covered by the hierarchy.
   [[nodiscard]] std::size_t symbol_count() const;
@@ -60,7 +53,7 @@ class AffinityHierarchy {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  void order_children(std::vector<std::uint32_t>& ids, Order order) const;
+  void order_children(std::vector<std::uint32_t>& ids) const;
 
   std::vector<AffinityGroup> nodes_;
   std::vector<std::uint32_t> roots_;

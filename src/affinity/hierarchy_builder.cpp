@@ -9,13 +9,6 @@
 namespace codelayout::detail {
 namespace {
 
-struct Partition {
-  /// Current maximal group (node id) of each live symbol.
-  std::unordered_map<Symbol, std::uint32_t> group_of;
-  /// Live group ids in deterministic (first-occurrence) order.
-  std::vector<std::uint32_t> live;
-};
-
 /// True when every cross pair between the two groups is affine.
 bool complete_linkage(const AffinityGroup& a, const AffinityGroup& b,
                       const std::unordered_set<std::uint64_t>& affine) {
@@ -38,15 +31,14 @@ AffinityHierarchy build_hierarchy(
   // Leaf nodes: one singleton group per distinct symbol, at w = 1 every
   // block is its own group (Definition 5).
   std::unordered_map<Symbol, std::uint64_t> first_seen;
-  std::unordered_map<Symbol, std::uint64_t> occurrences;
   const std::span<const Symbol> symbols = trimmed.symbols();
   for (std::uint64_t pos = 0; pos < symbols.size(); ++pos) {
     first_seen.try_emplace(symbols[pos], pos);
-    ++occurrences[symbols[pos]];
   }
 
   std::vector<AffinityGroup> nodes;
-  Partition part;
+  // Live group ids in deterministic (first-occurrence) order.
+  std::vector<std::uint32_t> live;
   {
     std::vector<Symbol> order;
     order.reserve(first_seen.size());
@@ -60,10 +52,8 @@ AffinityHierarchy build_hierarchy(
                                     .formed_at_w = 1,
                                     .members = {s},
                                     .children = {},
-                                    .first_occurrence = first_seen.at(s),
-                                    .occurrences = occurrences.at(s)});
-      part.group_of.emplace(s, id);
-      part.live.push_back(id);
+                                    .first_occurrence = first_seen.at(s)});
+      live.push_back(id);
     }
   }
 
@@ -86,7 +76,7 @@ AffinityHierarchy build_hierarchy(
     // group to which it is fully affine, else starts its own.
     std::vector<std::vector<std::uint32_t>> buckets;
     std::unordered_map<Symbol, std::size_t> bucket_of_symbol;
-    for (std::uint32_t gid : part.live) {
+    for (std::uint32_t gid : live) {
       const AffinityGroup& g = nodes[gid];
       // Candidate buckets: those holding an affine partner of any member —
       // complete linkage can only succeed where at least one cross pair is
@@ -143,9 +133,7 @@ AffinityHierarchy build_hierarchy(
                               c.members.end());
         merged.first_occurrence =
             std::min(merged.first_occurrence, c.first_occurrence);
-        merged.occurrences += c.occurrences;
       }
-      for (Symbol s : merged.members) part.group_of[s] = merged.id;
       next_live.push_back(merged.id);
       nodes.push_back(std::move(merged));
     }
@@ -153,10 +141,10 @@ AffinityHierarchy build_hierarchy(
               [&](std::uint32_t a, std::uint32_t b) {
                 return nodes[a].first_occurrence < nodes[b].first_occurrence;
               });
-    part.live = std::move(next_live);
+    live = std::move(next_live);
   }
 
-  return AffinityHierarchy(std::move(nodes), std::move(part.live));
+  return AffinityHierarchy(std::move(nodes), std::move(live));
 }
 
 }  // namespace codelayout::detail

@@ -1,29 +1,11 @@
 #include "cache/hierarchy.hpp"
 
 #include <cmath>
-#include <cstring>
+
+#include "support/bytes.hpp"
 
 namespace codelayout {
 namespace {
-
-// The same LEB128 varints and IEEE-754 bit patterns the service protocol
-// uses, so the spec's canonical encoding is stable and self-contained.
-void put_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
-}
-
-void put_double(std::string& out, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
-}
 
 void put_geometry(std::string& out, const CacheGeometry& geom) {
   put_varint(out, geom.size_bytes);
@@ -31,62 +13,17 @@ void put_geometry(std::string& out, const CacheGeometry& geom) {
   put_varint(out, geom.line_bytes);
 }
 
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-
-  std::uint8_t u8() {
-    CL_CHECK_MSG(pos_ < data_.size(), "hierarchy encoding truncated");
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::uint64_t varint() {
-    std::uint64_t value = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-      const std::uint8_t byte = u8();
-      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        CL_CHECK_MSG(shift < 63 || byte <= 1,
-                     "hierarchy encoding varint overflow");
-        return value;
-      }
-    }
-    CL_CHECK_MSG(false, "hierarchy encoding varint overflow");
-    return 0;  // unreachable
-  }
-
-  double f64() {
-    CL_CHECK_MSG(data_.size() - pos_ >= 8, "hierarchy encoding truncated");
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(data_[pos_ + i]))
-              << (8 * i);
-    }
-    pos_ += 8;
-    double value = 0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
-  CacheGeometry geometry() {
-    CacheGeometry geom;
-    geom.size_bytes = varint();
-    const std::uint64_t assoc = varint();
-    const std::uint64_t line = varint();
-    CL_CHECK_MSG(assoc <= ~std::uint32_t{0} && line <= ~std::uint32_t{0},
-                 "hierarchy encoding: geometry field out of range");
-    geom.associativity = static_cast<std::uint32_t>(assoc);
-    geom.line_bytes = static_cast<std::uint32_t>(line);
-    return geom;
-  }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
+CacheGeometry get_geometry(ByteReader& in) {
+  CacheGeometry geom;
+  geom.size_bytes = in.varint();
+  const std::uint64_t assoc = in.varint();
+  const std::uint64_t line = in.varint();
+  CL_CHECK_MSG(assoc <= ~std::uint32_t{0} && line <= ~std::uint32_t{0},
+               "hierarchy encoding: geometry field out of range");
+  geom.associativity = static_cast<std::uint32_t>(assoc);
+  geom.line_bytes = static_cast<std::uint32_t>(line);
+  return geom;
+}
 
 std::uint64_t parse_number(std::string_view text, std::string_view what) {
   CL_CHECK_MSG(!text.empty(), "geometry: empty " << what << " field");
@@ -180,12 +117,12 @@ std::string HierarchySpec::encode() const {
 }
 
 HierarchySpec HierarchySpec::decode(std::string_view bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes, "hierarchy encoding");
   HierarchySpec spec;
-  spec.l1 = in.geometry();
+  spec.l1 = get_geometry(in);
   const std::uint8_t has_l2 = in.u8();
   CL_CHECK_MSG(has_l2 <= 1, "hierarchy encoding: bad L2 presence flag");
-  if (has_l2 != 0) spec.l2 = in.geometry();
+  if (has_l2 != 0) spec.l2 = get_geometry(in);
   spec.l1_hit_cycles = in.f64();
   spec.l2_hit_cycles = in.f64();
   spec.memory_cycles = in.f64();

@@ -106,7 +106,6 @@ ThreadPool& Lab::pool() {
 }
 
 StageCounters* Lab::counters(Stage stage) {
-  if (!options_.metrics()) return nullptr;
   switch (stage) {
     case Stage::kPrepare: return &prepare_counters_;
     case Stage::kLayout: return &layout_counters_;

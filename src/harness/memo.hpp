@@ -30,7 +30,7 @@ class MemoTable {
   /// this is the first request. Stable reference (valid for the table's
   /// lifetime). A throwing compute is cached as that exception and rethrown
   /// to every requester (computations here are deterministic, so retrying
-  /// would fail identically). `counters` may be null (metrics disabled).
+  /// would fail identically). `counters` may be null (a table with no stage).
   template <typename Compute>
   const Value& get_or_compute(const EvalKey& key, StageCounters* counters,
                               Compute&& compute) {

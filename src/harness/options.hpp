@@ -28,17 +28,10 @@ class LabOptions {
     threads_ = count;
     return *this;
   }
-  /// Per-stage counters and timings; on by default (the counters are
-  /// relaxed atomics, far off every hot path).
-  LabOptions& metrics(bool enabled) {
-    metrics_ = enabled;
-    return *this;
-  }
 
   [[nodiscard]] const PipelineConfig& pipeline() const { return pipeline_; }
   [[nodiscard]] const PerfParams& perf() const { return perf_; }
   [[nodiscard]] unsigned threads() const { return threads_; }
-  [[nodiscard]] bool metrics() const { return metrics_; }
 
   /// The worker count after resolving 0 = hardware concurrency.
   [[nodiscard]] unsigned resolved_threads() const;
@@ -50,7 +43,6 @@ class LabOptions {
   PipelineConfig pipeline_{};
   PerfParams perf_{};
   unsigned threads_ = 0;
-  bool metrics_ = true;
 };
 
 }  // namespace codelayout

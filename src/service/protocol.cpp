@@ -1,38 +1,13 @@
 #include "service/protocol.hpp"
 
-#include <cstring>
 #include <sstream>
 
+#include "support/bytes.hpp"
 #include "support/check.hpp"
 #include "trace/io.hpp"
 
 namespace codelayout::service {
 namespace {
-
-// ---- Primitive writers ------------------------------------------------------
-
-void put_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
-}
-
-void put_u8(std::string& out, std::uint8_t value) {
-  out.push_back(static_cast<char>(value));
-}
-
-void put_double(std::string& out, double value) {
-  // IEEE-754 bit pattern, little-endian: byte-deterministic across hosts
-  // with the same endianness, and round-trips NaN payloads untouched.
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
-}
 
 void put_string(std::string& out, std::string_view s) {
   put_varint(out, s.size());
@@ -64,65 +39,11 @@ void put_sim_result(std::string& out, const SimResult& r) {
   put_varint(out, r.l2_misses);
 }
 
-// ---- Primitive readers ------------------------------------------------------
+std::string get_string(ByteReader& in) {
+  return std::string(in.bytes(in.varint()));
+}
 
-/// Cursor over a payload. Every getter throws ContractError on truncation;
-/// decode() checks exhaustion at the end so trailing garbage is an error too.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-
-  std::uint8_t u8() {
-    CL_CHECK_MSG(pos_ < data_.size(), "service payload truncated");
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::uint64_t varint() {
-    std::uint64_t value = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-      const std::uint8_t byte = u8();
-      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        CL_CHECK_MSG(shift < 63 || byte <= 1, "service payload varint overflow");
-        return value;
-      }
-    }
-    CL_CHECK_MSG(false, "service payload varint overflow");
-    return 0;  // unreachable
-  }
-
-  double f64() {
-    CL_CHECK_MSG(remaining() >= 8, "service payload truncated");
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(data_[pos_ + i]))
-              << (8 * i);
-    }
-    pos_ += 8;
-    double value = 0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
-  std::string_view bytes(std::uint64_t n) {
-    CL_CHECK_MSG(n <= remaining(), "service payload truncated");
-    std::string_view view = data_.substr(pos_, n);
-    pos_ += n;
-    return view;
-  }
-
-  std::string str() { return std::string(bytes(varint())); }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-std::optional<Optimizer> get_optimizer(Reader& in) {
+std::optional<Optimizer> get_optimizer(ByteReader& in) {
   const std::uint8_t present = in.u8();
   CL_CHECK_MSG(present <= 1, "service payload: bad optimizer presence flag");
   if (!present) return std::nullopt;
@@ -136,7 +57,7 @@ std::optional<Optimizer> get_optimizer(Reader& in) {
                    static_cast<Granularity>(granularity)};
 }
 
-Trace get_trace(Reader& in) {
+Trace get_trace(ByteReader& in) {
   const std::string_view blob = in.bytes(in.varint());
   if (blob.empty()) return Trace{Trace::Granularity::kBlock};
   std::istringstream is{std::string(blob)};
@@ -148,7 +69,7 @@ Trace get_trace(Reader& in) {
   return trace;
 }
 
-SimResult get_sim_result(Reader& in) {
+SimResult get_sim_result(ByteReader& in) {
   SimResult r;
   r.instructions = in.varint();
   r.overhead_instructions = in.varint();
@@ -331,7 +252,7 @@ std::string encode_response_payload(const JobResponse& response) {
 }
 
 JobRequest decode_request_payload(std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload, "service payload");
   JobRequest request;
   request.id = in.varint();
   const std::uint8_t priority = in.u8();
@@ -346,14 +267,14 @@ JobRequest decode_request_payload(std::string_view payload) {
   CL_CHECK_MSG(measure <= static_cast<std::uint8_t>(Measure::kHardware),
                "service payload: measure out of range");
   request.measure = static_cast<Measure>(measure);
-  request.workload = in.str();
+  request.workload = get_string(in);
   request.optimizer = get_optimizer(in);
   const std::uint64_t party_count = in.varint();
   CL_CHECK_MSG(party_count <= 64, "service payload: too many co-run parties");
   request.parties.reserve(party_count);
   for (std::uint64_t i = 0; i < party_count; ++i) {
     CorunPartyRequest party;
-    party.workload = in.str();
+    party.workload = get_string(in);
     party.optimizer = get_optimizer(in);
     party.speed = in.f64();
     request.parties.push_back(std::move(party));
@@ -362,7 +283,7 @@ JobRequest decode_request_payload(std::string_view payload) {
   CL_CHECK_MSG(cpi <= 1, "service payload: bad cpi_speeds flag");
   request.cpi_speeds = cpi != 0;
   request.trace = get_trace(in);
-  request.hierarchy = HierarchySpec::decode(in.str());
+  request.hierarchy = HierarchySpec::decode(get_string(in));
   request.hierarchy.validate();
   request.trace_id = in.varint();
   request.span_id = in.varint();
@@ -378,14 +299,14 @@ JobRequest decode_request_payload(std::string_view payload) {
 }
 
 JobResponse decode_response_payload(std::string_view payload) {
-  Reader in(payload);
+  ByteReader in(payload, "service payload");
   JobResponse response;
   response.id = in.varint();
   const std::uint8_t status = in.u8();
   CL_CHECK_MSG(status <= static_cast<std::uint8_t>(JobStatus::kShuttingDown),
                "service payload: status out of range");
   response.status = static_cast<JobStatus>(status);
-  response.error = in.str();
+  response.error = get_string(in);
   const std::uint64_t result_count = in.varint();
   CL_CHECK_MSG(result_count <= 64, "service payload: too many results");
   response.results.reserve(result_count);
@@ -418,7 +339,7 @@ JobResponse decode_response_payload(std::string_view payload) {
   const std::uint8_t cached = in.u8();
   CL_CHECK_MSG(cached <= 1, "service payload: bad receipt cached flag");
   response.receipt.cached = cached != 0;
-  response.introspect = in.str();
+  response.introspect = get_string(in);
   // Three retired slots: read and discarded.
   static_cast<void>(in.varint());
   static_cast<void>(in.varint());

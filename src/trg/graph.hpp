@@ -13,8 +13,9 @@
 //
 // Storage is flat: edges accumulate in one open-addressing table keyed by
 // the packed (lo, hi) pair, and neighbors() reads a CSR adjacency built from
-// that table, so both edges_by_weight() and the reduction's neighbor scans
-// walk contiguous memory instead of a hash map of hash maps.
+// that table. The reduction (trg/reduction.hpp) works on this storage with
+// no copy of it: a cursor over edges_by_weight(), the CSR slices, and its
+// own tables indexed by node_position().
 //
 // Construction renumbers the nodes densely in first-appearance order and
 // counts, per ordered pair (a, b), the reuses of a with b above it on the
@@ -90,13 +91,16 @@ class Trg {
 
   void add_edge(Symbol a, Symbol b, Weight w);  ///< also used by tests
 
+  /// Position of `s` in nodes(): its dense id, which the reduction indexes
+  /// by; an all-ones value for a symbol not in the graph.
+  [[nodiscard]] std::uint32_t node_position(Symbol s) const {
+    return s < node_index_.size() ? node_index_[s] : kNoNode;
+  }
+
  private:
   static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
 
   void note_node(Symbol s);
-  [[nodiscard]] std::uint32_t node_position(Symbol s) const {
-    return s < node_index_.size() ? node_index_[s] : kNoNode;
-  }
   void ensure_adjacency() const;
 
   std::vector<Symbol> nodes_;  ///< first-appearance order

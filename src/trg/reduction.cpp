@@ -1,62 +1,68 @@
 #include "trg/reduction.hpp"
 
-#include <limits>
-#include <queue>
-#include <unordered_map>
+#include <algorithm>
 
 #include "support/check.hpp"
 
 namespace codelayout {
 namespace {
 
-/// Node key space: original symbols, then one supernode key per slot.
-using Key = std::uint64_t;
+/// Algorithm 2 takes the heaviest edge, ties to the lower `u`, then the lower
+/// `v`, where a supernode edge's `u` is its symbol and its `v` comes after
+/// every symbol. This orders two edges that differ in weight or `u`.
+bool precedes(Trg::Weight w, Symbol u, Trg::Weight other_w, Symbol other_u) {
+  return w != other_w ? w > other_w : u < other_u;
+}
 
-struct HeapEdge {
-  Trg::Weight weight;
-  Key u, v;  // u < v
-
-  /// priority_queue pops the largest; heavier first, then lower keys for
-  /// determinism.
-  friend bool operator<(const HeapEdge& x, const HeapEdge& y) {
-    if (x.weight != y.weight) return x.weight < y.weight;
-    if (x.u != y.u) return x.u > y.u;
-    return x.v > y.v;
-  }
-};
-
+/// Symbol-symbol edges pop from a cursor over edges_by_weight() that skips
+/// any edge with a placed endpoint. Taking a supernode edge places its symbol
+/// whatever its slot, so each unplaced node keeps only the weight of its
+/// heaviest one.
 class Reducer {
  public:
   Reducer(const Trg& graph, std::uint32_t slot_count)
-      : graph_(graph), k_(slot_count) {
+      : graph_(graph),
+        symbols_(graph.nodes()),
+        k_(slot_count),
+        slots_(slot_count),
+        nodes_(graph.node_count()),
+        conflicts_(graph.node_count() * std::size_t{slot_count}, 0) {
     CL_CHECK(slot_count > 0);
-    Symbol space = 0;
-    for (Symbol s : graph.nodes()) space = std::max(space, s + 1);
-    super_base_ = space;
-    slots_.resize(k_);
-
-    for (Symbol s : graph.nodes()) {
-      adj_[s];  // ensure presence even for isolated nodes
-      for (const auto& [n, w] : graph.neighbors(s)) adj_[s][n] = w;
-    }
-    for (Symbol s : graph.nodes()) {
-      for (const auto& [n, w] : graph.neighbors(s)) {
-        if (s < n) heap_.push(HeapEdge{w, s, n});
-      }
-    }
   }
 
   TrgReduction run() {
-    while (!heap_.empty()) {
-      const HeapEdge e = heap_.top();
-      heap_.pop();
-      if (!edge_current(e)) continue;
-      if (is_symbol(e.u) && !placed_.contains(e.u)) place(static_cast<Symbol>(e.u));
-      if (is_symbol(e.v) && !placed_.contains(e.v)) place(static_cast<Symbol>(e.v));
+    const std::vector<Trg::Edge> edges = graph_.edges_by_weight();
+    for (std::size_t next = 0;;) {
+      while (next < edges.size() &&
+             (placed(edges[next].a) || placed(edges[next].b))) {
+        ++next;
+      }
+      std::uint32_t linked = kNone;  // the heaviest supernode edge's node
+      for (std::uint32_t p = 0; p < nodes_.size(); ++p) {
+        if (nodes_[p].linked &&
+            (linked == kNone ||
+             precedes(nodes_[p].heaviest, symbols_[p],
+                      nodes_[linked].heaviest, symbols_[linked]))) {
+          linked = p;
+        }
+      }
+      // On an exact tie of weight and `u` the symbol edge goes first: its
+      // `v` is a symbol.
+      if (next < edges.size() &&
+          (linked == kNone ||
+           !precedes(nodes_[linked].heaviest, symbols_[linked],
+                     edges[next].weight, edges[next].a))) {
+        place(graph_.node_position(edges[next].a));
+        place(graph_.node_position(edges[next].b));
+      } else if (linked != kNone) {
+        place(linked);
+      } else {
+        break;
+      }
     }
     // Conflict-free leftovers go through the same selection rule.
-    for (Symbol s : graph_.nodes()) {
-      if (!placed_.contains(s)) place(s);
+    for (std::uint32_t p = 0; p < nodes_.size(); ++p) {
+      if (!nodes_[p].placed) place(p);
     }
 
     TrgReduction result;
@@ -76,67 +82,50 @@ class Reducer {
   }
 
  private:
-  [[nodiscard]] bool is_symbol(Key key) const { return key < super_base_; }
-  [[nodiscard]] Key super_key(std::uint32_t slot) const {
-    return super_base_ + slot;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  struct Node {
+    Trg::Weight heaviest = 0;  ///< its heaviest supernode edge
+    bool linked = false;       ///< unplaced, with a supernode edge
+    bool placed = false;
+  };
+
+  [[nodiscard]] bool placed(Symbol s) const {
+    return nodes_[graph_.node_position(s)].placed;
   }
 
-  [[nodiscard]] bool edge_current(const HeapEdge& e) const {
-    const auto it = adj_.find(e.u);
-    if (it == adj_.end()) return false;
-    const auto jt = it->second.find(e.v);
-    return jt != it->second.end() && jt->second == e.weight;
-  }
+  void place(std::uint32_t p) {
+    // Steps 4-16: the first empty slot wins (slots fill in index order, so
+    // it is slot `placed_count_`); otherwise the least conflict, the lowest
+    // such slot on ties.
+    const Trg::Weight* row = conflicts_.data() + std::size_t{p} * k_;
+    const auto target = static_cast<std::uint32_t>(
+        placed_count_ < k_ ? placed_count_
+                           : std::min_element(row, row + k_) - row);
+    ++placed_count_;
+    slots_[target].push_back(symbols_[p]);
+    nodes_[p] = Node{.heaviest = 0, .linked = false, .placed = true};
 
-  [[nodiscard]] Trg::Weight conflict_with_slot(Symbol s,
-                                               std::uint32_t slot) const {
-    const auto it = adj_.find(s);
-    if (it == adj_.end()) return 0;
-    const auto jt = it->second.find(super_key(slot));
-    return jt == it->second.end() ? 0 : jt->second;
-  }
-
-  void place(Symbol s) {
-    // Steps 4-16: first empty slot wins; otherwise least conflict, first
-    // such slot on ties (strict < keeps the earliest minimum).
-    std::uint32_t target = 0;
-    Trg::Weight conflicts = std::numeric_limits<Trg::Weight>::max();
-    for (std::uint32_t k = 0; k < k_; ++k) {
-      if (slots_[k].empty()) {
-        target = k;
-        conflicts = 0;
-        break;
-      }
-      const Trg::Weight w = conflict_with_slot(s, k);
-      if (w < conflicts) {
-        conflicts = w;
-        target = k;
-      }
+    // Steps 17-21: merge the node into the slot's supernode, so each
+    // unplaced neighbor's edge to that supernode grows by their edge; the
+    // node's edges toward the other slots leave with it.
+    for (const auto& [to, w] : graph_.neighbors(symbols_[p])) {
+      const std::uint32_t q = graph_.node_position(to);
+      if (nodes_[q].placed) continue;
+      Trg::Weight& conflict = conflicts_[std::size_t{q} * k_ + target];
+      conflict += w;
+      nodes_[q].heaviest = std::max(nodes_[q].heaviest, conflict);
+      nodes_[q].linked = true;
     }
-    slots_[target].push_back(s);
-    placed_.emplace(s, target);
-
-    // Steps 17-21: merge s into the slot's supernode; combine edge weights;
-    // edges toward the other slots disappear.
-    const Key su = super_key(target);
-    auto& sym_adj = adj_[s];
-    for (const auto& [n, w] : sym_adj) {
-      adj_[n].erase(s);
-      if (!is_symbol(n)) continue;  // edge to another slot: removed
-      const Trg::Weight combined = (adj_[su][n] += w);
-      adj_[n][su] = combined;
-      heap_.push(HeapEdge{combined, std::min(su, n), std::max(su, n)});
-    }
-    adj_.erase(s);
   }
 
   const Trg& graph_;
+  std::span<const Symbol> symbols_;  ///< by node position
   std::uint32_t k_;
-  Key super_base_;
   std::vector<std::vector<Symbol>> slots_;
-  std::unordered_map<Key, std::unordered_map<Key, Trg::Weight>> adj_;
-  std::unordered_map<Symbol, std::uint32_t> placed_;
-  std::priority_queue<HeapEdge> heap_;
+  std::vector<Node> nodes_;             ///< by node position
+  std::vector<Trg::Weight> conflicts_;  ///< node position x slot
+  std::size_t placed_count_ = 0;
 };
 
 }  // namespace

@@ -8,6 +8,12 @@
 // merges it into the slot's supernode (edge weights combine) and deletes its
 // edges to the other slots. The final sequence reads the slot lists
 // round-robin, head first.
+//
+// The reduction runs over the graph's own storage (DESIGN.md §10). A
+// symbol-symbol edge keeps its weight until an endpoint is placed, so those
+// edges pop in edges_by_weight() order; supernode edges only grow, so their
+// weights live in a dense node x K table and each unplaced node competes with
+// its heaviest one.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +32,9 @@ struct TrgReduction {
 
 /// Reduces `graph` over `slot_count` code slots. Nodes untouched by any edge
 /// are placed afterwards, in first-appearance order, through the same
-/// slot-selection rule. Deterministic: ties on edge weight break by symbol
-/// value.
+/// slot-selection rule. Deterministic: ties on edge weight go to the lower
+/// first endpoint symbol, then the lower second one, where a supernode
+/// follows every symbol; slot ties go to the lower slot.
 TrgReduction reduce_trg(const Trg& graph, std::uint32_t slot_count);
 
 }  // namespace codelayout

@@ -15,39 +15,33 @@ AffinityHierarchy fig1_forest() {
   std::vector<AffinityGroup> nodes(9);
   const Symbol syms[5] = {1, 4, 2, 3, 5};
   const std::uint64_t first[5] = {0, 1, 2, 5, 6};
-  const std::uint64_t occ[5] = {2, 3, 2, 1, 1};
   for (std::uint32_t i = 0; i < 5; ++i) {
     nodes[i] = AffinityGroup{.id = i,
                              .formed_at_w = 1,
                              .members = {syms[i]},
                              .children = {},
-                             .first_occurrence = first[i],
-                             .occurrences = occ[i]};
+                             .first_occurrence = first[i]};
   }
   nodes[5] = AffinityGroup{.id = 5,
                            .formed_at_w = 2,
                            .members = {3, 5},
                            .children = {3, 4},
-                           .first_occurrence = 5,
-                           .occurrences = 2};
+                           .first_occurrence = 5};
   nodes[6] = AffinityGroup{.id = 6,
                            .formed_at_w = 3,
                            .members = {1, 4},
                            .children = {0, 1},
-                           .first_occurrence = 0,
-                           .occurrences = 5};
+                           .first_occurrence = 0};
   nodes[7] = AffinityGroup{.id = 7,
                            .formed_at_w = 4,
                            .members = {2, 3, 5},
                            .children = {2, 5},
-                           .first_occurrence = 2,
-                           .occurrences = 4};
+                           .first_occurrence = 2};
   nodes[8] = AffinityGroup{.id = 8,
                            .formed_at_w = 5,
                            .members = {1, 4, 2, 3, 5},
                            .children = {6, 7},
-                           .first_occurrence = 0,
-                           .occurrences = 9};
+                           .first_occurrence = 0};
   return AffinityHierarchy(std::move(nodes), {8});
 }
 
@@ -74,15 +68,6 @@ TEST(HierarchyContainer, LayoutOrderBottomUp) {
   EXPECT_EQ(h.layout_order(), (std::vector<Symbol>{1, 4, 2, 3, 5}));
 }
 
-TEST(HierarchyContainer, HotnessOrderSortsByOccurrences) {
-  const AffinityHierarchy h = fig1_forest();
-  // Under the root: (B1,B4) has 5 occurrences and leads; inside it the
-  // hotter leaf B4 (3 occurrences) now precedes B1 (2); ties elsewhere
-  // break by first occurrence.
-  const auto order = h.layout_order(AffinityHierarchy::Order::kHotness);
-  EXPECT_EQ(order, (std::vector<Symbol>{4, 1, 2, 3, 5}));
-}
-
 TEST(HierarchyContainer, SymbolCountSumsRoots) {
   EXPECT_EQ(fig1_forest().symbol_count(), 5u);
 }
@@ -93,14 +78,12 @@ TEST(HierarchyContainer, MultiRootForest) {
                            .formed_at_w = 1,
                            .members = {7},
                            .children = {},
-                           .first_occurrence = 10,
-                           .occurrences = 1};
+                           .first_occurrence = 10};
   nodes[1] = AffinityGroup{.id = 1,
                            .formed_at_w = 1,
                            .members = {3},
                            .children = {},
-                           .first_occurrence = 2,
-                           .occurrences = 1};
+                           .first_occurrence = 2};
   const AffinityHierarchy h(std::move(nodes), {0, 1});
   // Roots ordered by first occurrence in the layout: 3 before 7.
   EXPECT_EQ(h.layout_order(), (std::vector<Symbol>{3, 7}));

@@ -1,10 +1,13 @@
 #include <algorithm>
+#include <limits>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "trg/graph.hpp"
 #include "trg/reduction.hpp"
@@ -248,6 +251,147 @@ TEST(TrgGeometry, RejectsOversizedBlock) {
   EXPECT_THROW(trg_slot_count(1024, 4, 64, 8192), ContractError);
 }
 
+// ---------- reference reduction --------------------------------------------
+
+// The reference for reduce_trg: Algorithm 2 over a hash-map copy of the
+// graph, with one supernode key per slot after every symbol and a lazy
+// max-heap over all edges that skips stale entries. reduce_trg must return
+// the same order and slots.
+
+/// Node key space: original symbols, then one supernode key per slot.
+using Key = std::uint64_t;
+
+struct HeapEdge {
+  Trg::Weight weight;
+  Key u, v;  // u < v
+
+  /// priority_queue pops the largest; heavier first, then lower keys for
+  /// determinism.
+  friend bool operator<(const HeapEdge& x, const HeapEdge& y) {
+    if (x.weight != y.weight) return x.weight < y.weight;
+    if (x.u != y.u) return x.u > y.u;
+    return x.v > y.v;
+  }
+};
+
+class Reducer {
+ public:
+  Reducer(const Trg& graph, std::uint32_t slot_count)
+      : graph_(graph), k_(slot_count) {
+    CL_CHECK(slot_count > 0);
+    Symbol space = 0;
+    for (Symbol s : graph.nodes()) space = std::max(space, s + 1);
+    super_base_ = space;
+    slots_.resize(k_);
+
+    for (Symbol s : graph.nodes()) {
+      adj_[s];  // ensure presence even for isolated nodes
+      for (const auto& [n, w] : graph.neighbors(s)) adj_[s][n] = w;
+    }
+    for (Symbol s : graph.nodes()) {
+      for (const auto& [n, w] : graph.neighbors(s)) {
+        if (s < n) heap_.push(HeapEdge{w, s, n});
+      }
+    }
+  }
+
+  TrgReduction run() {
+    while (!heap_.empty()) {
+      const HeapEdge e = heap_.top();
+      heap_.pop();
+      if (!edge_current(e)) continue;
+      if (is_symbol(e.u) && !placed_.contains(e.u)) place(static_cast<Symbol>(e.u));
+      if (is_symbol(e.v) && !placed_.contains(e.v)) place(static_cast<Symbol>(e.v));
+    }
+    // Conflict-free leftovers go through the same selection rule.
+    for (Symbol s : graph_.nodes()) {
+      if (!placed_.contains(s)) place(s);
+    }
+
+    TrgReduction result;
+    result.slots = slots_;
+    std::vector<std::size_t> cursor(k_, 0);
+    bool any = true;
+    while (any) {
+      any = false;
+      for (std::uint32_t k = 0; k < k_; ++k) {
+        if (cursor[k] < slots_[k].size()) {
+          result.order.push_back(slots_[k][cursor[k]++]);
+          any = true;
+        }
+      }
+    }
+    return result;
+  }
+
+ private:
+  [[nodiscard]] bool is_symbol(Key key) const { return key < super_base_; }
+  [[nodiscard]] Key super_key(std::uint32_t slot) const {
+    return super_base_ + slot;
+  }
+
+  [[nodiscard]] bool edge_current(const HeapEdge& e) const {
+    const auto it = adj_.find(e.u);
+    if (it == adj_.end()) return false;
+    const auto jt = it->second.find(e.v);
+    return jt != it->second.end() && jt->second == e.weight;
+  }
+
+  [[nodiscard]] Trg::Weight conflict_with_slot(Symbol s,
+                                               std::uint32_t slot) const {
+    const auto it = adj_.find(s);
+    if (it == adj_.end()) return 0;
+    const auto jt = it->second.find(super_key(slot));
+    return jt == it->second.end() ? 0 : jt->second;
+  }
+
+  void place(Symbol s) {
+    // Steps 4-16: first empty slot wins; otherwise least conflict, first
+    // such slot on ties (strict < keeps the earliest minimum).
+    std::uint32_t target = 0;
+    Trg::Weight conflicts = std::numeric_limits<Trg::Weight>::max();
+    for (std::uint32_t k = 0; k < k_; ++k) {
+      if (slots_[k].empty()) {
+        target = k;
+        conflicts = 0;
+        break;
+      }
+      const Trg::Weight w = conflict_with_slot(s, k);
+      if (w < conflicts) {
+        conflicts = w;
+        target = k;
+      }
+    }
+    slots_[target].push_back(s);
+    placed_.emplace(s, target);
+
+    // Steps 17-21: merge s into the slot's supernode; combine edge weights;
+    // edges toward the other slots disappear.
+    const Key su = super_key(target);
+    auto& sym_adj = adj_[s];
+    for (const auto& [n, w] : sym_adj) {
+      adj_[n].erase(s);
+      if (!is_symbol(n)) continue;  // edge to another slot: removed
+      const Trg::Weight combined = (adj_[su][n] += w);
+      adj_[n][su] = combined;
+      heap_.push(HeapEdge{combined, std::min(su, n), std::max(su, n)});
+    }
+    adj_.erase(s);
+  }
+
+  const Trg& graph_;
+  std::uint32_t k_;
+  Key super_base_;
+  std::vector<std::vector<Symbol>> slots_;
+  std::unordered_map<Key, std::unordered_map<Key, Trg::Weight>> adj_;
+  std::unordered_map<Symbol, std::uint32_t> placed_;
+  std::priority_queue<HeapEdge> heap_;
+};
+
+TrgReduction reference_reduce(const Trg& graph, std::uint32_t slot_count) {
+  return Reducer(graph, slot_count).run();
+}
+
 // ---------- reduction (Algorithm 2, Figure 2) --------------------------------
 
 /// The Figure 2 instance (weights reconstructed so the narrated reduction
@@ -339,6 +483,66 @@ TEST(TrgReduce, ConflictingNodesLandInDifferentSlots) {
 
 TEST(TrgReduce, ZeroSlotsRejected) {
   EXPECT_THROW(reduce_trg(fig2_graph(), 0), ContractError);
+}
+
+// ---------- reduction against the reference ----------------------------------
+
+constexpr std::uint32_t kSlotCounts[] = {1, 2, 3, 8, 64};
+
+void expect_matches_reference(const Trg& graph) {
+  for (const std::uint32_t k : kSlotCounts) {
+    const TrgReduction fast = reduce_trg(graph, k);
+    const TrgReduction reference = reference_reduce(graph, k);
+    ASSERT_EQ(fast.slots, reference.slots) << k << " slots";
+    ASSERT_EQ(fast.order, reference.order) << k << " slots";
+  }
+}
+
+/// A random graph built with add_edge: up to 40 nodes with sparse symbol
+/// values, first-appearance order unrelated to symbol order, weights 0-4 (so
+/// weight ties and zero-weight edges are common), repeated pairs that add
+/// up, and isolated nodes from a trace that names some nodes once each.
+Trg random_graph(Rng& rng) {
+  const std::uint64_t n = 1 + rng.below(40);
+  std::vector<Symbol> symbols;
+  while (symbols.size() < n) {
+    const auto s = static_cast<Symbol>(rng.below(1'000));
+    if (std::find(symbols.begin(), symbols.end(), s) == symbols.end()) {
+      symbols.push_back(s);
+    }
+  }
+  Trg graph = Trg::build(make_trace(std::vector<Symbol>(
+      symbols.begin(), symbols.begin() + rng.below(n + 1))));
+  const std::uint64_t edges = rng.below(3 * n + 1);
+  for (std::uint64_t i = 0; i < edges; ++i) {
+    const Symbol a = symbols[rng.below(n)];
+    const Symbol b = symbols[rng.below(n)];
+    if (a != b) graph.add_edge(a, b, rng.below(5));
+  }
+  return graph;
+}
+
+TEST(TrgReduceReference, RandomGraphsMatch) {
+  Rng rng(2014);
+  for (int i = 0; i < 3'000; ++i) {
+    SCOPED_TRACE(::testing::Message() << "graph " << i);
+    expect_matches_reference(random_graph(rng));
+  }
+}
+
+TEST(TrgReduceReference, BuiltGraphsMatch) {
+  for (const std::uint64_t seed : {1, 7, 23, 41}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    expect_matches_reference(Trg::build(random_trace(seed, 3'000, 150)));
+    expect_matches_reference(Trg::build(random_trace(seed, 3'000, 150),
+                                        TrgConfig{.window_entries = 8}));
+  }
+}
+
+TEST(TrgReduceReference, Fig2AndEmptyGraphsMatch) {
+  expect_matches_reference(fig2_graph());
+  expect_matches_reference(Trg{});
+  expect_matches_reference(Trg::build(make_trace({0, 1, 0, 7, 8})));
 }
 
 }  // namespace
