@@ -87,11 +87,8 @@ class RotateCache {
         assoc_(geom.associativity),
         ways_(geom.sets() * geom.associativity, ~std::uint64_t{0}) {}
 
-  bool access(std::uint64_t line) { return touch(line); }
-  void prefill(std::uint64_t line) { touch(line); }
-
- private:
-  bool touch(std::uint64_t line) {
+  /// Touches `line`, installing it on a miss; returns true on a hit.
+  bool access(std::uint64_t line) {
     std::uint64_t* base = &ways_[(line & set_mask_) * assoc_];
     for (std::uint32_t i = 0; i < assoc_; ++i) {
       if (base[i] == line) {
@@ -105,6 +102,7 @@ class RotateCache {
     return false;
   }
 
+ private:
   std::uint64_t set_mask_;
   std::uint32_t assoc_;
   std::vector<std::uint64_t> ways_;
@@ -147,7 +145,7 @@ class RefStream {
       if (!cache.access(line)) {
         ++stats_.demand_misses;
         debt_ += options_.miss_stall_blocks;
-        if (options_.next_line_prefetch) cache.prefill(line + 1);
+        if (options_.next_line_prefetch) (void)cache.access(line + 1);
       }
     }
     if (options_.wrong_path_rate > 0.0 && bb.successors.size() > 1 &&

@@ -13,16 +13,20 @@ void put_geometry(std::string& out, const CacheGeometry& geom) {
   put_varint(out, geom.line_bytes);
 }
 
-CacheGeometry get_geometry(ByteReader& in) {
-  CacheGeometry geom;
-  geom.size_bytes = in.varint();
-  const std::uint64_t assoc = in.varint();
-  const std::uint64_t line = in.varint();
+/// A geometry from its three fields, once the two 32-bit ones are known to
+/// fit; every tighter limit is CacheGeometry::validate()'s.
+CacheGeometry make_geometry(std::uint64_t size, std::uint64_t assoc,
+                            std::uint64_t line) {
   CL_CHECK_MSG(assoc <= ~std::uint32_t{0} && line <= ~std::uint32_t{0},
-               "hierarchy encoding: geometry field out of range");
-  geom.associativity = static_cast<std::uint32_t>(assoc);
-  geom.line_bytes = static_cast<std::uint32_t>(line);
-  return geom;
+               "geometry: associativity or line size out of range");
+  return CacheGeometry{size, static_cast<std::uint32_t>(assoc),
+                       static_cast<std::uint32_t>(line)};
+}
+
+CacheGeometry get_geometry(ByteReader& in) {
+  const std::uint64_t size = in.varint();
+  const std::uint64_t assoc = in.varint();
+  return make_geometry(size, assoc, in.varint());
 }
 
 std::uint64_t parse_number(std::string_view text, std::string_view what) {
@@ -61,15 +65,10 @@ CacheGeometry parse_geometry(std::string_view text) {
                    text.find('/', second + 1) == std::string_view::npos,
                "geometry: expected SIZE/ASSOC/LINE, got '" << std::string(text)
                                                            << "'");
-  CacheGeometry geom;
-  geom.size_bytes = parse_number(text.substr(0, first), "size");
-  const std::uint64_t assoc =
-      parse_number(text.substr(first + 1, second - first - 1), "assoc");
-  const std::uint64_t line = parse_number(text.substr(second + 1), "line");
-  CL_CHECK_MSG(assoc > 0 && assoc <= 1024, "geometry: assoc out of range");
-  CL_CHECK_MSG(line > 0 && line <= (1u << 20), "geometry: line out of range");
-  geom.associativity = static_cast<std::uint32_t>(assoc);
-  geom.line_bytes = static_cast<std::uint32_t>(line);
+  const CacheGeometry geom = make_geometry(
+      parse_number(text.substr(0, first), "size"),
+      parse_number(text.substr(first + 1, second - first - 1), "assoc"),
+      parse_number(text.substr(second + 1), "line"));
   geom.validate();
   return geom;
 }
@@ -151,25 +150,6 @@ HierarchySpec parse_hierarchy(std::string_view text) {
   }
   spec.validate();
   return spec;
-}
-
-CacheHierarchy::CacheHierarchy(const HierarchySpec& spec, std::size_t parties)
-    : spec_(spec) {
-  CL_CHECK_MSG(parties >= 1, "cache hierarchy needs >= 1 party");
-  spec_.validate();
-  if (spec_.l2) {
-    l2_ = std::make_unique<CacheLevel>(*spec_.l2, spec_.l2_hit_cycles);
-    // Sharing moves to the L2: every party fronts with a private L1.
-    fronts_.reserve(parties);
-    for (std::size_t i = 0; i < parties; ++i) {
-      fronts_.push_back(std::make_unique<CacheLevel>(
-          spec_.l1, spec_.l1_hit_cycles, l2_.get()));
-    }
-  } else {
-    // Flat: the parties share the single L1, the paper's SMT model.
-    fronts_.push_back(
-        std::make_unique<CacheLevel>(spec_.l1, spec_.l1_hit_cycles));
-  }
 }
 
 }  // namespace codelayout

@@ -1,8 +1,11 @@
 #include "cache/icache_sim.hpp"
 
+#include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "cache/set_assoc.hpp"
 #include "support/rng.hpp"
 #include "support/trace_recorder.hpp"
 
@@ -10,25 +13,22 @@ namespace codelayout {
 namespace {
 
 /// The paper's flat 4-way L1 (no L2): SetAssocCache's packed-4 sets with the
-/// associativity fixed at 4 and no access/miss/eviction counters, which no
-/// simulator reads. Shared by every co-run party, like CacheHierarchy's
-/// flat front.
+/// associativity fixed at 4 and each set in one cache line. Shared by every
+/// co-run party.
 class FlatL1Front {
  public:
   static bool fits(const HierarchySpec& spec) {
     return !spec.multi_level() && spec.l1.associativity == kWays;
   }
 
-  explicit FlatL1Front(const HierarchySpec& spec) {
-    spec.validate();
-    CL_CHECK(fits(spec));
-    sets_.resize(spec.l1.sets());
-    set_mask_ = spec.l1.sets() - 1;
-  }
+  explicit FlatL1Front(const HierarchySpec& spec)
+      : sets_(spec.l1.sets()), set_mask_(spec.l1.sets() - 1) {}
 
-  /// Hit depth, as CacheLevel::access: 0 = hit, 1 = miss.
-  std::uint32_t access(std::uint64_t line) { return touch(line) ? 0 : 1; }
-  void prefill(std::uint64_t line) { (void)touch(line); }
+  /// Hit depth, as ChainFront::access: 0 = hit, 1 = miss.
+  std::uint32_t access(std::uint64_t line) {
+    Set& set = sets_[line & set_mask_];
+    return packed4::touch(set.tags, set.lanes, set.order, line, kWays) ? 0 : 1;
+  }
 
  private:
   static constexpr std::uint32_t kWays = 4;
@@ -41,18 +41,54 @@ class FlatL1Front {
     std::uint8_t order = packed4::kIdentityOrder;
   };
 
-  bool touch(std::uint64_t line) {
-    Set& set = sets_[line & set_mask_];
-    return packed4::touch(set.tags, set.lanes, set.order, line, kWays).hit;
-  }
-
   std::vector<Set> sets_;
   std::uint64_t set_mask_ = 0;
 };
 
+/// Every other spec: the party's L1 and, with an L2 spec, the L2 below it.
+/// The caches belong to the simulation (see with_fronts); a front only
+/// links them.
+struct ChainFront {
+  SetAssocCache* l1;
+  SetAssocCache* l2;  ///< nullptr under a flat spec
+
+  /// Hit depth: 0 = L1 hit, 1 = an L1 miss that hit the L2 or had no L2
+  /// below it, 2 = an L2 miss. Each level the fetch reaches installs the
+  /// line, so an L1 hit never touches the L2.
+  std::uint32_t access(std::uint64_t line) {
+    if (l1->access(line)) return 0;
+    return l2 == nullptr || l2->access(line) ? 1 : 2;
+  }
+};
+
 /// Whether demand misses through `front` go on to an L2 and count there.
 constexpr bool has_l2(const FlatL1Front&) { return false; }
-bool has_l2(const CacheLevel& front) { return front.next() != nullptr; }
+bool has_l2(const ChainFront& front) { return front.l2 != nullptr; }
+
+/// Builds the caches `spec` names for `parties` fetch streams and calls
+/// `replay(front_of)`, where front_of(i) is party i's front. The spec picks
+/// the front once, here: the paper's flat 4-way L1 is one FlatL1Front
+/// shared by all parties; every other flat spec is one shared SetAssocCache
+/// L1 (the paper's SMT model at another shape); with an L2, each party
+/// fetches through a private L1 and sharing moves to the one L2.
+template <typename Replay>
+auto with_fronts(const HierarchySpec& spec, std::size_t parties,
+                 Replay&& replay) {
+  spec.validate();
+  if (FlatL1Front::fits(spec)) {
+    FlatL1Front front(spec);
+    return replay([&](std::size_t) -> FlatL1Front& { return front; });
+  }
+  std::optional<SetAssocCache> l2;
+  if (spec.l2) l2.emplace(*spec.l2);
+  std::vector<SetAssocCache> l1s(l2 ? parties : 1, SetAssocCache(spec.l1));
+  std::vector<ChainFront> fronts;
+  fronts.reserve(parties);
+  for (std::size_t i = 0; i < parties; ++i) {
+    fronts.push_back({&l1s[l2 ? i : 0], l2 ? &*l2 : nullptr});
+  }
+  return replay([&](std::size_t i) -> ChainFront& { return fronts[i]; });
+}
 
 void check_replay(const FetchPlan& plan, const Trace& trace,
                   const SimOptions& options) {
@@ -76,9 +112,11 @@ struct Flavour {
 
 /// The per-event body of every simulation: one block execution fetched
 /// through `front`. Demand probes cover the block's lines (offset into the
-/// party's line namespace); each demand miss prefills line+1 under the
+/// party's line namespace); each demand miss fetches line+1 under the
 /// prefetch flavour, and a branchy block may draw a speculative wrong-path
-/// fetch of the line past its end. Returns the block's demand misses.
+/// fetch of the line past its end. Only demand misses count at the L2; a
+/// prefetch or wrong-path fetch still fills every level it reaches. Returns
+/// the block's demand misses.
 template <typename Front>
 inline std::uint32_t fetch_block(Front& front, const BlockPlan& bp,
                                  std::uint64_t line_namespace,
@@ -97,7 +135,7 @@ inline std::uint32_t fetch_block(Front& front, const BlockPlan& bp,
         ++stats.l2_probes;
         if (depth > 1) ++stats.l2_misses;
       }
-      if (flavour.next_line_prefetch) front.prefill(line + 1);
+      if (flavour.next_line_prefetch) (void)front.access(line + 1);
     }
   }
   stats.line_probes += bp.line_count;
@@ -188,10 +226,11 @@ class FetchStream {
 /// per-party credit accumulators, and every stream stalls for
 /// `miss_stall_blocks` fetch slots per demand miss. Party i fetches through
 /// `front_of(i)`.
-template <typename Front, typename FrontOf>
+template <typename FrontOf>
 std::vector<SimResult> corun_rounds(std::span<const CorunSpec::Party> parties,
                                     const SimOptions& options,
-                                    FrontOf&& front_of) {
+                                    FrontOf front_of) {
+  using Front = std::remove_reference_t<decltype(front_of(0))>;
   const std::size_t P = parties.size();
   std::vector<FetchStream<Front>> streams;
   streams.reserve(P);
@@ -221,11 +260,7 @@ std::vector<SimResult> corun_rounds(std::span<const CorunSpec::Party> parties,
   return results;
 }
 
-/// Shared N-way co-run engine. The spec picks the front once: the flat
-/// 4-way L1 is one FlatL1Front shared by all parties (the paper's SMT
-/// model); every other spec runs the CacheHierarchy's CacheLevel chain —
-/// one shared L1, or with an L2 a private L1 front per party and sharing
-/// moved to the L2.
+/// Shared N-way co-run engine over the fronts the spec picks.
 std::vector<SimResult> run_corun_engine(
     std::span<const CorunSpec::Party> parties, const SimOptions& options) {
   CL_CHECK_MSG(parties.size() >= 2, "need at least two co-runners");
@@ -238,15 +273,9 @@ std::vector<SimResult> run_corun_engine(
                "block per round and defines the unit peer speeds are "
                "relative to");
 
-  if (FlatL1Front::fits(options.hierarchy)) {
-    FlatL1Front cache(options.hierarchy);
-    return corun_rounds<FlatL1Front>(
-        parties, options, [&](std::size_t) -> FlatL1Front& { return cache; });
-  }
-  CacheHierarchy hier(options.hierarchy, parties.size());
-  return corun_rounds<CacheLevel>(
-      parties, options,
-      [&](std::size_t i) -> CacheLevel& { return hier.front(i); });
+  return with_fronts(options.hierarchy, parties.size(), [&](auto front_of) {
+    return corun_rounds(parties, options, front_of);
+  });
 }
 
 }  // namespace
@@ -255,16 +284,6 @@ SimOptions hardware_proxy_options(std::uint64_t seed) {
   return SimOptions{.next_line_prefetch = true,
                     .wrong_path_rate = 0.08,
                     .seed = seed};
-}
-
-std::vector<LevelStats> level_breakdown(const SimResult& sim,
-                                        const HierarchySpec& hierarchy) {
-  std::vector<LevelStats> levels;
-  levels.push_back(LevelStats{sim.line_probes, sim.demand_misses});
-  if (hierarchy.multi_level()) {
-    levels.push_back(LevelStats{sim.l2_probes, sim.l2_misses});
-  }
-  return levels;
 }
 
 double amat(const SimResult& sim, const HierarchySpec& hierarchy) {
@@ -287,12 +306,9 @@ SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
   CODELAYOUT_PHASE("icache_solo", "cache", "cache.icache_solo.wall_ns",
                    {"events", std::uint64_t{trace.size()}});
   check_replay(plan, trace, options);
-  if (FlatL1Front::fits(options.hierarchy)) {
-    FlatL1Front front(options.hierarchy);
-    return replay_solo(front, plan, trace, options);
-  }
-  CacheHierarchy hier(options.hierarchy);
-  return replay_solo(hier.front(0), plan, trace, options);
+  return with_fronts(options.hierarchy, 1, [&](auto front_of) {
+    return replay_solo(front_of(0), plan, trace, options);
+  });
 }
 
 SimResult simulate_solo(const Module& module, const CodeLayout& layout,

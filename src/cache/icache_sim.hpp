@@ -13,9 +13,9 @@
 //
 // The cache shape is a HierarchySpec (DESIGN.md §13). The default spec is
 // the paper's flat L1I and reproduces the historical behaviour bit for bit;
-// a spec with an L2 gives every co-run party a private L1 front chained to
-// one shared L2 (sharing moves down a level) and lights up the per-level
-// counters in SimResult.
+// a spec with an L2 gives every co-run party a private L1 over one shared
+// L2 (sharing moves down a level) and lights up the L2 counters in
+// SimResult.
 //
 // Every simulation replays one event at a time through one templated
 // per-event body, driven by a plain loop for solo and by the round-robin
@@ -23,10 +23,12 @@
 // picks once per simulation (DESIGN.md §11):
 //   * a flat spec with a 4-way L1 — the paper's geometry — runs a flat
 //     packed-4 front: SetAssocCache's packed-4 algorithm with the
-//     associativity fixed at 4 and no counters;
-//   * every other spec runs the CacheHierarchy's CacheLevel chain.
-// Both fronts produce the same SimResults; there is no switch beyond the
-// spec itself.
+//     associativity fixed at 4;
+//   * every other spec runs a chain front: the party's SetAssocCache L1
+//     and, with an L2, the shared SetAssocCache L2 below it.
+// A front's one operation is access(line), which returns the depth the
+// line was found at. Both fronts produce the same SimResults; there is no
+// switch beyond the spec itself.
 //
 // Solo and two-way co-run simulation exist in two forms: module/layout entry
 // points (which build a FetchPlan internally) and plan-based overloads for
@@ -42,7 +44,6 @@
 #include "cache/fetch_plan.hpp"
 #include "cache/geometry.hpp"
 #include "cache/hierarchy.hpp"
-#include "cache/set_assoc.hpp"
 #include "ir/module.hpp"
 #include "layout/layout.hpp"
 #include "trace/trace.hpp"
@@ -51,8 +52,8 @@ namespace codelayout {
 
 struct SimOptions {
   /// Cache shape: the paper's flat L1I by default. With an L2 present the
-  /// simulators chain demand misses downward and fill in the SimResult
-  /// per-level counters.
+  /// simulators pass L1 misses down to it and fill in the SimResult L2
+  /// counters.
   HierarchySpec hierarchy{};
   /// Install line+1 on every demand miss (hardware stream prefetch).
   bool next_line_prefetch = false;
@@ -103,24 +104,6 @@ struct SimResult {
                         : 0.0;
   }
 };
-
-/// Demand-side accesses and misses of one hierarchy level.
-struct LevelStats {
-  std::uint64_t accesses = 0;
-  std::uint64_t misses = 0;
-
-  [[nodiscard]] double miss_ratio() const {
-    return accesses ? static_cast<double>(misses) /
-                          static_cast<double>(accesses)
-                    : 0.0;
-  }
-};
-
-/// Per-level demand traffic of a finished simulation: index 0 is the L1,
-/// index 1 the L2 when the spec has one. (Derived from the SimResult demand
-/// counters, so wrong-path traffic is excluded by construction.)
-[[nodiscard]] std::vector<LevelStats> level_breakdown(
-    const SimResult& sim, const HierarchySpec& hierarchy);
 
 /// Average memory access time per demand line probe under the spec's latency
 /// ladder: l1_hit + mr1 * memory for a flat spec, l1_hit + mr1 * (l2_hit +

@@ -13,43 +13,29 @@ constexpr std::uint64_t kIdentityOrderWide = 0xfedcba9876543210ull;
 
 }  // namespace
 
-SetAssocCache::SetAssocCache(const CacheGeometry& geom) : geom_(geom) {
-  geom_.validate();  // includes the power-of-two set-count requirement
-  set_mask_ = geom_.sets() - 1;
-  assoc_ = geom_.associativity;
+SetAssocCache::SetAssocCache(const CacheGeometry& geom) {
+  geom.validate();  // includes the power-of-two set-count requirement
+  const std::uint64_t sets = geom.sets();
+  set_mask_ = sets - 1;
+  assoc_ = geom.associativity;
   repr_ = assoc_ <= kPackedMaxAssoc        ? Repr::kPacked4
           : assoc_ <= kPackedWideMaxAssoc  ? Repr::kPackedWide
                                            : Repr::kGeneric;
-  ways_.assign(geom_.sets() * assoc_, kEmpty);
+  ways_.assign(sets * assoc_, kEmpty);
   if (repr_ == Repr::kPacked4) {
-    partial_.assign(geom_.sets(), 0);
-    order_.assign(geom_.sets(), packed4::kIdentityOrder);
+    partial_.assign(sets, 0);
+    order_.assign(sets, packed4::kIdentityOrder);
   } else if (repr_ == Repr::kPackedWide) {
     words_ = (assoc_ + 7) / 8;
-    partial_.assign(geom_.sets() * words_, 0);
-    order16_.assign(geom_.sets(), kIdentityOrderWide);
+    partial_.assign(sets * words_, 0);
+    order16_.assign(sets, kIdentityOrderWide);
   }
 }
 
-bool SetAssocCache::touch(std::uint64_t line, bool count) {
-  switch (repr_) {
-    case Repr::kPacked4: return touch_packed(line, count);
-    case Repr::kPackedWide: return touch_packed_wide(line, count);
-    case Repr::kGeneric: return touch_generic(line, count);
-  }
-  return false;  // unreachable
-}
-
-bool SetAssocCache::touch_packed(std::uint64_t line, bool count) {
+bool SetAssocCache::touch_packed(std::uint64_t line) {
   const std::uint64_t set = line & set_mask_;
-  const packed4::Touch touch = packed4::touch(
-      &ways_[set * assoc_], partial_[set], order_[set], line, assoc_);
-  if (count) {
-    ++accesses_;
-    if (!touch.hit) ++misses_;
-  }
-  if (touch.evicted) ++evictions_;
-  return touch.hit;
+  return packed4::touch(&ways_[set * assoc_], partial_[set], order_[set], line,
+                        assoc_);
 }
 
 std::uint32_t SetAssocCache::wide_position(std::uint64_t perm,
@@ -69,11 +55,10 @@ std::uint64_t SetAssocCache::wide_promote(std::uint64_t perm,
   return above | (below << 4) | way;
 }
 
-bool SetAssocCache::touch_packed_wide(std::uint64_t line, bool count) {
+bool SetAssocCache::touch_packed_wide(std::uint64_t line) {
   const std::uint64_t set = line & set_mask_;
   std::uint64_t* tags = &ways_[set * assoc_];
   std::uint64_t* lanes = &partial_[set * words_];
-  if (count) ++accesses_;
   // Same zero-lane test as the 4-way path, at byte granularity across
   // `words_` lane words; candidates confirm against the full tag.
   const std::uint64_t pattern = kByteLsb * partial_tag8(line);
@@ -93,11 +78,9 @@ bool SetAssocCache::touch_packed_wide(std::uint64_t line, bool count) {
   }
   // Miss: victim at the LRU position, exactly as the packed4 path (empty
   // ways drain from the permutation tail before any real eviction).
-  if (count) ++misses_;
   const std::uint64_t perm = order16_[set];
   const std::uint32_t victim =
       static_cast<std::uint32_t>(perm >> (4 * (assoc_ - 1))) & 0xfu;
-  if (tags[victim] != kEmpty) ++evictions_;
   tags[victim] = line;
   std::uint64_t& word = lanes[victim >> 3];
   const std::uint32_t shift = 8 * (victim & 7u);
@@ -107,11 +90,10 @@ bool SetAssocCache::touch_packed_wide(std::uint64_t line, bool count) {
   return false;
 }
 
-bool SetAssocCache::touch_generic(std::uint64_t line, bool count) {
+bool SetAssocCache::touch_generic(std::uint64_t line) {
   const std::uint64_t set = line & set_mask_;
   std::uint64_t* base = &ways_[set * assoc_];
 
-  if (count) ++accesses_;
   // Probe MRU-first; on hit rotate the prefix so the hit way becomes MRU.
   for (std::uint32_t i = 0; i < assoc_; ++i) {
     if (base[i] == line) {
@@ -121,49 +103,9 @@ bool SetAssocCache::touch_generic(std::uint64_t line, bool count) {
     }
   }
   // Miss: evict the LRU way (the last slot).
-  if (count) ++misses_;
-  if (base[assoc_ - 1] != kEmpty) ++evictions_;
   for (std::uint32_t j = assoc_ - 1; j > 0; --j) base[j] = base[j - 1];
   base[0] = line;
   return false;
-}
-
-bool SetAssocCache::contains(std::uint64_t line) const {
-  const std::uint64_t set = line & set_mask_;
-  const std::uint64_t* tags = &ways_[set * assoc_];
-  if (repr_ == Repr::kPacked4) {
-    return packed4::find(tags, partial_[set], line, assoc_) < assoc_;
-  }
-  if (repr_ == Repr::kPackedWide) {
-    const std::uint64_t* lanes = &partial_[set * words_];
-    const std::uint64_t pattern = kByteLsb * partial_tag8(line);
-    for (std::uint32_t w = 0; w < words_; ++w) {
-      const std::uint64_t diff = lanes[w] ^ pattern;
-      std::uint64_t cand = (diff - kByteLsb) & ~diff & kByteMsb;
-      while (cand != 0) {
-        const std::uint32_t lane =
-            8 * w + (static_cast<std::uint32_t>(std::countr_zero(cand)) >> 3);
-        if (lane < assoc_ && tags[lane] == line) return true;
-        cand &= cand - 1;
-      }
-    }
-    return false;
-  }
-  for (std::uint32_t i = 0; i < assoc_; ++i) {
-    if (tags[i] == line) return true;
-  }
-  return false;
-}
-
-void SetAssocCache::flush() {
-  ways_.assign(ways_.size(), kEmpty);
-  if (repr_ == Repr::kPacked4) {
-    partial_.assign(partial_.size(), 0);
-    order_.assign(order_.size(), packed4::kIdentityOrder);
-  } else if (repr_ == Repr::kPackedWide) {
-    partial_.assign(partial_.size(), 0);
-    order16_.assign(order16_.size(), kIdentityOrderWide);
-  }
 }
 
 }  // namespace codelayout

@@ -4,9 +4,14 @@
 // shared cache sees two address spaces, exactly like two hyper-threads with
 // distinct code segments.
 //
+// A cache has one operation, access(line): it touches the line, installs it
+// on a miss, and says whether it hit. There are no counters (the simulators
+// count what they need from the access results), so a prefetch fill is the
+// same state change as an access.
+//
 // Three internal representations, selected by associativity at construction,
-// with provably identical hit/miss/eviction sequences (all are exact true
-// LRU with empty ways treated as least-recent):
+// with provably identical hit/miss sequences (all are exact true LRU with
+// empty ways treated as least-recent):
 //   * packed (assoc <= 4) — per set, the ways' 16-bit partial tags live in
 //     one uint64_t probed with a SWAR zero-lane test, full tags (way-index
 //     order) confirm the candidate lanes, and recency is a 2-bit-per-way
@@ -18,8 +23,8 @@
 //     probed with the byte-lane SWAR zero test; recency is a 4-bit-per-
 //     position permutation in one uint64_t, promoted arithmetically (locate
 //     the way's nibble with a SWAR match, then splice below/above around
-//     it). Geometry sweeps past 4-way keep O(words) probes instead of
-//     falling back to the linear scan.
+//     it). Geometry sweeps past 4-way and the 8-way L2 keep O(words)
+//     probes instead of falling back to the linear scan.
 //   * generic (assoc > 16) — ways kept in recency order in a small
 //     contiguous array; probe is a linear scan and a hit rotates the prefix.
 //
@@ -104,32 +109,26 @@ inline std::uint32_t find(const std::uint64_t* tags, std::uint64_t lanes,
   return assoc;
 }
 
-struct Touch {
-  bool hit = false;
-  bool evicted = false;  ///< a miss displaced a valid line
-};
-
-/// Touches `line` in one set: a hit promotes its way to MRU; a miss installs
-/// the line in the way at the LRU position and promotes it. Empty ways start
-/// at the permutation tail and are never promoted until filled, so they are
-/// consumed before any real eviction — the same fill order as the generic
-/// recency array.
-inline Touch touch(std::uint64_t* tags, std::uint64_t& lanes,
-                   std::uint8_t& order, std::uint64_t line,
-                   std::uint32_t assoc) {
+/// Touches `line` in one set and returns true on a hit: a hit promotes its
+/// way to MRU; a miss installs the line in the way at the LRU position and
+/// promotes it. Empty ways start at the permutation tail and are never
+/// promoted until filled, so they are consumed before any real eviction —
+/// the same fill order as the generic recency array.
+inline bool touch(std::uint64_t* tags, std::uint64_t& lanes,
+                  std::uint8_t& order, std::uint64_t line,
+                  std::uint32_t assoc) {
   const std::uint32_t way = find(tags, lanes, line, assoc);
   if (way < assoc) {
     order = kPromote[order * 4u + way];
-    return {.hit = true};
+    return true;
   }
   const std::uint32_t victim = (order >> (2 * (assoc - 1))) & 3u;
-  const bool evicted = tags[victim] != kEmpty;
   tags[victim] = line;
   const std::uint32_t shift = 16 * victim;
   lanes = (lanes & ~(std::uint64_t{0xffff} << shift)) |
           (std::uint64_t{partial_tag(line)} << shift);
   order = kPromote[order * 4u + victim];
-  return {.hit = false, .evicted = evicted};
+  return false;
 }
 
 }  // namespace packed4
@@ -138,38 +137,17 @@ class SetAssocCache {
  public:
   explicit SetAssocCache(const CacheGeometry& geom);
 
-  /// Touches `line`; returns true on hit. The set index is the line id
-  /// modulo the set count (physical index bits above the line offset).
-  bool access(std::uint64_t line) { return touch(line, true); }
-
-  /// Installs without counting (prefetch fill). Returns true if already
-  /// resident. On a hit this is a pure recency touch.
-  bool prefill(std::uint64_t line) { return touch(line, false); }
-
-  /// Residency probe: no recency update, no counting, no install.
-  [[nodiscard]] bool contains(std::uint64_t line) const;
-
-  [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  /// Valid lines displaced by an install (counted for prefills too; filling
-  /// an empty way is not an eviction).
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-  [[nodiscard]] double miss_ratio() const {
-    return accesses_ ? static_cast<double>(misses_) /
-                           static_cast<double>(accesses_)
-                     : 0.0;
+  /// Touches `line`, installing it on a miss; returns true on a hit. The set
+  /// index is the line id modulo the set count (physical index bits above
+  /// the line offset).
+  bool access(std::uint64_t line) {
+    switch (repr_) {
+      case Repr::kPacked4: return touch_packed(line);
+      case Repr::kPackedWide: return touch_packed_wide(line);
+      case Repr::kGeneric: return touch_generic(line);
+    }
+    return false;  // unreachable
   }
-
-  /// Zeroes the access/miss/eviction statistics; residency is untouched.
-  void reset_stats() { accesses_ = misses_ = evictions_ = 0; }
-
-  /// Empties every way. Intentionally preserves the counters: a flush
-  /// models an invalidation event mid-measurement (context switch,
-  /// self-modifying code), and the statistics cover the whole measurement
-  /// window across flushes. Call reset_stats() to also restart the counts.
-  void flush();
-
-  [[nodiscard]] const CacheGeometry& geometry() const { return geom_; }
 
  private:
   enum class Repr : std::uint8_t { kPacked4, kPackedWide, kGeneric };
@@ -199,12 +177,10 @@ class SetAssocCache {
   static std::uint64_t wide_promote(std::uint64_t perm, std::uint32_t way,
                                     std::uint32_t pos);
 
-  bool touch(std::uint64_t line, bool count);
-  bool touch_packed(std::uint64_t line, bool count);
-  bool touch_packed_wide(std::uint64_t line, bool count);
-  bool touch_generic(std::uint64_t line, bool count);
+  bool touch_packed(std::uint64_t line);
+  bool touch_packed_wide(std::uint64_t line);
+  bool touch_generic(std::uint64_t line);
 
-  CacheGeometry geom_;
   std::uint64_t set_mask_;
   std::uint32_t assoc_;
   Repr repr_;
@@ -220,9 +196,6 @@ class SetAssocCache {
   std::vector<std::uint8_t> order_;
   // Packed wide only: the same permutation at 4 bits per position.
   std::vector<std::uint64_t> order16_;
-  std::uint64_t accesses_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace codelayout

@@ -8,25 +8,19 @@
 
 namespace codelayout {
 
-FootprintCurve FootprintCurve::compute(const Trace& trace,
-                                       std::span<const std::uint32_t> weights) {
+FootprintCurve FootprintCurve::compute(const Trace& trace) {
   const std::size_t n = trace.size();
   const Symbol space = trace.symbol_space();
-  if (!weights.empty()) {
-    CL_CHECK_MSG(weights.size() >= space,
-                 "weights cover " << weights.size() << " symbols, need "
-                                  << space);
-  }
-  auto weight_of = [&](Symbol s) -> double {
-    return weights.empty() ? 1.0 : static_cast<double>(weights[s]);
-  };
+  if (n == 0) return assemble(0, 0.0, {});
+  // A cell counts at most n gaps (one per position), so 32-bit cells are
+  // exact while n fits.
+  CL_CHECK_MSG(n <= ~std::uint32_t{0},
+               "footprint trace exceeds 2^32 events; widen the gap counts");
 
-  if (n == 0) return assemble<double>(0, 0.0, {});
-
-  // gap_mass[g] accumulates the total weight of symbols having a maximal gap
-  // of exactly g window positions in which the symbol is absent. A gap of g
-  // positions contributes (g - w + 1) missing windows of length w <= g.
-  std::vector<double> gap_mass(n + 1, 0.0);
+  // gap_mass[g] counts the maximal gaps of exactly g window positions in
+  // which a symbol is absent. A gap of g positions contributes (g - w + 1)
+  // missing windows of length w <= g.
+  std::vector<std::uint32_t> gap_mass(n + 1, 0);
   std::vector<std::uint64_t> last(space, ~std::uint64_t{0});
   std::vector<std::uint64_t> first(space, ~std::uint64_t{0});
   double total_weight = 0.0;
@@ -36,27 +30,27 @@ FootprintCurve FootprintCurve::compute(const Trace& trace,
     const Symbol s = symbols[t];
     if (last[s] == ~std::uint64_t{0}) {
       first[s] = t;
-      total_weight += weight_of(s);
+      total_weight += 1.0;
     } else {
       const std::uint64_t gap = t - last[s] - 1;  // positions without s
-      if (gap > 0) gap_mass[gap] += weight_of(s);
+      if (gap > 0) gap_mass[gap] += 1;
     }
     last[s] = t;
   }
   for (Symbol s = 0; s < space; ++s) {
     if (first[s] == ~std::uint64_t{0}) continue;  // never accessed
     const std::uint64_t head_gap = first[s];
-    if (head_gap > 0) gap_mass[head_gap] += weight_of(s);
+    if (head_gap > 0) gap_mass[head_gap] += 1;
     const std::uint64_t tail_gap = n - 1 - last[s];
-    if (tail_gap > 0) gap_mass[tail_gap] += weight_of(s);
+    if (tail_gap > 0) gap_mass[tail_gap] += 1;
   }
 
   return assemble(n, total_weight, gap_mass);
 }
 
-template <class Mass>
-FootprintCurve FootprintCurve::assemble(std::size_t n, double total_weight,
-                                        const std::vector<Mass>& gap_mass) {
+FootprintCurve FootprintCurve::assemble(
+    std::size_t n, double total_weight,
+    const std::vector<std::uint32_t>& gap_mass) {
   FootprintCurve curve;
   curve.fp_.assign(n + 1, 0.0);
   if (n == 0) return curve;
@@ -74,11 +68,6 @@ FootprintCurve FootprintCurve::assemble(std::size_t n, double total_weight,
   }
   return curve;
 }
-
-template FootprintCurve FootprintCurve::assemble<double>(
-    std::size_t, double, const std::vector<double>&);
-template FootprintCurve FootprintCurve::assemble<std::uint32_t>(
-    std::size_t, double, const std::vector<std::uint32_t>&);
 
 FootprintBuilder::FootprintBuilder(Symbol space)
     : gap_mass_(kDenseGaps, 0),

@@ -24,12 +24,9 @@ namespace codelayout {
 
 class FootprintCurve {
  public:
-  /// Computes fp(w) for w = 0..trace length. `weights[s]` is the footprint
-  /// contribution of symbol s (e.g. its size in cache lines or bytes);
-  /// defaults to 1 (footprint in distinct symbols, as the paper
-  /// approximates).
-  static FootprintCurve compute(const Trace& trace,
-                                std::span<const std::uint32_t> weights = {});
+  /// Computes fp(w) for w = 0..trace length, in distinct symbols (every
+  /// symbol weighs 1, as the paper approximates).
+  static FootprintCurve compute(const Trace& trace);
 
   /// fp at (possibly fractional) window length, linearly interpolated and
   /// clamped to [0, n].
@@ -53,15 +50,12 @@ class FootprintCurve {
  private:
   friend class FootprintBuilder;
 
-  /// Shared curve assembly: turns the gathered gap histogram into fp(w) for
-  /// every window length by the two descending suffix accumulations. Mass is
-  /// double for the weighted compute() pass and std::uint32_t for the
-  /// builder's unit-weight counts; integer masses convert exactly, so both
-  /// instantiations produce bit-identical curves for the same histogram
-  /// values.
-  template <class Mass>
+  /// Shared curve assembly: turns the gathered gap histogram (exact counts
+  /// of symbols per gap length, from compute() or FootprintBuilder) into
+  /// fp(w) for every window length by the two descending suffix
+  /// accumulations.
   static FootprintCurve assemble(std::size_t n, double total_weight,
-                                 const std::vector<Mass>& gap_mass);
+                                 const std::vector<std::uint32_t>& gap_mass);
 
   std::vector<double> fp_;  ///< fp_[w], w = 0..n
 };
@@ -71,8 +65,8 @@ class FootprintCurve {
 /// of materializing it: perfmodel's solo profiles feed cache-line fetch
 /// streams straight from the fetch plan's per-block line spans. Consecutive
 /// duplicate symbols collapse to one window position exactly as
-/// Trace::trimmed() would drop them, and gap masses are exact integer counts
-/// (unit weights), so the finished curve is bit-identical to
+/// Trace::trimmed() would drop them, and gap masses are the same exact integer
+/// counts compute() keeps, so the finished curve is bit-identical to
 /// FootprintCurve::compute over the trimmed flat trace.
 ///
 ///   FootprintBuilder builder(space);
@@ -114,9 +108,8 @@ class FootprintBuilder {
   double total_weight_ = 0.0;
   std::uint64_t spans_ = 0;
   std::uint64_t collapsed_events_ = 0;
-  /// Unit-weight masses are exact counts; 32-bit cells halve the histogram's
-  /// random-write traffic and cannot overflow while raw_events_ fits
-  /// (checked per span).
+  /// Exact counts; 32-bit cells halve the histogram's random-write traffic
+  /// and cannot overflow while raw_events_ fits (checked per span).
   std::vector<std::uint32_t> gap_mass_;    ///< gaps < kDenseGaps
   std::vector<std::uint32_t> large_gaps_;  ///< gaps >= kDenseGaps, unmerged
   std::vector<std::uint64_t> first_;

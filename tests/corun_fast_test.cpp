@@ -6,13 +6,15 @@
 // same namespaces, credit arithmetic, stall debts, and forked RNG streams —
 // must agree bit for bit on every SimResult field, including the
 // RNG-stream-sensitive wrong-path miss counts, over the whole golden
-// workload suite, many-party mixes with fractional speeds, and degenerate
-// cache geometries, under every measurement flavour. The solo simulator is
-// checked against the same reference run with one party.
+// workload suite, many-party mixes with fractional speeds, degenerate cache
+// geometries and private L1s over a shared L2, under every measurement
+// flavour. The solo simulator is checked against the same reference run with
+// one party.
 #include <algorithm>
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,11 +40,8 @@ class RefCache {
   explicit RefCache(const CacheGeometry& geom)
       : sets_(geom.sets()), assoc_(geom.associativity), ways_(geom.sets()) {}
 
-  bool access(std::uint64_t line) { return touch(line); }
-  void prefill(std::uint64_t line) { touch(line); }
-
- private:
-  bool touch(std::uint64_t line) {
+  /// Touches `line`, installing it on a miss; returns true on a hit.
+  bool access(std::uint64_t line) {
     auto& ways = ways_[line % sets_];
     const auto it = std::find(ways.begin(), ways.end(), line);
     const bool hit = it != ways.end();
@@ -52,9 +51,26 @@ class RefCache {
     return hit;
   }
 
+ private:
   std::uint64_t sets_;
   std::size_t assoc_;
   std::vector<std::vector<std::uint64_t>> ways_;
+};
+
+/// The caches one reference stream fetches through: its L1 (one L1 shared by
+/// every party under a flat spec) and, with an L2 spec, the L2 all parties
+/// share.
+struct RefLevels {
+  RefCache* l1;
+  RefCache* l2;  ///< nullptr under a flat spec
+
+  /// Fetches `line`: an L1 miss of any kind (demand, prefetch or wrong path)
+  /// goes on to the L2. Returns true on an L1 hit.
+  bool fetch(std::uint64_t line) const {
+    if (l1->access(line)) return true;
+    if (l2 != nullptr) l2->access(line);
+    return false;
+  }
 };
 
 /// The reference per-event co-run stream: flat symbols, module/layout
@@ -71,7 +87,7 @@ class RefStream {
         options_(options),
         rng_(Rng(options.seed).fork(rng_stream)) {}
 
-  bool step(RefCache& cache) {
+  bool step(const RefLevels& levels) {
     if (debt_ >= 1.0) {
       debt_ -= 1.0;
       return false;
@@ -86,16 +102,21 @@ class RefStream {
     for (std::uint32_t i = 0; i < span.line_count; ++i) {
       const std::uint64_t line = namespace_ + span.first_line + i;
       ++stats_.line_probes;
-      if (!cache.access(line)) {
+      if (!levels.l1->access(line)) {
         ++stats_.demand_misses;
         debt_ += options_.miss_stall_blocks;
-        if (options_.next_line_prefetch) cache.prefill(line + 1);
+        // Only demand misses count at the L2.
+        if (levels.l2 != nullptr) {
+          ++stats_.l2_probes;
+          if (!levels.l2->access(line)) ++stats_.l2_misses;
+        }
+        if (options_.next_line_prefetch) levels.fetch(line + 1);
       }
     }
     if (options_.wrong_path_rate > 0.0 && bb.successors.size() > 1 &&
         rng_.chance(options_.wrong_path_rate)) {
       const std::uint64_t line = namespace_ + span.first_line + span.line_count;
-      if (!cache.access(line)) ++stats_.wrong_path_misses;
+      if (!levels.fetch(line)) ++stats_.wrong_path_misses;
     }
     if (++pos_ == symbols_.size()) {
       pos_ = 0;
@@ -127,21 +148,29 @@ struct RefParty {
 
 std::vector<SimResult> reference_corun(const std::vector<RefParty>& parties,
                                        const SimOptions& options) {
-  RefCache cache(options.geometry());
+  // Flat spec: every party fetches through one shared L1. With an L2, each
+  // party has a private L1 and all of them share the L2.
+  const std::optional<CacheGeometry>& l2_geom = options.hierarchy.l2;
+  std::vector<RefCache> l1s(l2_geom ? parties.size() : 1,
+                            RefCache(options.geometry()));
+  std::optional<RefCache> l2;
+  if (l2_geom) l2.emplace(*l2_geom);
+  std::vector<RefLevels> levels;
   std::vector<RefStream> streams;
   streams.reserve(parties.size());
   std::vector<double> credit(parties.size(), 0.0);
   for (std::size_t i = 0; i < parties.size(); ++i) {
+    levels.push_back({&l1s[l2 ? i : 0], l2 ? &*l2 : nullptr});
     streams.emplace_back(*parties[i].module, *parties[i].layout,
                          *parties[i].trace, static_cast<std::uint64_t>(i) << 40,
                          options, /*rng_stream=*/i + 1);
   }
   for (;;) {
-    const bool done = streams[0].step(cache);
+    const bool done = streams[0].step(levels[0]);
     for (std::size_t i = 1; i < parties.size(); ++i) {
       credit[i] += parties[i].speed;
       while (credit[i] >= 1.0) {
-        streams[i].step(cache);
+        streams[i].step(levels[i]);
         credit[i] -= 1.0;
       }
     }
@@ -214,6 +243,8 @@ void append_mismatches(std::vector<std::string>& out, const std::string& label,
   check("line_probes", got.line_probes, want.line_probes);
   check("demand_misses", got.demand_misses, want.demand_misses);
   check("wrong_path_misses", got.wrong_path_misses, want.wrong_path_misses);
+  check("l2_probes", got.l2_probes, want.l2_probes);
+  check("l2_misses", got.l2_misses, want.l2_misses);
 }
 
 /// The measurement flavours every oracle runs under: the two instruments,
@@ -241,6 +272,8 @@ void expect_sim_equal(const SimResult& got, const SimResult& want) {
   EXPECT_EQ(got.line_probes, want.line_probes);
   EXPECT_EQ(got.demand_misses, want.demand_misses);
   EXPECT_EQ(got.wrong_path_misses, want.wrong_path_misses);
+  EXPECT_EQ(got.l2_probes, want.l2_probes);
+  EXPECT_EQ(got.l2_misses, want.l2_misses);
 }
 
 // ---- Whole-suite equivalence ------------------------------------------------
@@ -364,7 +397,7 @@ TEST(CorunFast, DegenerateGeometriesMatchPerEventReplay) {
       {512, 1, 64},   // direct-mapped
       {1024, 8, 64},  // assoc > 4: the wide packed cache path
       {8192, 4, 64},  // the flat 4-way front off the paper's size
-      {2048, 2, 64},  // a packed-4 CacheLevel chain with assoc < 4
+      {2048, 2, 64},  // a packed-4 chain L1 with assoc < 4
   };
   for (const CacheGeometry& geom : geometries) {
     for (const NamedOptions& flavour : flavours()) {
@@ -383,6 +416,46 @@ TEST(CorunFast, DegenerateGeometriesMatchPerEventReplay) {
       expect_sim_equal(got.peer, want[1]);
       expect_sim_equal(simulate_solo(b.plan, b.trace, options),
                        reference_corun({b.ref_party()}, options)[0]);
+    }
+  }
+}
+
+// ---- Private L1s over a shared L2 -------------------------------------------
+
+TEST(CorunFast, SharedL2MatchesPerEventReplay) {
+  // Each party fetches through its own L1, and every L1 miss (demand,
+  // prefetch or wrong path) goes on to the one L2 they share. The one-set
+  // shape keeps the L2 under constant contention, so a per-party L2 or a
+  // prefetch that stops at the L1 changes the counts.
+  const Prepared a(find_spec("403.gcc"), 61, 20'000, 6'000);
+  const Prepared b(spin_variant("416.gamess", 0.5, 24.0), 62, 30'000, 8'000);
+  const Prepared c(find_spec("471.omnetpp"), 63, 30'000, 8'000);
+  for (const char* shape : {"32K/4/64+l2=256K/8/64", "16K/2/64+l2=256K/8/64",
+                            "256/4/64+l2=1K/16/64"}) {
+    for (const NamedOptions& flavour : flavours()) {
+      SimOptions options = flavour.options;
+      options.hierarchy = parse_hierarchy(shape);
+      SCOPED_TRACE(std::string("[") + flavour.name + "] " + shape);
+
+      const CorunResult two = simulate_corun(a.plan, a.trace, b.plan, b.trace,
+                                             options, 1.7);
+      const auto want_two =
+          reference_corun({a.ref_party(), b.ref_party(1.7)}, options);
+      expect_sim_equal(two.self, want_two[0]);
+      expect_sim_equal(two.peer, want_two[1]);
+
+      const auto three = simulate_corun(
+          CorunSpec{{a.party(), b.party(0.5), c.party(1.3)}, options});
+      const auto want_three = reference_corun(
+          {a.ref_party(), b.ref_party(0.5), c.ref_party(1.3)}, options);
+      ASSERT_EQ(three.size(), want_three.size());
+      for (std::size_t i = 0; i < three.size(); ++i) {
+        SCOPED_TRACE("three parties, party " + std::to_string(i));
+        expect_sim_equal(three[i], want_three[i]);
+      }
+
+      expect_sim_equal(simulate_solo(c.plan, c.trace, options),
+                       reference_corun({c.ref_party()}, options)[0]);
     }
   }
 }

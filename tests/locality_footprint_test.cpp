@@ -11,10 +11,9 @@ namespace {
 
 using testing::make_trace;
 
-/// Brute force: average over all length-w windows of the (weighted) number
-/// of distinct symbols inside.
-double brute_fp(const Trace& t, std::size_t w,
-                const std::vector<std::uint32_t>& weights = {}) {
+/// Brute force: average over all length-w windows of the number of distinct
+/// symbols inside.
+double brute_fp(const Trace& t, std::size_t w) {
   const auto symbols = t.symbols();
   if (w == 0 || symbols.size() < w) return 0.0;
   double total = 0.0;
@@ -23,9 +22,7 @@ double brute_fp(const Trace& t, std::size_t w,
     for (std::size_t i = start; i < start + w; ++i) {
       distinct.insert(symbols[i]);
     }
-    for (Symbol s : distinct) {
-      total += weights.empty() ? 1.0 : static_cast<double>(weights[s]);
-    }
+    total += static_cast<double>(distinct.size());
   }
   return total / static_cast<double>(symbols.size() - w + 1);
 }
@@ -72,20 +69,6 @@ TEST_P(FootprintPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FootprintPropertyTest,
                          ::testing::Values(11, 12, 13, 14, 15, 16));
-
-TEST_P(FootprintPropertyTest, WeightedMatchesBruteForce) {
-  Rng rng(GetParam() + 1000);
-  Trace t(Trace::Granularity::kBlock);
-  for (int i = 0; i < 80; ++i) {
-    t.push_symbol(static_cast<Symbol>(rng.below(8)));
-  }
-  std::vector<std::uint32_t> weights(8);
-  for (auto& w : weights) w = 1 + static_cast<std::uint32_t>(rng.below(9));
-  const auto fp = FootprintCurve::compute(t, weights);
-  for (std::size_t w = 1; w <= t.size(); w += 5) {
-    ASSERT_NEAR(fp.at(static_cast<double>(w)), brute_fp(t, w, weights), 1e-9);
-  }
-}
 
 TEST(Footprint, MonotoneNonDecreasing) {
   Rng rng(77);

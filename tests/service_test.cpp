@@ -1120,6 +1120,52 @@ TEST(ServiceSocket, GarbageFramesGetAnErrorResponseAndHangup) {
   server.shutdown();
 }
 
+TEST(ServiceSocket, OversizedCacheShapesGetAnErrorNamingTheLimit) {
+  // A job's hierarchy is untrusted: a shape past CacheGeometry's limits, as
+  // the L1 or as the L2, is refused when the request decodes, with a kError
+  // naming the limit, and no job reaches the executor.
+  auto executor = std::make_unique<CountingExecutor>();
+  CountingExecutor& counter = *executor;
+  ServerConfig config;
+  config.workers = 1;
+  ServiceServer server(config, std::move(executor));
+  const std::string socket_path = "svc_oversized.sock";
+  server.listen_unix(socket_path);
+
+  struct Shape {
+    CacheGeometry geom;
+    const char* limit;
+  };
+  const Shape shapes[] = {
+      // 1 TiB of 64 B lines: 2^32 sets of 4 ways.
+      {{std::uint64_t{1} << 40, 4, 64}, "limit of 1048576 lines"},
+      // One set of 2^20 ways: 2^20 tags to scan per probe.
+      {{std::uint64_t{64} << 20, 1u << 20, 64}, "limit of 1024 ways"},
+      {{std::uint64_t{8} << 20, 4, 2u << 20}, "limit of 1048576 bytes"},
+  };
+  for (const Shape& shape : shapes) {
+    for (const bool as_l2 : {false, true}) {
+      SCOPED_TRACE(shape.geom.to_string() + (as_l2 ? " as L2" : " as L1"));
+      JobRequest request =
+          solo_request("429.mcf", kBBAffinity, Measure::kHardware);
+      if (as_l2) {
+        request.hierarchy.l2 = shape.geom;
+      } else {
+        request.hierarchy.l1 = shape.geom;
+      }
+      // The server hangs up after a request it cannot decode, so each job
+      // gets its own connection.
+      ServiceClient client = ServiceClient::connect_unix(socket_path);
+      const JobResponse response = client.call(request);
+      EXPECT_EQ(response.status, JobStatus::kError);
+      EXPECT_NE(response.error.find(shape.limit), std::string::npos)
+          << response.error;
+    }
+  }
+  EXPECT_EQ(counter.executed.load(), 0u);
+  server.shutdown();
+}
+
 // ---- Observability: tail hardening, introspection, trace context ------------
 
 TEST(ServiceProtocol, TraceContextDoesNotPerturbTheCanonicalKey) {

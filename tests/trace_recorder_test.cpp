@@ -351,12 +351,12 @@ TEST(TraceRecorderTest, KernelResultsIdenticalWithObservabilityOn) {
   TraceRecorder::instance().disable();
   MetricsRegistry::global().set_enabled(false);
   const Trg baseline_trg = Trg::build(trace, TrgConfig{.window_entries = 32});
-  const FootprintCurve baseline_fp = FootprintCurve::compute(trace, {});
+  const FootprintCurve baseline_fp = FootprintCurve::compute(trace);
 
   TraceRecorder::instance().enable();
   MetricsRegistry::global().set_enabled(true);
   const Trg traced_trg = Trg::build(trace, TrgConfig{.window_entries = 32});
-  const FootprintCurve traced_fp = FootprintCurve::compute(trace, {});
+  const FootprintCurve traced_fp = FootprintCurve::compute(trace);
   TraceRecorder::instance().disable();
   MetricsRegistry::global().set_enabled(false);
 
