@@ -10,6 +10,18 @@
 // the pass looks the pair up once per partner, at most w_max - 1 lookups
 // per event, and updates every such w.
 //
+// Candidates. Let x occur first before y. If x is deeper than w in the
+// stack at y's first occurrence, (x, y) is not w-affine: at x's last
+// occurrence before that point no y has occurred yet, and the window from
+// there to the next y, that first occurrence, holds as many distinct
+// symbols as x's depth, more than w. So a pair gets a row only at its later
+// symbol's first occurrence, for the symbols within depth w_max there: at
+// most min(w_max, distinct) - 1 rows per symbol, in one slice per owning
+// (later) symbol, slices in first-appearance order. At a later occurrence
+// of s the pass stamps s's own partners once; an earlier partner then finds
+// its row by the stamp, a later partner looks s up in its small
+// open-addressing table, and a pair with no row is skipped.
+//
 // Exactness. Per pair, w and side, the pass keeps k: the length of that
 // side's credited occurrence prefix, or a dead mark. Credits arrive in time
 // order (s's own occurrence when a partner is in its window, then p's

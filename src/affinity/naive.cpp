@@ -90,12 +90,12 @@ std::vector<std::uint64_t> naive_affine_pairs_at(const Trace& trimmed,
 AffinityHierarchy naive_hierarchy(const Trace& trace,
                                   const AffinityConfig& config) {
   CL_CHECK_MSG(config.valid(), "invalid affinity w grid");
-  const Trace trimmed = trace.is_trimmed() ? trace : trace.trimmed();
+  if (!trace.is_trimmed()) return naive_hierarchy(trace.trimmed(), config);
   std::vector<std::vector<std::uint64_t>> affine;
   for (const std::uint32_t w : config.w_values) {
-    affine.push_back(naive_affine_pairs_at(trimmed, w));
+    affine.push_back(naive_affine_pairs_at(trace, w));
   }
-  return detail::build_hierarchy(trimmed, config.w_values, affine);
+  return detail::build_hierarchy(trace, config.w_values, affine);
 }
 
 std::vector<std::vector<Symbol>> algorithm1_partition(const Trace& trimmed,

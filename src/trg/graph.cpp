@@ -1,6 +1,7 @@
 #include "trg/graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "locality/lru_stack.hpp"
@@ -127,11 +128,29 @@ std::vector<Trg::Edge> Trg::edges_by_weight() const {
     out.push_back(Edge{static_cast<Symbol>(key >> 32),
                        static_cast<Symbol>(key & 0xffffffffu), w});
   });
-  std::sort(out.begin(), out.end(), [](const Edge& x, const Edge& y) {
-    if (x.weight != y.weight) return x.weight > y.weight;
-    if (x.a != y.a) return x.a < y.a;
-    return x.b < y.b;
-  });
+  // Ascending (~weight, a, b) is the order: an LSD radix sort on that
+  // 128-bit key, one byte per pass, skipping each byte that every edge
+  // shares. (a, b) is unique, so the order is total and any exact sort
+  // gives the same bytes.
+  constexpr int kBytes = 16;
+  const auto byte = [](const Edge& e, int i) -> std::size_t {
+    if (i < 4) return (e.b >> (8 * i)) & 0xff;
+    if (i < 8) return (e.a >> (8 * (i - 4))) & 0xff;
+    return (~e.weight >> (8 * (i - 8))) & 0xff;
+  };
+  std::vector<std::array<std::size_t, 256>> counts(kBytes);
+  for (const Edge& e : out) {
+    for (int i = 0; i < kBytes; ++i) ++counts[i][byte(e, i)];
+  }
+  std::vector<Edge> buffer(out.size());
+  for (int i = 0; i < kBytes; ++i) {
+    std::array<std::size_t, 256>& next = counts[i];
+    if (out.empty() || next[byte(out.front(), i)] == out.size()) continue;
+    std::size_t offset = 0;
+    for (std::size_t& c : next) offset += std::exchange(c, offset);
+    for (const Edge& e : out) buffer[next[byte(e, i)]++] = e;
+    out.swap(buffer);
+  }
   return out;
 }
 

@@ -216,6 +216,109 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<std::uint64_t>(1, 11),
                        ::testing::Range<std::size_t>(0, std::size(kGrids))));
 
+// ---------- traces wider than the grid's top w -------------------------------
+
+/// A trimmed trace of 150-400 events over 24-48 symbols, more than `width`.
+/// The symbols are cut at random into loops of `width` - 2 to `width` + 2;
+/// the trace runs each loop once, then loops drawn at random two to four
+/// times each, with 5% noise. So pairs within a loop turn affine near w =
+/// its length, the first and last of a loop at exactly that depth, while
+/// pairs across loops rarely do.
+Trace wide_trace(std::uint64_t seed, std::uint32_t width) {
+  Rng rng(seed);
+  const auto universe = static_cast<std::uint32_t>(24 + rng.below(25));
+  const auto events = 150 + rng.below(251);
+  const std::vector<std::uint32_t> symbols = rng.permutation(universe);
+  std::vector<std::vector<Symbol>> loops;
+  for (std::size_t i = 0; i < universe;) {
+    const auto length = std::min<std::size_t>(width - 2 + rng.below(5),
+                                              universe - i);
+    loops.emplace_back(symbols.begin() + i, symbols.begin() + i + length);
+    i += length;
+  }
+  Trace t(Trace::Granularity::kBlock);
+  const auto run = [&](const std::vector<Symbol>& loop) {
+    for (Symbol s : loop) {
+      if (rng.chance(0.05)) s = static_cast<Symbol>(rng.below(universe));
+      if (t.empty() || t.symbols().back() != s) t.push_symbol(s);
+    }
+  };
+  for (const auto& loop : loops) run(loop);
+  while (t.size() < events) {
+    const auto& loop = loops[rng.below(loops.size())];
+    for (auto round = 2 + rng.below(3); round > 0; --round) run(loop);
+  }
+  return t;
+}
+
+/// The default grid, whose top w = 20 the traces exceed by 4 to 28 symbols,
+/// and {2, 3, 4}, which they exceed by 20 to 44.
+const std::vector<std::uint32_t> kNarrowGrids[] = {
+    AffinityConfig{}.w_values,
+    {2, 3, 4},
+};
+
+class WideTraceTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+ protected:
+  const std::vector<std::uint32_t>& grid() const {
+    return kNarrowGrids[std::get<1>(GetParam())];
+  }
+  Trace trace() const {
+    return wide_trace(std::get<0>(GetParam()), grid().back());
+  }
+};
+
+/// The pass keeps rows only for pairs that can be affine; every slot must
+/// still hold exactly the Definition-3 pair set.
+TEST_P(WideTraceTest, EverySlotEqualsNaive) {
+  const Trace t = trace();
+  ASSERT_GT(t.distinct_count(), grid().back());
+  const auto sets = affine_pair_sets(t, grid());
+  ASSERT_EQ(sets.size(), grid().size());
+  for (std::size_t j = 0; j < grid().size(); ++j) {
+    EXPECT_EQ(sets[j], naive_affine_pairs_at(t, grid()[j]))
+        << "w=" << grid()[j];
+  }
+}
+
+/// The lemma the pass prunes by: of a w-affine pair, the symbol that occurs
+/// first is within stack depth w of the other at the other's first
+/// occurrence, i.e. the window from its last occurrence before that point
+/// to that point has footprint <= w.
+TEST_P(WideTraceTest, AffinePairsWereWithinDepthWAtTheLaterFirstOccurrence) {
+  const Trace t = trace();
+  const auto symbols = t.symbols();
+  const auto first = [&](Symbol s) {
+    return static_cast<std::size_t>(
+        std::find(symbols.begin(), symbols.end(), s) - symbols.begin());
+  };
+  std::size_t checked = 0;
+  for (const std::uint32_t w : grid()) {
+    for (const std::uint64_t pair : naive_affine_pairs_at(t, w)) {
+      auto earlier = static_cast<Symbol>(pair >> 32);
+      auto later = static_cast<Symbol>(pair & 0xffffffffu);
+      if (first(later) < first(earlier)) std::swap(earlier, later);
+      const std::size_t at = first(later);
+      const auto before =
+          std::find(std::make_reverse_iterator(symbols.begin() + at),
+                    symbols.rend(), earlier);
+      const auto last_before =
+          static_cast<std::size_t>(symbols.rend() - before) - 1;
+      EXPECT_LE(window_footprint(t, last_before, at), w)
+          << "pair (" << earlier << ", " << later << ") w=" << w;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByGrid, WideTraceTest,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 7),
+                       ::testing::Range<std::size_t>(0,
+                                                     std::size(kNarrowGrids))));
+
 TEST(OnePassAffinity, PairFirstAffineThroughAnEarlierWindow) {
   // x d x y: (x, y) becomes affine at w = 3 through x@0's window [0, 3],
   // which no stack depth at y@3 describes (x sits at depth 2 there).
@@ -242,6 +345,22 @@ TEST(OnePassAffinity, TopSlotNear2To32ActsAsTheDistinctCount) {
   EXPECT_EQ(top, affine_pair_sets(t, exact));
   EXPECT_EQ(top[1], naive_affine_pairs_at(t, distinct));
   EXPECT_EQ(affine_pairs_at(t, 4294967295u), top[1]);
+}
+
+TEST(OnePassAffinity, TopSlotNear2To32OverHundredsOfSymbols) {
+  // Each symbol keeps a row per earlier symbol here, so the pass's storage
+  // must follow the partners a trace has, not the w it is asked for.
+  Rng rng(2014);
+  Trace raw(Trace::Granularity::kBlock);
+  for (int i = 0; i < 3000; ++i) {
+    raw.push_symbol(static_cast<Symbol>(rng.zipf(300, 0.6)));
+  }
+  const Trace t = raw.trimmed();
+  const auto distinct = static_cast<std::uint32_t>(t.distinct_count());
+  ASSERT_GT(distinct, 200u);
+  const std::vector<std::uint32_t> huge = {2, 4294967295u};
+  const std::vector<std::uint32_t> exact = {2, distinct};
+  EXPECT_EQ(affine_pair_sets(t, huge), affine_pair_sets(t, exact));
 }
 
 // ---------- hierarchy (Figure 1) ---------------------------------------------
