@@ -33,6 +33,7 @@
 #include "affinity/naive.hpp"
 #include "cache/icache_sim.hpp"
 #include "cache/set_assoc.hpp"
+#include "support/bytes.hpp"
 #include "support/cli.hpp"
 #include "exec/interpreter.hpp"
 #include "harness/pipeline.hpp"
@@ -139,16 +140,6 @@ struct KernelReport {
 
 // FNV checksums of the kernels' outputs (same scheme as the test suite's
 // golden hashes: FNV-1a over little-endian 64-bit words).
-
-constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Folds in each group's fields and the occurrences of its members in
 /// `trimmed`, the trace it was built from; the occurrence sum keeps the

@@ -39,6 +39,7 @@
 #include "cache/icache_sim.hpp"
 #include "exec/interpreter.hpp"
 #include "json_lint.hpp"
+#include "support/bytes.hpp"
 #include "support/cli.hpp"
 #include "layout/layout.hpp"
 #include "support/rng.hpp"
@@ -50,16 +51,6 @@ namespace {
 using namespace codelayout;
 
 // ---- FNV checksums (same scheme as the test suite's golden hashes) ----------
-
-constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t hash_sim(std::uint64_t h, const SimResult& r) {
   h = fnv1a(h, r.instructions);

@@ -38,22 +38,13 @@
 #include "bench_common.hpp"
 #include "harness/lab.hpp"
 #include "json_lint.hpp"
+#include "support/bytes.hpp"
 #include "support/cli.hpp"
 #include "workloads/spec.hpp"
 
 namespace {
 
 using namespace codelayout;
-
-constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t fnv1a_double(std::uint64_t h, double v) {
   std::uint64_t bits;

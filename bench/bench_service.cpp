@@ -8,13 +8,12 @@
 // By default it self-hosts a daemon in-process (real socket, real framing,
 // real queue); --connect PATH drives an externally started service_daemon
 // instead — the CI smoke job uses that mode. The job mix cycles solo,
-// layout, co-run, and trace-stats jobs across all three priority classes,
-// so repeats exercise the cross-request response cache while first
-// occurrences exercise the full pipeline. A warm-up pass (one client, one
-// pass through the mix) populates the Lab's memo tables first, so the
-// measured distribution reflects steady-state service latency rather than
-// one giant first-compute outlier. --json output is validated with the test
-// suite's JSON linter (exit 3 on invalid).
+// layout, co-run, and trace-stats jobs across all three priority classes.
+// A warm-up pass (one client, one pass through the mix) populates the Lab's
+// memo tables first, so every measured job runs on a worker and is answered
+// from the memo: the distribution reflects steady-state service latency
+// rather than one giant first-compute outlier. --json output is validated
+// with the test suite's JSON linter (exit 3 on invalid).
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -123,22 +122,17 @@ std::string json_report(const LoadGenOptions& load, const LoadGenReport& report,
              static_cast<double>(report.cost.queue_wait_nanos) / 1e6);
   json.field("exec_wall_ms",
              static_cast<double>(report.cost.wall_nanos) / 1e6);
-  json.field("cached_jobs", report.cost.cached_jobs);
   // Closed-form predictor work summed over every kOk response's receipt.
   json.field("predict_calls", report.cost.predict_calls);
   json.field("profile_memo_hits", report.cost.profile_memo_hits);
   json.end_object();
   if (server != nullptr) {
     const ServiceServer::Stats stats = server->stats();
-    const ResponseCache::Stats cache = server->cache_stats();
     json.begin_object("server");
     json.field("submitted", stats.submitted);
     json.field("completed", stats.completed);
-    json.field("cache_hits", stats.cache_hits);
     json.field("introspected", stats.introspected);
     json.field("queue_peak", static_cast<std::uint64_t>(stats.queue_peak));
-    json.field("cache_entries", static_cast<std::uint64_t>(cache.entries));
-    json.field("cache_evictions", cache.evictions);
     json.end_object();
   }
   return json.finish();
@@ -183,8 +177,8 @@ int main(int argc, char** argv) {
   load.jobs_per_client = jobs_per_client;
   load.mix = build_mix(bench.hierarchy());
 
-  // Warm-up: populate the Lab memo tables (and the response cache) so the
-  // measured run reports steady-state latency.
+  // Warm-up: populate the Lab memo tables so the measured run reports
+  // steady-state latency.
   LoadGenOptions warmup = load;
   warmup.clients = 1;
   warmup.jobs_per_client = static_cast<unsigned>(load.mix.size());
@@ -233,8 +227,6 @@ int main(int argc, char** argv) {
                 fmt_fixed(static_cast<double>(report.cost.wall_nanos) / 1e6,
                           3) +
                     " ms"});
-  cost.add_row({"jobs served from cache",
-                fmt_count(report.cost.cached_jobs)});
   cost.add_row({"predict calls / memo hits",
                 fmt_count(report.cost.predict_calls) + " / " +
                     fmt_count(report.cost.profile_memo_hits)});
@@ -255,9 +247,9 @@ int main(int argc, char** argv) {
   // Two-process trace: against an external daemon, fetch its absolute-
   // timestamp export over the wire and splice it with our own so one
   // Perfetto file shows the whole job — client service_call spans (pid 1)
-  // and daemon cache-lookup/queue-wait/execute spans (pid 2) joined by
-  // trace id. Self-hosted runs share one recorder, so the plain export
-  // already holds both sides.
+  // and daemon queue-wait/execute spans (pid 2) joined by trace id.
+  // Self-hosted runs share one recorder, so the plain export already holds
+  // both sides.
   if (!connect.empty() && !bench.trace_out.empty()) {
     ServiceClient stat_client = ServiceClient::connect_unix(connect);
     const std::string daemon_trace =

@@ -1,10 +1,10 @@
 // The layout-optimization daemon (DESIGN.md §12): wraps the Lab in a
 // long-lived service that accepts jobs over a unix-domain socket, with
-// admission control, three-class prioritization, a cross-request response
-// cache, and graceful drain on SIGINT/SIGTERM.
+// admission control, three-class prioritization, and graceful drain on
+// SIGINT/SIGTERM. Repeated jobs run again and are answered from the Lab's
+// per-cell memo.
 //
 //   service_daemon [--socket PATH] [--workers N] [--queue-depth N]
-//                  [--cache-entries N] [--cache-bytes N] [--no-cache]
 //                  [--threads N] [--metrics-out FILE] [--trace-out FILE]
 //
 // Drive it with bench_service --connect PATH (the load generator), or any
@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
   std::string socket_path = "codelayout-service.sock";
   unsigned workers = 2;
   unsigned queue_depth = 64;
-  std::uint64_t cache_entries = 1024;
-  std::uint64_t cache_bytes = 16u << 20;
-  bool no_cache = false;
 
   CliOptions cli(argv[0],
                  "Layout-optimization service daemon: serves solo / layout / "
@@ -42,11 +39,6 @@ int main(int argc, char** argv) {
                        "via the engine pool)");
   cli.option_uint("--queue-depth", &queue_depth, 1, 1u << 20, "N",
                   "bounded queue depth; further jobs are rejected");
-  cli.option_u64("--cache-entries", &cache_entries, 1, 1u << 30, "N",
-                 "response cache capacity in entries");
-  cli.option_u64("--cache-bytes", &cache_bytes, 1, 1ull << 40, "BYTES",
-                 "response cache footprint budget");
-  cli.flag("--no-cache", &no_cache, "disable the cross-request cache");
   cli.parse_or_exit(argc, argv);
   apply_bench_observability(bench);
 
@@ -61,18 +53,13 @@ int main(int argc, char** argv) {
   ServerConfig config;
   config.workers = workers;
   config.queue_depth = queue_depth;
-  config.cache_enabled = !no_cache;
-  config.cache.max_entries = static_cast<std::size_t>(cache_entries);
-  config.cache.max_bytes = static_cast<std::size_t>(cache_bytes);
 
   ServiceServer server(config,
                        std::make_unique<LabExecutor>(bench_lab_options(bench)));
   server.listen_unix(socket_path);
   std::fprintf(stderr,
-               "service daemon listening on %s (%u workers, queue depth %u, "
-               "cache %s)\n",
-               socket_path.c_str(), workers, queue_depth,
-               no_cache ? "off" : "on");
+               "service daemon listening on %s (%u workers, queue depth %u)\n",
+               socket_path.c_str(), workers, queue_depth);
 
   int signal_number = 0;
   sigwait(&signals, &signal_number);
@@ -81,18 +68,13 @@ int main(int argc, char** argv) {
   server.shutdown();
 
   const ServiceServer::Stats stats = server.stats();
-  const ResponseCache::Stats cache = server.cache_stats();
   std::fprintf(stderr,
-               "served %llu jobs (%llu completed, %llu cache hits, %llu "
-               "rejected, %llu during drain); cache %zu entries / %zu bytes, "
-               "%llu evictions\n",
+               "served %llu jobs (%llu completed, %llu rejected, %llu during "
+               "drain)\n",
                static_cast<unsigned long long>(stats.submitted),
                static_cast<unsigned long long>(stats.completed),
-               static_cast<unsigned long long>(stats.cache_hits),
                static_cast<unsigned long long>(stats.rejected),
-               static_cast<unsigned long long>(stats.shutdown_rejected),
-               cache.entries, cache.bytes,
-               static_cast<unsigned long long>(cache.evictions));
+               static_cast<unsigned long long>(stats.shutdown_rejected));
   finish_observability(bench, "service_daemon");
   return 0;
 }

@@ -89,18 +89,12 @@ std::string render_stats_table(const std::string& stats) {
                  fmt_count(find_u64(stats, "rejected") +
                            find_u64(stats, "shutdown_rejected"))});
   table.add_row({"queue peak", fmt_count(find_u64(stats, "queue_peak"))});
-  table.add_row({"cache hits / misses",
-                 fmt_count(find_u64(stats, "cache_hits")) + " / " +
-                     fmt_count(find_u64(stats, "misses"))});
-  table.add_row({"cache entries", fmt_count(find_u64(stats, "entries"))});
-  table.add_row({"cache bytes", fmt_bytes(find_u64(stats, "bytes"))});
-  table.add_row({"cache evictions", fmt_count(find_u64(stats, "evictions"))});
   return table.render();
 }
 
 std::string render_recent_table(const std::string& doc) {
   TextTable table({"id", "kind", "status", "trace_id", "queue_wait",
-                   "wall", "cached", "predict"});
+                   "wall", "predict"});
   // Walk the "recent" array object by object; the documents contain no
   // nested braces inside these objects.
   std::size_t pos = doc.find("\"recent\":[");
@@ -123,7 +117,6 @@ std::string render_recent_table(const std::string& doc) {
                " ms",
            fmt_fixed(static_cast<double>(find_u64(job, "wall_ns")) / 1e6, 3) +
                " ms",
-           find_raw(job, "cached"),
            // Predictor attribution: closed-form predictions the
            // job ran vs solo-profile memo hits it was served.
            std::to_string(find_u64(job, "predict_calls")) + "p/" +

@@ -130,13 +130,7 @@ HierarchySpec HierarchySpec::decode(std::string_view bytes) {
 }
 
 std::uint64_t HierarchySpec::hash() const {
-  const std::string bytes = encode();
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return fnv1a_bytes(kFnvSeed, encode());
 }
 
 HierarchySpec parse_hierarchy(std::string_view text) {

@@ -134,13 +134,6 @@ SoloProfile build_solo_profile(std::string workload, const FetchPlan& plan,
   return profile;
 }
 
-double corun_peer_speed(const SoloProfile& self, const SoloProfile& peer,
-                        const PerfParams& params) {
-  const double self_cpi = params.base_cpi + self.data_stall_cpi;
-  const double peer_cpi = params.base_cpi + peer.data_stall_cpi;
-  return std::clamp(self_cpi / peer_cpi, 0.25, 4.0);
-}
-
 CorunPrediction predict_corun(const SoloProfile& a, const SoloProfile& b,
                               const HierarchySpec& hierarchy,
                               const PerfParams& params) {
@@ -153,10 +146,12 @@ CorunPrediction predict_corun(const SoloProfile& a, const SoloProfile& b,
   CorunPrediction out;
   // Each party sees the other at the window scale of their CPI ratio — the
   // same clamped band the bit-exact interleaving uses for fetch speeds.
-  out.peer_speed = corun_peer_speed(a, b, params);
+  out.peer_speed =
+      corun_peer_speed(a.data_stall_cpi, b.data_stall_cpi, params);
   out.self = predict_party(a, b, out.peer_speed, hierarchy, params);
-  out.peer =
-      predict_party(b, a, corun_peer_speed(b, a, params), hierarchy, params);
+  out.peer = predict_party(
+      b, a, corun_peer_speed(b.data_stall_cpi, a.data_stall_cpi, params),
+      hierarchy, params);
   return out;
 }
 

@@ -109,13 +109,6 @@ struct CorunPrediction {
   }
 };
 
-/// The relative fetch speed of `peer` as seen by `self`: SMT threads
-/// progress inversely to their CPIs, clamped to the same [0.25, 4.0] band
-/// the bit-exact co-run simulation uses.
-[[nodiscard]] double corun_peer_speed(const SoloProfile& self,
-                                      const SoloProfile& peer,
-                                      const PerfParams& params = {});
-
 /// Composes the two solo profiles into per-party predicted miss ratios and
 /// modeled runtimes under `hierarchy` (Eq. 1/2 for a flat shared front;
 /// private-L1 fronts with the composition at the shared L2 otherwise).

@@ -61,6 +61,13 @@ double corun_cycles(const SimResult& sim, std::uint64_t full_instructions,
   return cycles;
 }
 
+double corun_peer_speed(double self_stall_cpi, double peer_stall_cpi,
+                        const PerfParams& params) {
+  const double self_cpi = params.base_cpi + self_stall_cpi;
+  const double peer_cpi = params.base_cpi + peer_stall_cpi;
+  return std::clamp(self_cpi / peer_cpi, 0.25, 4.0);
+}
+
 double speedup(double baseline_cycles, double improved_cycles) {
   CL_CHECK(baseline_cycles > 0.0 && improved_cycles > 0.0);
   return baseline_cycles / improved_cycles;

@@ -58,6 +58,13 @@ double corun_cycles(const SimResult& sim, std::uint64_t full_instructions,
                     double data_stall_cpi, const PerfParams& params,
                     const HierarchySpec& hierarchy);
 
+/// Fetch speed of an SMT peer relative to `self` in a co-run, from the two
+/// programs' data-stall CPIs: hyper-threads progress inversely to their
+/// CPIs, so this is clamp((base + self stall) / (base + peer stall), 0.25,
+/// 4). The co-run simulation and the closed-form predictor share it.
+double corun_peer_speed(double self_stall_cpi, double peer_stall_cpi,
+                        const PerfParams& params = {});
+
 /// speedup = baseline / improved (1.04 = 4% faster).
 double speedup(double baseline_cycles, double improved_cycles);
 

@@ -203,7 +203,6 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
           cost.wall_nanos += receipt.wall_nanos;
           cost.predict_calls += receipt.predict_calls;
           cost.profile_memo_hits += receipt.profile_memo_hits;
-          if (receipt.cached) ++cost.cached_jobs;
         }
       }
     });
@@ -231,7 +230,6 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
     report.cost.bytes_decoded += cost.bytes_decoded;
     report.cost.queue_wait_nanos += cost.queue_wait_nanos;
     report.cost.wall_nanos += cost.wall_nanos;
-    report.cost.cached_jobs += cost.cached_jobs;
     report.cost.predict_calls += cost.predict_calls;
     report.cost.profile_memo_hits += cost.profile_memo_hits;
   }

@@ -81,7 +81,6 @@ struct LoadGenReport {
     std::uint64_t bytes_decoded = 0;
     std::uint64_t queue_wait_nanos = 0;
     std::uint64_t wall_nanos = 0;
-    std::uint64_t cached_jobs = 0;  ///< responses served from the cache
     /// Closed-form predictor work summed over every kOk response.
     std::uint64_t predict_calls = 0;
     std::uint64_t profile_memo_hits = 0;

@@ -82,8 +82,8 @@ SimResult get_sim_result(ByteReader& in) {
   return r;
 }
 
-/// One encoder for both the wire payload and the cache key: the key is the
-/// same body with the per-call fields (id, priority, trace context)
+/// One encoder for both the wire payload and the canonical key: the key is
+/// the same body with the per-call fields (id, priority, trace context)
 /// normalized away.
 std::string encode_request_body(const JobRequest& request, std::uint64_t id,
                                 JobPriority priority, std::uint64_t trace_id,

@@ -50,7 +50,7 @@ enum class JobKind : std::uint8_t {
   kLayout = 1,      ///< optimized-layout summary of (workload, optimizer)
   kCorun = 2,       ///< N-party shared-cache co-run over `parties`
   kTraceStats = 3,  ///< statistics of the uploaded varint trace
-  kIntrospect = 4,  ///< live daemon state; never queued, never cached
+  kIntrospect = 4,  ///< live daemon state; never queued
   kCoSchedule = 5,  ///< predictor-driven pairing of `parties` onto slots
 };
 
@@ -119,7 +119,7 @@ struct JobRequest {
   /// Trace context: a client-assigned correlation pair. 0 = no context.
   /// The daemon tags every span it records for this job with the trace id,
   /// so a merged client+daemon Perfetto export joins on it. Normalized away
-  /// in canonical_key(): tracing never perturbs response caching.
+  /// in canonical_key(): tracing never changes what work a job names.
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
   /// What a kIntrospect job reads (ignored for other kinds).
@@ -132,8 +132,9 @@ struct JobRequest {
 
   friend bool operator==(const JobRequest&, const JobRequest&) = default;
 
-  /// Serialized body with id zeroed and priority normalized — what two
-  /// requests for the same work share; the response cache keys on it.
+  /// Serialized body with id zeroed and priority and trace context
+  /// normalized: it names the work, so two requests for the same work share
+  /// it. perfbench keys its reply checksums on it.
   [[nodiscard]] std::string canonical_key() const;
   /// "solo 403.gcc|BB Affinity|hw" — for logs and errors. A non-default
   /// hierarchy appends "|g=<spec>".
@@ -165,10 +166,8 @@ struct TraceStatsResult {
 };
 
 /// Per-job cost attribution, stamped on every response the daemon sends:
-/// where the job's time and simulated work went. For a
-/// response served from the daemon's cache, `cached` is true, the counts are
-/// the original computation's, and the timing fields are zero (the cache
-/// lookup itself is effectively free).
+/// where the job's time and simulated work went. Every job executes, so the
+/// counts and timings are always this job's own.
 ///
 /// On the wire the receipt also holds five retired slots, which encoders
 /// write as 0 and decoders read and discard, so reply bytes match those of
@@ -181,11 +180,12 @@ struct CostReceipt {
   std::uint64_t events = 0;           ///< instructions + overhead simulated
   std::uint64_t cache_probes = 0;     ///< L1I line probes across all results
   std::uint64_t l2_probes = 0;        ///< shared-L2 demand probes
-  std::uint64_t memo_hits = 0;        ///< Lab memo cells served cached
+  std::uint64_t memo_hits = 0;        ///< Lab memo cells already computed
   std::uint64_t memo_misses = 0;      ///< Lab memo cells computed for this job
   std::uint64_t bytes_decoded = 0;    ///< request payload bytes
   std::uint64_t queue_wait_nanos = 0;
-  std::uint64_t wall_nanos = 0;       ///< execute wall time (0 when cached)
+  std::uint64_t wall_nanos = 0;       ///< execute wall time
+  /// Always false: every job executes. Kept on the wire until v6 drops it.
   bool cached = false;
   /// Closed-form predictor attribution — predict_corun evaluations this
   /// job ran, and solo-profile memo lookups served without a kernel pass.

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "perfmodel/scheduler.hpp"
+#include "support/bytes.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/registry.hpp"
@@ -27,19 +28,6 @@ std::uint64_t now_nanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-// FNV-1a over the little-endian bytes of each 64-bit word — the same
-// construction the golden-equivalence suite uses, so layout/trace checksums
-// are stable, deterministic fingerprints rather than full payloads.
-constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 JobResponse error_response(const JobRequest& request, std::string message) {
@@ -210,7 +198,9 @@ JobResponse LabExecutor::run(const JobRequest& request) {
         if (i == 0) {
           p.speed = 1.0;
         } else if (request.cpi_speeds) {
-          p.speed = lab_.peer_speed(self, prepared);  // as Lab::corun
+          // The SMT speed rule Lab::corun uses.
+          p.speed = corun_peer_speed(self.spec.data_stall_cpi,
+                                     prepared.spec.data_stall_cpi, lab_.perf());
         } else {
           p.speed = party.speed;
         }
@@ -341,7 +331,6 @@ ServiceServer::ServiceServer(ServerConfig config,
                              std::unique_ptr<JobExecutor> executor)
     : config_(config),
       executor_(std::move(executor)),
-      cache_(config.cache),
       start_nanos_(now_nanos()) {
   CL_CHECK_MSG(executor_ != nullptr, "service server needs an executor");
   CL_CHECK_MSG(config_.workers >= 1, "service server needs >= 1 worker");
@@ -362,8 +351,8 @@ void ServiceServer::submit(JobRequest request,
   bump("service.jobs.submitted");
 
   if (request.kind == JobKind::kIntrospect) {
-    // Served inline on the submitting thread: no queue, no cache, works
-    // while every worker is saturated and while the server is draining.
+    // Served inline on the submitting thread: no queue, works while every
+    // worker is saturated and while the server is draining.
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.submitted;
@@ -376,69 +365,21 @@ void ServiceServer::submit(JobRequest request,
     return;
   }
 
-  // Admission control under the lock; every deliver call outside it.
-  JobResponse inline_response;
-  bool respond_inline = false;
-  const std::string key =
-      config_.cache_enabled ? request.canonical_key() : std::string{};
+  // Admission control under one lock; every deliver call outside it.
+  JobResponse rejection;
   {
     std::unique_lock<std::mutex> lock(mu_);
     ++stats_.submitted;
     if (draining_) {
       ++stats_.shutdown_rejected;
-      inline_response = error_response(request, "server is shutting down");
-      inline_response.status = JobStatus::kShuttingDown;
-      respond_inline = true;
-    }
-  }
-  if (!respond_inline && config_.cache_enabled) {
-    std::optional<JobResponse> hit;
-    {
-      // The lookup runs under the request's trace context so its span joins
-      // the client's trace in a merged export.
-      ScopedJobContext scope(
-          JobContext{request.trace_id, request.span_id, nullptr});
-      CODELAYOUT_SPAN("cache_lookup", "service", {"id", request.id});
-      hit = cache_.lookup(key);
-    }
-    if (hit) {
-      hit->id = request.id;
-      // The receipt keeps the original computation's counts; the cache
-      // lookup itself consumed no queue time or execute wall time.
-      hit->receipt.cached = true;
-      hit->receipt.queue_wait_nanos = 0;
-      hit->receipt.wall_nanos = 0;
-      hit->receipt.bytes_decoded = request_bytes;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.cache_hits;
-      }
-      push_recent(RecentJob{request.id, request.kind, hit->status,
-                            request.trace_id, 0, 0, true,
-                            hit->receipt.predict_calls,
-                            hit->receipt.profile_memo_hits});
-      deliver(std::move(*hit));
-      return;
-    }
-  }
-  if (!respond_inline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Recheck under the same lock that enqueues: shutdown() may have set
-    // draining_ while the cache lookup ran lock-free, and workers exit once
-    // the queue is empty — a job enqueued after that point would never run.
-    if (draining_) {
-      ++stats_.shutdown_rejected;
-      inline_response = error_response(request, "server is shutting down");
-      inline_response.status = JobStatus::kShuttingDown;
-      respond_inline = true;
+      rejection = error_response(request, "server is shutting down");
+      rejection.status = JobStatus::kShuttingDown;
     } else if (queued_ >= config_.queue_depth) {
       ++stats_.rejected;
-      inline_response =
-          error_response(request, "job queue is full (depth " +
-                                      std::to_string(config_.queue_depth) +
-                                      ")");
-      inline_response.status = JobStatus::kRejected;
-      respond_inline = true;
+      rejection = error_response(
+          request, "job queue is full (depth " +
+                       std::to_string(config_.queue_depth) + ")");
+      rejection.status = JobStatus::kRejected;
       bump("service.jobs.rejected");
     } else {
       const auto priority = static_cast<std::size_t>(request.priority);
@@ -452,7 +393,7 @@ void ServiceServer::submit(JobRequest request,
       return;
     }
   }
-  deliver(std::move(inline_response));
+  deliver(std::move(rejection));
 }
 
 JobResponse ServiceServer::call(const JobRequest& request) {
@@ -483,11 +424,8 @@ void ServiceServer::worker_loop() {
       ++inflight_;
     }
     finish_job(std::move(job));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-    }
-    idle_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    --inflight_;
   }
 }
 
@@ -543,16 +481,9 @@ void ServiceServer::finish_job(QueuedJob job) {
   receipt.profile_memo_hits =
       cost.predict_profile_hits.load(std::memory_order_relaxed);
 
-  if (config_.cache_enabled && response.status == JobStatus::kOk) {
-    // Stored entries carry id 0 (the cache's documented contract); lookup
-    // callers re-stamp the requester's id on a hit. The cached receipt keeps
-    // this computation's counts; hits overwrite the per-call fields.
-    response.id = 0;
-    cache_.insert(job.request.canonical_key(), response);
-  }
   response.id = job.request.id;
   push_recent(RecentJob{job.request.id, job.request.kind, response.status,
-                        job.request.trace_id, queue_wait, wall, false,
+                        job.request.trace_id, queue_wait, wall,
                         receipt.predict_calls, receipt.profile_memo_hits});
   {
     // Count the completion before the response leaves the building: a
@@ -592,7 +523,6 @@ JobResponse ServiceServer::introspect_response(const JobRequest& request) {
         inflight = inflight_;
         draining = draining_;
       }
-      const ResponseCache::Stats cache = cache_.stats();
       JsonWriter json;
       json.field("status", draining ? "draining" : "ok")
           .field("uptime_ns", now_nanos() - start_nanos_)
@@ -604,21 +534,11 @@ JobResponse ServiceServer::introspect_response(const JobRequest& request) {
       json.begin_object("jobs")
           .field("submitted", snapshot.submitted)
           .field("completed", snapshot.completed)
-          .field("cache_hits", snapshot.cache_hits)
           .field("rejected", snapshot.rejected)
           .field("shutdown_rejected", snapshot.shutdown_rejected)
           .field("introspected", snapshot.introspected)
           .field("queue_peak",
                  static_cast<std::uint64_t>(snapshot.queue_peak))
-          .end_object();
-      json.begin_object("cache")
-          .field("enabled", config_.cache_enabled)
-          .field("hits", cache.hits)
-          .field("misses", cache.misses)
-          .field("insertions", cache.insertions)
-          .field("evictions", cache.evictions)
-          .field("entries", static_cast<std::uint64_t>(cache.entries))
-          .field("bytes", static_cast<std::uint64_t>(cache.bytes))
           .end_object();
       response.introspect = json.finish();
       return response;
@@ -658,7 +578,6 @@ JobResponse ServiceServer::introspect_response(const JobRequest& request) {
             .field("trace_id", job.trace_id)
             .field("queue_wait_ns", job.queue_wait_nanos)
             .field("wall_ns", job.wall_nanos)
-            .field("cached", job.cached)
             .field("predict_calls", job.predict_calls)
             .field("profile_memo_hits", job.profile_memo_hits)
             .end_object();

@@ -1,26 +1,27 @@
 // The layout-optimization daemon: a job-oriented service over the Lab.
 //
-// Layering (ISSUE 6 tentpole):
+// Layering:
 //
 //   socket/pipe frames  ──>  ServiceServer  ──>  JobExecutor  ──>  Lab
 //        (protocol)          admission,          job -> EvalRequest
 //                            bounded priority    mapping; results
 //                            queue, workers,     identical to the
-//                            response cache,     in-process engine
-//                            graceful shutdown
+//                            graceful shutdown   in-process engine
 //
 // The server owns a bounded three-class priority queue (interactive >
-// normal > batch, FIFO within a class). Admission control is synchronous:
-// a full queue rejects with JobStatus::kRejected and a draining server with
-// kShuttingDown, both delivered inline without touching a worker. Admitted
-// jobs first consult the cross-request ResponseCache (canonical-key lookup;
-// a hit answers inline), then run on one of `workers` dedicated threads —
-// concurrency *within* one job comes from the Lab's own pool, so a handful
+// normal > batch, FIFO within a class). Admission control is synchronous
+// and takes the server lock once: a draining server answers kShuttingDown,
+// a full queue kRejected, both delivered inline without touching a worker;
+// anything else is enqueued. Every admitted job runs on one of `workers`
+// dedicated threads, repeats included: the Lab's per-cell memo answers a
+// repeated job without recomputing, and its receipt records that run.
+// Concurrency *within* one job comes from the Lab's own pool, so a handful
 // of service workers keeps the queue moving while big jobs parallelize
-// internally. shutdown() (or the destructor) stops admitting, drains every
-// queued and in-flight job to its deliver callback, closes the socket, and
-// joins all threads — no job is dropped silently, no thread leaks (pinned
-// under TSan by the service tests).
+// internally.
+// shutdown() (or the destructor) stops admitting, drains every queued and
+// in-flight job to its deliver callback, closes the socket, and joins all
+// threads — no job is dropped silently, no thread leaks (pinned under TSan
+// by the service tests).
 //
 // The JobExecutor seam is virtual so tests can inject a gated executor and
 // deterministically fill the queue, assert rejection, and race shutdown
@@ -38,7 +39,6 @@
 #include <vector>
 
 #include "harness/lab.hpp"
-#include "service/cache.hpp"
 #include "service/protocol.hpp"
 
 namespace codelayout::service {
@@ -77,8 +77,6 @@ struct ServerConfig {
   /// Bounded queue depth across all priority classes; admission control
   /// rejects the (depth+1)-th queued job.
   std::size_t queue_depth = 64;
-  bool cache_enabled = true;
-  ResponseCache::Config cache{};
 };
 
 class ServiceServer {
@@ -92,10 +90,10 @@ class ServiceServer {
   ServiceServer& operator=(const ServiceServer&) = delete;
 
   /// Submits one job. `deliver` is invoked exactly once with the response:
-  /// inline for cache hits, admission failures (kRejected / kShuttingDown),
-  /// and kIntrospect jobs (served on the submitting thread, never queued or
-  /// cached — snapshots work even while every worker is saturated or the
-  /// server is draining), from a worker thread otherwise. `deliver` must be
+  /// inline for admission failures (kRejected / kShuttingDown) and kIntrospect
+  /// jobs (served on the submitting thread, never queued — snapshots work
+  /// even while every worker is saturated or the server is draining), from a
+  /// worker thread otherwise. `deliver` must be
   /// callable from any thread and must not re-enter the server.
   /// `request_bytes` is the wire payload size (stamped into the response's
   /// CostReceipt; 0 for in-process callers).
@@ -120,18 +118,14 @@ class ServiceServer {
   struct Stats {
     std::uint64_t submitted = 0;      ///< all submit() calls
     std::uint64_t completed = 0;      ///< executed to a response
-    std::uint64_t cache_hits = 0;     ///< answered from the response cache
     std::uint64_t rejected = 0;       ///< bounded-queue admission failures
     std::uint64_t shutdown_rejected = 0;  ///< arrived while draining
     std::uint64_t introspected = 0;   ///< kIntrospect jobs served inline
     std::size_t queue_peak = 0;       ///< high-water queued depth
   };
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] ResponseCache::Stats cache_stats() const {
-    return cache_.stats();
-  }
 
-  /// One completed (or cache-answered) job in the recent-jobs ring.
+  /// One completed job in the recent-jobs ring.
   struct RecentJob {
     std::uint64_t id = 0;
     JobKind kind = JobKind::kSolo;
@@ -139,11 +133,9 @@ class ServiceServer {
     std::uint64_t trace_id = 0;
     std::uint64_t queue_wait_nanos = 0;
     std::uint64_t wall_nanos = 0;
-    bool cached = false;
     /// Closed-form predictor attribution (perfmodel/corun_predictor.hpp):
     /// predict_corun evaluations the job ran and solo-profile memo lookups
-    /// it answered without a kernel pass. A cache-answered job carries the
-    /// original computation's values.
+    /// it answered without a kernel pass.
     std::uint64_t predict_calls = 0;
     std::uint64_t profile_memo_hits = 0;
   };
@@ -169,11 +161,9 @@ class ServiceServer {
 
   ServerConfig config_;
   std::unique_ptr<JobExecutor> executor_;
-  ResponseCache cache_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   /// queues_[p] holds JobPriority p; pop scans highest class first.
   std::deque<QueuedJob> queues_[3];
   std::size_t queued_ = 0;

@@ -1,7 +1,8 @@
 // The byte codec of the service protocol and of HierarchySpec::encode():
 // LEB128 varints, single bytes, and doubles as their IEEE-754 bit patterns,
 // little-endian. The bit patterns are byte-deterministic across hosts with
-// the same endianness and round-trip NaN payloads untouched.
+// the same endianness and round-trip NaN payloads untouched. Also the one
+// 64-bit FNV-1a that fingerprints such bytes and the golden checksums.
 #pragma once
 
 #include <cstdint>
@@ -92,5 +93,26 @@ class ByteReader {
   const char* context_;
   std::size_t pos_ = 0;
 };
+
+/// 64-bit FNV-1a. fnv1a() folds in the eight little-endian bytes of one
+/// word, fnv1a_bytes() a byte string; both chain from kFnvSeed, the offset
+/// basis.
+inline constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
+
+inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+inline std::uint64_t fnv1a_bytes(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 }  // namespace codelayout

@@ -103,10 +103,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return find_or_create<decltype(counters_), Counter>(mutex_, counters_, name);
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return find_or_create<decltype(gauges_), Gauge>(mutex_, gauges_, name);
-}
-
 LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
   return find_or_create<decltype(histograms_), LatencyHistogram>(
       mutex_, histograms_, name);
@@ -115,7 +111,6 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
 void MetricsRegistry::reset() {
   std::scoped_lock lock(mutex_);
   counters_.clear();
-  gauges_.clear();
   histograms_.clear();
 }
 
@@ -125,11 +120,6 @@ std::string MetricsRegistry::to_json(std::string_view name) const {
   if (!name.empty()) json.field("name", name);
   json.begin_object("counters");
   for (const auto& [key, counter] : counters_) json.field(key, counter->value());
-  json.end_object();
-  json.begin_object("gauges");
-  for (const auto& [key, gauge] : gauges_) {
-    json.field(key, static_cast<double>(gauge->value()));
-  }
   json.end_object();
   json.begin_object("histograms");
   for (const auto& [key, histogram] : histograms_) {
@@ -183,11 +173,6 @@ std::string MetricsRegistry::dump_prometheus(std::string_view prefix) const {
     const std::string name = prom_name(prefix, key, "_total");
     out += "# TYPE " + name + " counter\n";
     out += name + " " + std::to_string(counter->value()) + "\n";
-  }
-  for (const auto& [key, gauge] : gauges_) {
-    const std::string name = prom_name(prefix, key);
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + std::to_string(gauge->value()) + "\n";
   }
   for (const auto& [key, histogram] : histograms_) {
     const std::string name = prom_name(prefix, key);

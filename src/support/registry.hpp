@@ -1,4 +1,4 @@
-// Central metrics registry: named counters, gauges, and log-bucketed latency
+// Central metrics registry: named counters and log-bucketed latency
 // histograms shared by the evaluation engine, the thread pool, and the
 // analysis kernels.
 //
@@ -32,19 +32,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins signed level (queue depths, widths, ...).
-class Gauge {
- public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> value_{0};
 };
 
 /// Latency distribution over power-of-two buckets: bucket i counts samples
@@ -111,14 +98,13 @@ class MetricsRegistry {
   /// Finds or creates the named instrument. References stay valid for the
   /// registry's lifetime; cache them at hot call sites.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   LatencyHistogram& histogram(std::string_view name);
 
   /// Zeroes nothing but forgets every instrument (tests only: outstanding
   /// cached references dangle, so never call this mid-measurement).
   void reset();
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{name:
+  /// One JSON object: {"counters":{...},"histograms":{name:
   /// {count,min,max,mean,p50,p90,p99,sum_ns,*_ms...}}}. Histogram times are
   /// dumped in both raw nanoseconds and milliseconds.
   [[nodiscard]] std::string to_json(std::string_view name = {}) const;
@@ -128,7 +114,7 @@ class MetricsRegistry {
   void write_json(const std::string& path, std::string_view name = {}) const;
 
   /// Prometheus text exposition (format version 0.0.4). Counters become
-  /// `<prefix>_<name>_total`, gauges `<prefix>_<name>`, histograms the
+  /// `<prefix>_<name>_total`, histograms the
   /// standard cumulative-bucket triplet (`_bucket{le="..."}` at power-of-two
   /// boundaries up to the highest populated bucket plus `+Inf`, `_sum`,
   /// `_count`), all in nanoseconds. Instrument names are sanitized to the
@@ -141,7 +127,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   // std::map keeps the JSON dump deterministically sorted by name.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       histograms_;
 };

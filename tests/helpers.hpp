@@ -10,6 +10,7 @@
 #include "cache/icache_sim.hpp"
 #include "locality/footprint.hpp"
 #include "locality/reuse.hpp"
+#include "support/bytes.hpp"
 #include "trace/trace.hpp"
 #include "trg/graph.hpp"
 
@@ -43,21 +44,11 @@ inline Trace flat_replay(const Trace& t) {
 
 // ---- Deterministic checksums over analysis-kernel outputs -------------------
 //
-// FNV-1a over the little-endian bytes of each 64-bit word. Used by the golden
-// equivalence suite (trace_runs_test) to pin every kernel's output: the
-// checksums in golden_suite.inc were captured from an earlier flat-vector
-// Trace implementation, so a matching hash proves the kernels reproduce the
-// original results bit for bit.
-
-inline constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
-
-inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// FNV-1a (support/bytes.hpp) over the little-endian bytes of each 64-bit
+// word. Used by the golden equivalence suite (trace_runs_test) to pin every
+// kernel's output: the checksums in golden_suite.inc were captured from an
+// earlier flat-vector Trace implementation, so a matching hash proves the
+// kernels reproduce the original results bit for bit.
 
 inline std::uint64_t hash_symbols(const Trace& t) {
   std::uint64_t h = fnv1a(kFnvSeed, t.size());

@@ -233,8 +233,10 @@ TEST(PredictorEdgeCases, PeerSpeedClampsToSimulatorBand) {
   SoloProfile fast = loop_profile(10, 10, 1000);
   slow.data_stall_cpi = 100.0;
   fast.data_stall_cpi = 0.0;
-  EXPECT_DOUBLE_EQ(corun_peer_speed(slow, fast), 4.0);
-  EXPECT_DOUBLE_EQ(corun_peer_speed(fast, slow), 0.25);
+  EXPECT_DOUBLE_EQ(
+      corun_peer_speed(slow.data_stall_cpi, fast.data_stall_cpi), 4.0);
+  EXPECT_DOUBLE_EQ(
+      corun_peer_speed(fast.data_stall_cpi, slow.data_stall_cpi), 0.25);
 }
 
 // ---- Golden-subset accuracy and determinism (real workloads) ----------------

@@ -1,4 +1,4 @@
-// MetricsRegistry tests: counter/gauge semantics, concurrent updates,
+// MetricsRegistry tests: counter semantics, concurrent updates,
 // log-bucketed histogram summaries, the JSON dump, and the Prometheus text
 // exposition.
 #include <atomic>
@@ -24,13 +24,6 @@ TEST(CounterTest, AddsAndReads) {
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(GaugeTest, SetAndAddAreSigned) {
-  Gauge g;
-  g.set(10);
-  g.add(-25);
-  EXPECT_EQ(g.value(), -15);
 }
 
 TEST(LatencyHistogramTest, SingleValueSummaryIsExact) {
@@ -126,14 +119,12 @@ TEST(MetricsRegistryTest, JsonDumpIsValidAndSorted) {
   MetricsRegistry registry;
   registry.counter("zeta").add(3);
   registry.counter("alpha").add(1);
-  registry.gauge("width").set(8);
   registry.histogram("stage.wall_ns").record(1500);
   const std::string doc = registry.to_json("unit");
   std::string error;
   EXPECT_TRUE(json_is_valid(doc, &error)) << error << "\n" << doc;
   EXPECT_NE(doc.find(R"("alpha":1)"), std::string::npos);
   EXPECT_NE(doc.find(R"("zeta":3)"), std::string::npos);
-  EXPECT_NE(doc.find(R"("width":8)"), std::string::npos);
   EXPECT_NE(doc.find(R"("stage.wall_ns")"), std::string::npos);
   EXPECT_NE(doc.find(R"("p99_ns")"), std::string::npos);
   // std::map ordering: "alpha" dumps before "zeta".
@@ -154,7 +145,7 @@ TEST(MetricsRegistryTest, JsonHistogramDumpCarriesCountAndSum) {
 TEST(MetricsRegistryTest, PrometheusDumpIsValidAndSanitized) {
   MetricsRegistry registry;
   registry.counter("service.jobs.ok").add(7);
-  registry.gauge("queue-depth").set(-3);
+  registry.counter("queue-depth").add(3);
   registry.histogram("job.wall_ns").record(5);  // bucket [4, 8) -> le="8"
   registry.histogram("job.wall_ns").record(6);
   registry.histogram("job.wall_ns").record(100);  // bucket [64, 128)
@@ -165,7 +156,8 @@ TEST(MetricsRegistryTest, PrometheusDumpIsValidAndSanitized) {
   EXPECT_NE(dump.find("codelayout_service_jobs_ok_total 7\n"),
             std::string::npos)
       << dump;
-  EXPECT_NE(dump.find("codelayout_queue_depth -3\n"), std::string::npos);
+  EXPECT_NE(dump.find("codelayout_queue_depth_total 3\n"), std::string::npos)
+      << dump;
   // Cumulative buckets at power-of-two upper edges, then +Inf == _count.
   EXPECT_NE(dump.find("codelayout_job_wall_ns_bucket{le=\"8\"} 2\n"),
             std::string::npos)

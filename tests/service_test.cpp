@@ -1,8 +1,8 @@
 // Tests for the layout-optimization service (DESIGN.md §12): wire-protocol
-// round-trips and hostile-stream hardening, the bounded-LRU response cache,
-// admission control / prioritization / graceful shutdown on an injected
-// gated executor, and the golden round-trip — jobs driven through a real
-// unix socket answer byte-identically to the in-process engine.
+// round-trips and hostile-stream hardening, repeated jobs answered from the
+// Lab's memo, admission control / prioritization / graceful shutdown on an
+// injected gated executor, and the golden round-trip — jobs driven through a
+// real unix socket answer byte-identically to the in-process engine.
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -27,7 +27,6 @@
 #include "json_lint.hpp"
 #include "perfmodel/scheduler.hpp"
 #include "prom_lint.hpp"
-#include "service/cache.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -333,8 +332,8 @@ TEST(ServiceProtocol, HierarchyRoundTripsThroughRequestPayload) {
   EXPECT_EQ(decoded, request);
   EXPECT_EQ(decoded.hierarchy.to_string(), "16K/2/64+l2=256K/8/64");
 
-  // The hierarchy is part of the job identity: a cached flat-L1 answer must
-  // never be served for the same workload under a different geometry.
+  // The hierarchy is part of the job identity: the same workload under a
+  // different geometry names different work.
   const JobRequest flat =
       solo_request("429.mcf", kBBAffinity, Measure::kHardware);
   EXPECT_NE(request.canonical_key(), flat.canonical_key());
@@ -365,7 +364,7 @@ TEST(ServiceProtocol, CoScheduleRoundTrips) {
   EXPECT_EQ(decoded.verify_top_k, 1u);
 
   // The problem shape is part of the job identity: the same pool under a
-  // different slot count must never share a cache entry.
+  // different slot count names different work.
   JobRequest other_slots = request;
   other_slots.slots = 3;
   EXPECT_NE(request.canonical_key(), other_slots.canonical_key());
@@ -414,60 +413,6 @@ TEST(ServiceProtocol, CoScheduleRoundTrips) {
   hostile[tail_start] = '\x41';  // claims 65 pairs
   EXPECT_THROW(static_cast<void>(decode_response_payload(hostile)),
                ContractError);
-}
-
-// ---- Response cache ---------------------------------------------------------
-
-JobResponse canned_response(std::uint64_t marker) {
-  JobResponse response;
-  response.trace_stats.checksum = marker;
-  return response;
-}
-
-TEST(ResponseCacheTest, HitsMissesAndLruEvictionByEntries) {
-  ResponseCache cache(ResponseCache::Config{.max_entries = 2,
-                                            .max_bytes = 1u << 20});
-  EXPECT_FALSE(cache.lookup("a").has_value());
-  cache.insert("a", canned_response(1));
-  cache.insert("b", canned_response(2));
-  ASSERT_TRUE(cache.lookup("a").has_value());  // refreshes "a"
-  cache.insert("c", canned_response(3));       // evicts LRU "b"
-  EXPECT_TRUE(cache.lookup("a").has_value());
-  EXPECT_FALSE(cache.lookup("b").has_value());
-  ASSERT_TRUE(cache.lookup("c").has_value());
-  EXPECT_EQ(cache.lookup("c")->trace_stats.checksum, 3u);
-
-  const ResponseCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.insertions, 3u);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-}
-
-TEST(ResponseCacheTest, EvictsByByteBudget) {
-  // Each entry costs key + encoded response (tens of bytes); a 200-byte
-  // budget holds only a couple of entries.
-  ResponseCache cache(ResponseCache::Config{.max_entries = 1000,
-                                            .max_bytes = 200});
-  for (int i = 0; i < 32; ++i) {
-    cache.insert("key-" + std::to_string(i), canned_response(i));
-  }
-  const ResponseCache::Stats stats = cache.stats();
-  EXPECT_LE(stats.bytes, 200u);
-  EXPECT_LT(stats.entries, 32u);
-  EXPECT_GT(stats.evictions, 0u);
-  // The most recent insertion survives.
-  EXPECT_TRUE(cache.lookup("key-31").has_value());
-}
-
-TEST(ResponseCacheTest, InsertRefreshesExistingKey) {
-  ResponseCache cache(ResponseCache::Config{.max_entries = 8,
-                                            .max_bytes = 1u << 20});
-  cache.insert("k", canned_response(1));
-  cache.insert("k", canned_response(2));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.lookup("k")->trace_stats.checksum, 2u);
 }
 
 // ---- Server: admission, priorities, shutdown (gated executor) ---------------
@@ -539,7 +484,6 @@ ServerConfig small_config(unsigned workers, std::size_t depth) {
   ServerConfig config;
   config.workers = workers;
   config.queue_depth = depth;
-  config.cache_enabled = false;  // admission tests count every execution
   return config;
 }
 
@@ -652,30 +596,45 @@ class CountingExecutor : public JobExecutor {
   std::atomic<std::uint64_t> executed{0};
 };
 
-TEST(ServiceServer, ResponseCacheServesRepeatsAcrossRequests) {
-  auto executor = std::make_unique<CountingExecutor>();
-  CountingExecutor& counter = *executor;
+TEST(ServiceServer, RepeatedJobRunsAgainOnTheLabMemo) {
   ServerConfig config;
   config.workers = 1;
-  ServiceServer server(config, std::move(executor));
+  ServiceServer server(config,
+                       std::make_unique<LabExecutor>(LabOptions{}.threads(2)));
 
-  const JobResponse first =
-      server.call(solo_request("429.mcf", kBBAffinity, Measure::kHardware, 1));
-  // Same work, different id and priority: served from cache, id re-stamped.
+  const JobResponse first = server.call(
+      solo_request("458.sjeng", kFuncAffinity, Measure::kHardware, 1));
+  ASSERT_EQ(first.status, JobStatus::kOk) << first.error;
+  // The same work under a new id, priority and trace id.
   JobRequest repeat =
-      solo_request("429.mcf", kBBAffinity, Measure::kHardware, 2);
+      solo_request("458.sjeng", kFuncAffinity, Measure::kHardware, 2);
   repeat.priority = JobPriority::kInteractive;
+  repeat.trace_id = 77;
+  repeat.span_id = 78;
   const JobResponse second = server.call(repeat);
-
-  EXPECT_EQ(counter.executed.load(), 1u);
-  EXPECT_EQ(first.id, 1u);
+  ASSERT_EQ(second.status, JobStatus::kOk) << second.error;
   EXPECT_EQ(second.id, 2u);
-  EXPECT_EQ(first.trace_stats.events, second.trace_stats.events);
+
+  // With id and receipt zeroed (perfbench's reply-checksum normalization),
+  // the repeat's reply is the first one's, byte for byte.
+  const auto normalized = [](JobResponse response) {
+    response.id = 0;
+    response.receipt = CostReceipt{};
+    return encode_response_payload(response);
+  };
+  EXPECT_EQ(normalized(second), normalized(first));
+
+  // The repeat ran on a worker, and the Lab's memo answered every cell.
+  EXPECT_GT(first.receipt.memo_misses, 0u);
+  EXPECT_EQ(second.receipt.memo_misses, 0u);
+  EXPECT_GT(second.receipt.memo_hits, 0u);
+  EXPECT_GT(second.receipt.wall_nanos, 0u);
+  EXPECT_FALSE(second.receipt.cached);
+  EXPECT_EQ(server.stats().completed, 2u);
   server.shutdown();
-  EXPECT_EQ(server.stats().cache_hits, 1u);
 }
 
-TEST(ServiceServer, ErrorResponsesAreNotCached) {
+TEST(ServiceServer, FailingJobRunsAgain) {
   auto executor = std::make_unique<CountingExecutor>();
   CountingExecutor& counter = *executor;
   ServerConfig config;
@@ -690,10 +649,10 @@ TEST(ServiceServer, ErrorResponsesAreNotCached) {
 }
 
 TEST(ServiceServer, SubmitRacingShutdownAlwaysDelivers) {
-  // Regression: submit() drops the server lock for the cache lookup between
-  // the draining_ check and the enqueue. If shutdown() lands in that window
-  // the job must answer kShuttingDown inline — never sit in a queue no
-  // worker will read, which wedged call() and shutdown() forever.
+  // Regression: a job enqueued after shutdown() set draining_ sat in a queue
+  // no worker would read, which wedged call() and shutdown() forever. Each
+  // racing submit must either be admitted before the drain (and run) or
+  // answer kShuttingDown inline.
   constexpr int kRounds = 32;
   constexpr int kThreads = 4;
   constexpr int kJobsPerThread = 8;
@@ -701,7 +660,6 @@ TEST(ServiceServer, SubmitRacingShutdownAlwaysDelivers) {
     ServerConfig config;
     config.workers = 2;
     config.queue_depth = 64;
-    config.cache_enabled = true;  // the lock-free lookup opens the window
     ServiceServer server(config, std::make_unique<CountingExecutor>());
     Deliveries delivered;
 
@@ -1173,8 +1131,8 @@ TEST(ServiceProtocol, TraceContextDoesNotPerturbTheCanonicalKey) {
   JobRequest traced = plain;
   traced.trace_id = 0xdeadbeefcafef00dull;
   traced.span_id = 17;
-  // Tracing is observability, never identity: a traced request must hit the
-  // same cache entry as an untraced one.
+  // Tracing is observability, never identity: a traced request names the
+  // same work as an untraced one.
   EXPECT_EQ(plain.canonical_key(), traced.canonical_key());
 }
 
@@ -1414,7 +1372,6 @@ TEST(ServiceServer, IntrospectionServedWhileWorkersSaturated) {
 TEST(ServiceServer, RecentJobsRingKeepsNewestCapped) {
   ServerConfig config;
   config.workers = 1;
-  config.cache_enabled = true;
   ServiceServer server(config, std::make_unique<CountingExecutor>());
 
   // Names are built by appending rather than `"w" + ...` to dodge a GCC 12
@@ -1430,19 +1387,15 @@ TEST(ServiceServer, RecentJobsRingKeepsNewestCapped) {
         solo_request(name(i), std::nullopt, Measure::kHardware, i));
     ASSERT_EQ(response.status, JobStatus::kOk);
   }
-  // One repeat: served from the cache, still recorded in the ring.
+  // One repeat: it runs again and is recorded in the ring.
   const JobResponse repeat = server.call(
       solo_request(name(total), std::nullopt, Measure::kHardware, 999));
   ASSERT_EQ(repeat.status, JobStatus::kOk);
-  EXPECT_TRUE(repeat.receipt.cached);
 
   const std::vector<ServiceServer::RecentJob> recent = server.recent_jobs();
   ASSERT_EQ(recent.size(), ServiceServer::kRecentJobsCapacity);
   EXPECT_EQ(recent.front().id, 999u);  // newest first
-  EXPECT_TRUE(recent.front().cached);
-  EXPECT_EQ(recent.front().wall_nanos, 0u);
   EXPECT_EQ(recent[1].id, total);
-  EXPECT_FALSE(recent[1].cached);
 
   // The same ring serves the kRecentJobs introspection document.
   JobRequest request;
@@ -1561,7 +1514,7 @@ TEST(ServiceSocket, ConcurrentClientsAllGetTheirOwnAnswers) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0u);
   server.shutdown();
-  EXPECT_EQ(server.stats().completed + server.stats().cache_hits,
+  EXPECT_EQ(server.stats().completed,
             static_cast<std::uint64_t>(kClients) * kJobs);
 }
 
