@@ -1,39 +1,47 @@
 // Fast w-window affinity analysis (paper Sec. II-B).
 //
 // One pass over the trimmed trace yields the affine pair set of every w in
-// the grid. After each access the pass reads the top w_max + 1 entries of an
-// LRU stack and their last-access times. After touching s at time t, the
-// maximal window ending at t with footprint (Definition 2) <= w holds
-// exactly the top w stack entries, and it starts one past the last access
-// of entry w + 1, or at 0 when the stack is shorter. So each partner p at
-// stack depth d shares a window with this occurrence of s at every w >= d:
-// the pass looks the pair up once per partner, at most w_max - 1 lookups
-// per event, and updates every such w.
+// the grid. The pass keeps the top w_max + 1 entries of the LRU stack in an
+// array, most recent first, with each symbol's index in it and its last
+// access time. After touching s at time t, the maximal window ending at t
+// with footprint (Definition 2) <= w holds exactly the top w stack entries,
+// and it starts one past the last access of entry w + 1, or at 0 when the
+// stack is shorter. So a partner p at stack depth d shares a window with
+// this occurrence of s at every w >= d.
 //
-// Candidates. Let x occur first before y. If x is deeper than w in the
-// stack at y's first occurrence, (x, y) is not w-affine: at x's last
-// occurrence before that point no y has occurred yet, and the window from
-// there to the next y, that first occurrence, holds as many distinct
-// symbols as x's depth, more than w. So a pair gets a row only at its later
-// symbol's first occurrence, for the symbols within depth w_max there: at
-// most min(w_max, distinct) - 1 rows per symbol, in one slice per owning
-// (later) symbol, slices in first-appearance order. At a later occurrence
-// of s the pass stamps s's own partners once; an earlier partner then finds
-// its row by the stamp, a later partner looks s up in its small
-// open-addressing table, and a pair with no row is skipped.
+// Rows. Let x occur first before y. If x is deeper than w in the stack at
+// y's first occurrence, (x, y) is not w-affine: at x's last occurrence
+// before that point no y has occurred yet, and the window from there to
+// the next y, that first occurrence, holds as many distinct symbols as x's
+// depth, more than w. So a pair gets a row only at its later symbol's
+// first occurrence, for the symbols within depth w_max there: at most
+// min(w_max, distinct) - 1 rows per symbol, all sized before the pass.
 //
-// Exactness. Per pair, w and side, the pass keeps k: the length of that
-// side's credited occurrence prefix, or a dead mark. Credits arrive in time
-// order (s's own occurrence when a partner is in its window, then p's
-// uncredited occurrences inside the window), and an occurrence that is
-// skipped can never be credited later, because windows only move right. So
-// a side has credited all of its occurrences iff its credits form a
-// gap-free prefix that reaches its count: the accessed side advances from c
-// to c + 1 when k == c and dies otherwise; the partner side jumps to its
-// count when its first uncredited occurrence lies in the window and dies
-// otherwise. A pair is affine at w (Definition 3) iff both sides' k equal
-// their occurrence counts. `affinity/naive.cpp` checks Definition 3
-// directly and is the oracle for this pass.
+// Dead boundary. Definition 3 is monotone in w: a window of footprint <= w
+// also has footprint <= w' for every w' > w, so a pair that fails at one w
+// fails at every smaller one. Each row keeps `lo`, below which every slot
+// is dead. An update walks the slots whose window reaches the partner's
+// depth from the top down to `lo`; the first slot it kills moves `lo` past
+// it, and the final check reads only the slots from `lo` up.
+//
+// Live lists. Each symbol links the rows it is in, on either side, whose
+// `lo` is below the grid length. An event of s walks only s's list,
+// unlinks the rows that died, and updates a row only when its other symbol
+// is within depth w_max. Updates of different pairs are independent, so the
+// list's order does not matter.
+//
+// Exactness. Per pair, live slot and side, the pass keeps k: the length of
+// that side's credited occurrence prefix. Credits arrive in time order (s's
+// own occurrence when a partner is in its window, then p's uncredited
+// occurrences inside the window), and an occurrence that is skipped can
+// never be credited later, because windows only move right. So a side has
+// credited all of its occurrences iff its credits form a gap-free prefix
+// that reaches its count: the accessed side advances from c to c + 1 when
+// k == c and the slot dies otherwise; the partner side jumps to its count
+// when its first uncredited occurrence lies in the window and the slot dies
+// otherwise. A pair is affine at w (Definition 3) iff its slot is live and
+// both sides' k equal their occurrence counts. `affinity/naive.cpp` checks
+// Definition 3 directly and is the oracle for this pass.
 //
 #pragma once
 

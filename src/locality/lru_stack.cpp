@@ -30,13 +30,6 @@ void LruStack::evict_to_count(std::size_t cap) {
   }
 }
 
-std::size_t LruStack::depth_of(Symbol s) const {
-  CL_CHECK(resident(s));
-  std::size_t depth = 0;
-  for (Symbol cur = head_; cur != s; cur = next_[cur]) ++depth;
-  return depth;
-}
-
 void LruStack::unlink(Symbol s) {
   const Symbol p = prev_[s];
   const Symbol n = next_[s];

@@ -4,11 +4,10 @@
 // The paper implements the stack as a linked list with a hash table for O(1)
 // lookup, after the Linux-kernel page-management idiom. Symbols here are
 // dense, so the hash table degenerates into flat position arrays — the same
-// asymptotics with better constants. The stack supports the two access
-// patterns the analyses need: the affinity model reads the top-w entries at
-// every access, and the TRG model enumerates exactly the entries above the
-// accessed symbol (the blocks seen since its previous occurrence), with the
-// stack capped at a number of entries.
+// asymptotics with better constants. The TRG model reads the stack: it
+// enumerates exactly the entries above the accessed symbol (the blocks seen
+// since its previous occurrence), with the stack capped at a number of
+// entries.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +25,6 @@ class LruStack {
 
   /// Moves `s` to the top. Returns true when `s` was already resident.
   bool touch(Symbol s);
-
-  /// Calls `fn(symbol)` for the top `k` resident symbols, topmost first
-  /// (including the current top).
-  template <typename Fn>
-  void for_top(std::size_t k, Fn&& fn) const {
-    Symbol cur = head_;
-    for (std::size_t i = 0; i < k && cur != kNil; ++i, cur = next_[cur]) {
-      fn(cur);
-    }
-  }
 
   /// Calls `fn(symbol)` for every resident symbol strictly above `s`
   /// (i.e. accessed since s's last occurrence). `s` must be resident.
@@ -57,10 +46,6 @@ class LruStack {
   }
   [[nodiscard]] std::size_t resident_count() const { return count_; }
   [[nodiscard]] Symbol top() const { return head_; }
-
-  /// Number of distinct symbols above `s` (0 when s is on top); `s` must be
-  /// resident. O(depth).
-  [[nodiscard]] std::size_t depth_of(Symbol s) const;
 
  private:
   static constexpr Symbol kNil = ~Symbol{0};

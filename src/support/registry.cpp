@@ -37,9 +37,10 @@ double LatencyHistogram::quantile_from(
     const auto in_bucket = static_cast<double>(buckets[i]);
     if (in_bucket == 0.0) continue;
     if (seen + in_bucket >= target) {
-      // Interpolate inside [2^i, 2^(i+1)); bucket 0 spans [0, 2).
-      const double lo = i == 0 ? 0.0 : static_cast<double>(std::uint64_t{1} << i);
-      const double hi = static_cast<double>(std::uint64_t{1} << (i + 1));
+      // Interpolate inside [2^i, 2^(i+1)); bucket 0 spans [0, 2). The top
+      // bucket's bound 2^64 is a double, not a 64-bit shift.
+      const double lo = i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i));
+      const double hi = std::ldexp(1.0, static_cast<int>(i) + 1);
       const double frac = (target - seen) / in_bucket;
       return lo + frac * (hi - lo);
     }

@@ -162,6 +162,16 @@ void expect_same_hierarchy(const AffinityHierarchy& a,
   }
 }
 
+/// Expects every slot of `grid` to hold exactly the Definition-3 pair set.
+void expect_every_slot_naive(const Trace& t,
+                             const std::vector<std::uint32_t>& grid) {
+  const auto sets = affine_pair_sets(t, grid);
+  ASSERT_EQ(sets.size(), grid.size());
+  for (std::size_t j = 0; j < grid.size(); ++j) {
+    EXPECT_EQ(sets[j], naive_affine_pairs_at(t, grid[j])) << "w=" << grid[j];
+  }
+}
+
 /// The default grid, a wider one, a sparse one, a single slot, and one whose
 /// top exceeds every test trace's distinct-symbol count.
 const std::vector<std::uint32_t> kGrids[] = {
@@ -201,11 +211,7 @@ TEST_P(OnePassVsNaiveTest, EverySlotEqualsNaive) {
   const auto [seed, grid_index] = GetParam();
   const std::vector<std::uint32_t>& grid = kGrids[grid_index];
   const Trace t = loopy_trace(seed);
-  const auto sets = affine_pair_sets(t, grid);
-  ASSERT_EQ(sets.size(), grid.size());
-  for (std::size_t j = 0; j < grid.size(); ++j) {
-    EXPECT_EQ(sets[j], naive_affine_pairs_at(t, grid[j])) << "w=" << grid[j];
-  }
+  expect_every_slot_naive(t, grid);
   const AffinityConfig config{.w_values = grid};
   expect_same_hierarchy(analyze_affinity(t, config),
                         naive_hierarchy(t, config));
@@ -274,12 +280,7 @@ class WideTraceTest
 TEST_P(WideTraceTest, EverySlotEqualsNaive) {
   const Trace t = trace();
   ASSERT_GT(t.distinct_count(), grid().back());
-  const auto sets = affine_pair_sets(t, grid());
-  ASSERT_EQ(sets.size(), grid().size());
-  for (std::size_t j = 0; j < grid().size(); ++j) {
-    EXPECT_EQ(sets[j], naive_affine_pairs_at(t, grid()[j]))
-        << "w=" << grid()[j];
-  }
+  expect_every_slot_naive(t, grid());
 }
 
 /// The lemma the pass prunes by: of a w-affine pair, the symbol that occurs
@@ -332,6 +333,79 @@ TEST(OnePassAffinity, PairFirstAffineThroughAnEarlierWindow) {
   EXPECT_TRUE(pair_set(sets[1]).contains(key(x, y)));
   EXPECT_FALSE(naive_w_affine(t, x, y, 2));
   EXPECT_TRUE(naive_w_affine(t, x, y, 3));
+}
+
+TEST(OnePassAffinity, PairDeadBelowAMiddleSlotStaysAffineAboveIt) {
+  // x and y alternate, except once: in x a b y c d x, that y is 4 away from
+  // x on both sides. So (x, y) dies at w = 2 and 3 on the pass's next
+  // meeting of the two, and both keep recurring, affine at w = 4 and 6.
+  const Symbol x = 1;
+  const Symbol y = 2;
+  std::vector<Symbol> events;
+  for (int i = 0; i < 20; ++i) events.insert(events.end(), {x, y});
+  events.insert(events.end(), {x, 3, 4, y, 5, 6});
+  for (int i = 0; i < 200; ++i) events.insert(events.end(), {x, y});
+  const Trace t = make_trace(events);
+  const std::vector<std::uint32_t> grid = {2, 3, 4, 6};
+  const auto sets = affine_pair_sets(t, grid);
+  EXPECT_FALSE(pair_set(sets[0]).contains(key(x, y)));
+  EXPECT_FALSE(pair_set(sets[1]).contains(key(x, y)));
+  EXPECT_TRUE(pair_set(sets[2]).contains(key(x, y)));
+  EXPECT_TRUE(pair_set(sets[3]).contains(key(x, y)));
+  expect_every_slot_naive(t, grid);
+}
+
+TEST(OnePassAffinity, SymbolWhoseRowsAllDieKeepsRecurring) {
+  // z's rows, with a and b, are made in the first phase. In the second, a
+  // and b each occur with z more than w_max = 3 away, so their next
+  // meeting with z kills both rows at every slot; z then recurs for
+  // thousands of events with a and b and no live row.
+  const Symbol z = 1;
+  const Symbol a = 2;
+  const Symbol b = 3;
+  std::vector<Symbol> events = {z, a, z, a, b, z, b, a, b, a,
+                                4, 5, 6, a, 4, 5, 6, b, 4, 5, 6};
+  for (int i = 0; i < 1000; ++i) events.insert(events.end(), {z, a, z, b});
+  const Trace t = make_trace(events);
+  const std::vector<std::uint32_t> grid = {2, 3};
+  const auto sets = affine_pair_sets(t, grid);
+  for (const auto& pairs : sets) {
+    for (const std::uint64_t pair : pairs) {
+      EXPECT_NE(pair >> 32, z) << "w-affine with z: " << (pair & 0xffffffffu);
+    }
+  }
+  expect_every_slot_naive(t, grid);
+}
+
+TEST(OnePassAffinity, GridOfMoreThan255Slots) {
+  // w = 2..300 is 299 slots, so slot indices and the grid length run past
+  // 8 bits. Over 24 symbols every pair is affine from w = 24 up, where
+  // every window is the whole prefix; below that, short loops make pairs
+  // die at many different slots.
+  Rng rng(24);
+  Trace t(Trace::Granularity::kBlock);
+  while (t.size() < 400) {
+    auto s = static_cast<Symbol>(rng.below(24));
+    if (t.size() >= 8 && rng.chance(0.7)) {
+      s = t.symbols()[t.size() - 2 - rng.below(6)];
+    }
+    if (t.empty() || t.symbols().back() != s) t.push_symbol(s);
+  }
+  const auto distinct = static_cast<std::uint32_t>(t.distinct_count());
+  ASSERT_EQ(distinct, 24u);
+  std::vector<std::uint32_t> grid;
+  for (std::uint32_t w = 2; w <= 300; ++w) grid.push_back(w);
+  const auto sets = affine_pair_sets(t, grid);
+  ASSERT_EQ(sets.size(), grid.size());
+  std::vector<std::vector<std::uint64_t>> naive;
+  for (std::uint32_t w = 2; w <= distinct; ++w) {
+    naive.push_back(naive_affine_pairs_at(t, w));
+  }
+  for (std::size_t j = 0; j < grid.size(); ++j) {
+    EXPECT_EQ(sets[j], naive[std::min(grid[j], distinct) - 2])
+        << "w=" << grid[j];
+  }
+  EXPECT_NE(naive.front(), naive.back());
 }
 
 TEST(OnePassAffinity, TopSlotNear2To32ActsAsTheDistinctCount) {

@@ -9,9 +9,15 @@
 namespace codelayout {
 namespace {
 
-std::vector<Symbol> top_of(const LruStack& stack, std::size_t k) {
+/// The stack, most recent first, read through for_above of `bottom`, its
+/// least recently touched resident symbol.
+std::vector<Symbol> order_above(const LruStack& stack, Symbol bottom) {
   std::vector<Symbol> out;
-  stack.for_top(k, [&](Symbol s) { out.push_back(s); });
+  stack.for_above(bottom, [&](Symbol s) {
+    out.push_back(s);
+    return true;
+  });
+  out.push_back(bottom);
   return out;
 }
 
@@ -28,16 +34,10 @@ TEST(LruStack, RecencyOrder) {
   s.touch(1);
   s.touch(2);
   s.touch(3);
-  EXPECT_EQ(top_of(s, 8), (std::vector<Symbol>{3, 2, 1}));
+  EXPECT_EQ(order_above(s, 1), (std::vector<Symbol>{3, 2, 1}));
   s.touch(1);  // move to front
-  EXPECT_EQ(top_of(s, 8), (std::vector<Symbol>{1, 3, 2}));
+  EXPECT_EQ(order_above(s, 2), (std::vector<Symbol>{1, 3, 2}));
   EXPECT_EQ(s.top(), 1u);
-}
-
-TEST(LruStack, ForTopLimitsCount) {
-  LruStack s(8);
-  for (Symbol i = 0; i < 5; ++i) s.touch(i);
-  EXPECT_EQ(top_of(s, 2).size(), 2u);
 }
 
 TEST(LruStack, ForAboveEnumeratesSinceLastOccurrence) {
@@ -66,16 +66,6 @@ TEST(LruStack, ForAboveEarlyStop) {
   EXPECT_EQ(above.size(), 1u);
 }
 
-TEST(LruStack, DepthOf) {
-  LruStack s(8);
-  s.touch(5);
-  s.touch(6);
-  s.touch(7);
-  EXPECT_EQ(s.depth_of(7), 0u);
-  EXPECT_EQ(s.depth_of(6), 1u);
-  EXPECT_EQ(s.depth_of(5), 2u);
-}
-
 TEST(LruStack, CountCapEvictsFromTheBottom) {
   LruStack s(16);
   for (Symbol i = 0; i < 10; ++i) s.touch(i);
@@ -85,10 +75,10 @@ TEST(LruStack, CountCapEvictsFromTheBottom) {
   s.evict_to_count(4);
   EXPECT_EQ(s.resident_count(), 4u);
   EXPECT_FALSE(s.resident(5));
-  EXPECT_EQ(top_of(s, 16), (std::vector<Symbol>{9, 8, 7, 6}));
+  EXPECT_EQ(order_above(s, 6), (std::vector<Symbol>{9, 8, 7, 6}));
   s.evict_to_count(0);
   EXPECT_EQ(s.resident_count(), 0u);
-  EXPECT_EQ(top_of(s, 16).size(), 0u);
+  EXPECT_FALSE(s.resident(9));
   s.touch(3);  // usable again once empty
   EXPECT_EQ(s.top(), 3u);
 }
@@ -115,7 +105,7 @@ TEST_P(LruStackPropertyTest, MatchesReferenceModel) {
       while (model.size() > cap) model.pop_back();
     }
     ASSERT_EQ(stack.resident_count(), model.size());
-    ASSERT_EQ(top_of(stack, model.size()),
+    ASSERT_EQ(order_above(stack, model.back()),
               std::vector<Symbol>(model.begin(), model.end()));
   }
 }

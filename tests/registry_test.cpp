@@ -68,6 +68,20 @@ TEST(LatencyHistogramTest, QuantilesSeparateTwoModes) {
   EXPECT_EQ(s.max, 1'000'000u);
 }
 
+TEST(LatencyHistogramTest, TopBucketQuantilesStayInItsBounds) {
+  // 2^64 - 1 lands in bucket 63, [2^63, 2^64): its upper bound must not be
+  // a 64-bit shift by 64.
+  LatencyHistogram h;
+  h.record(~std::uint64_t{0});
+  h.record(~std::uint64_t{0});
+  const LatencyHistogram::Summary s = h.summary();
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_EQ(s.max, ~std::uint64_t{0});
+  EXPECT_DOUBLE_EQ(s.p50, 0x1p63 + 0.5 * 0x1p63);
+  EXPECT_DOUBLE_EQ(s.p99, 0x1p63 + 0.99 * 0x1p63);
+  EXPECT_LE(s.p99, 0x1p64);
+}
+
 TEST(LatencyHistogramTest, EmptySummaryIsAllZero) {
   LatencyHistogram h;
   const LatencyHistogram::Summary s = h.summary();
