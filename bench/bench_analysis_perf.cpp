@@ -197,8 +197,9 @@ std::uint64_t hash_reuse_profile(const ReuseProfile& profile) {
 std::uint64_t hash_footprint(const FootprintCurve& curve) {
   // Bit patterns, not rounded values: the checksum must see every mantissa
   // bit of the curve.
-  std::uint64_t h = fnv1a(kFnvSeed, curve.values().size());
-  for (const double v : curve.values()) {
+  const std::vector<double> values = curve.values();
+  std::uint64_t h = fnv1a(kFnvSeed, values.size());
+  for (const double v : values) {
     h = fnv1a(h, std::bit_cast<std::uint64_t>(v));
   }
   return h;

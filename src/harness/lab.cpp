@@ -326,6 +326,10 @@ const SoloProfile& Lab::solo_profile(const std::string& name,
     registry.counter(computed ? "perfmodel.predict.profile_builds"
                               : "perfmodel.predict.profile_memo_hits")
         .add(1);
+    if (computed) {
+      registry.counter("perfmodel.predict.profile_bytes")
+          .add(profile.lines.bytes());
+    }
   }
   return profile;
 }

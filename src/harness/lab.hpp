@@ -114,7 +114,8 @@ class Lab {
   /// per (workload, optimizer, line size): a full N x N screening matrix
   /// costs N profile builds, every pairing after that is closed-form.
   /// Hit/compute counts are exported as `perfmodel.predict.profile_memo_hits`
-  /// / `perfmodel.predict.profile_builds`.
+  /// / `perfmodel.predict.profile_builds`, and the footprint-curve bytes of
+  /// the profiles built as `perfmodel.predict.profile_bytes`.
   const SoloProfile& solo_profile(const std::string& name,
                                   std::optional<Optimizer> optimizer);
   const SoloProfile& solo_profile(const std::string& name,

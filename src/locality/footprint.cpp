@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <ranges>
 
 #include "support/check.hpp"
 #include "support/registry.hpp"
@@ -45,28 +47,93 @@ FootprintCurve FootprintCurve::compute(const Trace& trace) {
     if (tail_gap > 0) gap_mass[tail_gap] += 1;
   }
 
-  return assemble(n, total_weight, gap_mass);
+  std::vector<GapMass> masses;
+  append_dense(gap_mass, masses);
+  return assemble(n, total_weight, std::move(masses));
 }
 
-FootprintCurve FootprintCurve::assemble(
-    std::size_t n, double total_weight,
-    const std::vector<std::uint32_t>& gap_mass) {
-  FootprintCurve curve;
-  curve.fp_.assign(n + 1, 0.0);
-  if (n == 0) return curve;
-  CL_CHECK(gap_mass.size() == n + 1);
-  // missing(w) = sum_{g >= w} (g - w + 1) * gap_mass[g]; computed for all w
-  // by two suffix accumulations, descending from w = n.
-  double suffix_count = 0.0;  // sum_{g >= w} gap_mass[g]
-  double missing = 0.0;       // sum_{g >= w} (g - w + 1) gap_mass[g]
-  curve.fp_[0] = 0.0;
-  for (std::size_t w = n; w >= 1; --w) {
-    suffix_count += static_cast<double>(gap_mass[w]);
-    missing += suffix_count;
-    const double windows = static_cast<double>(n - w + 1);
-    curve.fp_[w] = total_weight - missing / windows;
+void FootprintCurve::append_dense(std::span<const std::uint32_t> gap_mass,
+                                  std::vector<GapMass>& masses) {
+  for (std::size_t g = gap_mass.size(); g-- > 1;) {
+    if (gap_mass[g] != 0) {
+      masses.push_back({static_cast<std::uint32_t>(g), gap_mass[g]});
+    }
   }
+}
+
+FootprintCurve FootprintCurve::assemble(std::size_t n, double total_weight,
+                                        std::vector<GapMass> masses) {
+  FootprintCurve curve;
+  curve.n_ = n;
+  curve.total_weight_ = total_weight;
+  curve.masses_ = std::move(masses);
+  curve.masses_.shrink_to_fit();
+  // missing(w) = sum_{g >= w} (g - w + 1) * gap_mass[g]; computed for all w
+  // by two suffix accumulations, descending from w = n, keeping the state
+  // at w = n + 1 - j * kStride.
+  curve.checkpoints_.reserve(n / kStride + 1);
+  Accumulator acc;
+  curve.checkpoints_.push_back(acc);
+  std::size_t top = n + 1;
+  for (; top > kStride; top -= kStride) {
+    acc = curve.replay(acc, top, top - kStride);
+    curve.checkpoints_.push_back(acc);
+  }
+  // Every mass is consumed by w = 1: largest gap first, each in [1, n - 1].
+  CL_CHECK(curve.replay(acc, top, 1).next == curve.masses_.size());
   return curve;
+}
+
+FootprintCurve::Accumulator FootprintCurve::replay(Accumulator acc,
+                                                   std::size_t from,
+                                                   std::size_t to) const {
+  // Locals, not `acc`'s fields: the two sums stay in registers. A zero mass
+  // adds 0.0 to the non-negative suffix count, which leaves it
+  // bit-identical, so only the nonzero masses take part.
+  const GapMass* const masses = masses_.data();
+  const std::size_t size = masses_.size();
+  double suffix_count = acc.suffix_count;
+  double missing = acc.missing;
+  std::uint32_t next = acc.next;
+  for (std::size_t w = from; w-- > to;) {
+    if (next < size && masses[next].gap == w) {
+      suffix_count += static_cast<double>(masses[next].count);
+      ++next;
+    }
+    missing += suffix_count;
+  }
+  return {suffix_count, missing, next};
+}
+
+FootprintCurve::Accumulator FootprintCurve::accumulate_to(
+    std::size_t w) const {
+  CL_DCHECK(w >= 1 && w <= n_);
+  // The checkpoint at or above w, at most kStride - 1 steps away; the steps
+  // from there repeat the assembly's additions in its order.
+  const std::size_t j = (n_ + 1 - w) / kStride;
+  return replay(checkpoints_[j], n_ + 1 - j * kStride, w);
+}
+
+std::pair<double, double> FootprintCurve::bracket(std::size_t w) const {
+  CL_DCHECK(w < n_);
+  const Accumulator upper = accumulate_to(w + 1);
+  if (w == 0) return {0.0, value(1, upper)};
+  return {value(w, replay(upper, w + 1, w)), value(w + 1, upper)};
+}
+
+std::vector<double> FootprintCurve::values() const {
+  std::vector<double> fp(n_ + 1, 0.0);
+  Accumulator acc;
+  for (std::size_t w = n_; w >= 1; --w) {
+    acc = replay(acc, w + 1, w);
+    fp[w] = value(w, acc);
+  }
+  return fp;
+}
+
+std::size_t FootprintCurve::bytes() const {
+  return masses_.capacity() * sizeof(GapMass) +
+         checkpoints_.capacity() * sizeof(Accumulator);
 }
 
 FootprintBuilder::FootprintBuilder(Symbol space)
@@ -74,20 +141,22 @@ FootprintBuilder::FootprintBuilder(Symbol space)
       first_(space, ~std::uint64_t{0}),
       last_(space, ~std::uint64_t{0}) {}
 
+void FootprintBuilder::record(std::uint64_t gap) {
+  if (gap == 0) return;
+  if (gap < kDenseGaps) {
+    gap_mass_[gap] += 1;
+  } else {
+    large_gaps_.push_back(static_cast<std::uint32_t>(gap));
+  }
+}
+
 void FootprintBuilder::probe(Symbol s) {
   CL_DCHECK(s < last_.size());
   if (last_[s] == ~std::uint64_t{0}) {
     first_[s] = position_;
     total_weight_ += 1.0;
   } else {
-    const std::uint64_t gap = position_ - last_[s] - 1;
-    if (gap > 0) {
-      if (gap < kDenseGaps) {
-        gap_mass_[gap] += 1;
-      } else {
-        large_gaps_.push_back(static_cast<std::uint32_t>(gap));
-      }
-    }
+    record(position_ - last_[s] - 1);
   }
   last_[s] = position_;
   prev_ = s;
@@ -111,17 +180,10 @@ void FootprintBuilder::span(Symbol first, std::uint32_t count) {
 
 FootprintCurve FootprintBuilder::finish() && {
   const std::uint64_t n = position_;
-  // The dense prefix already is the final histogram below kDenseGaps (every
-  // index above n holds zero mass — no gap exceeds n - 1); widen it to the
-  // full gap range and fold in the deferred large gaps and boundary gaps.
-  gap_mass_.resize(n + 1, 0);
-  for (const std::uint32_t gap : large_gaps_) gap_mass_[gap] += 1;
   for (Symbol s = 0; s < first_.size(); ++s) {
     if (first_[s] == ~std::uint64_t{0}) continue;  // never streamed
-    const std::uint64_t head_gap = first_[s];
-    if (head_gap > 0) gap_mass_[head_gap] += 1;
-    const std::uint64_t tail_gap = n - 1 - last_[s];
-    if (tail_gap > 0) gap_mass_[tail_gap] += 1;
+    record(first_[s]);         // head gap
+    record(n - 1 - last_[s]);  // tail gap
   }
   MetricsRegistry& registry = MetricsRegistry::global();
   if (registry.enabled()) {
@@ -129,28 +191,43 @@ FootprintCurve FootprintBuilder::finish() && {
     registry.counter("locality.footprint.builder_collapsed_events")
         .add(collapsed_events_);
   }
-  return FootprintCurve::assemble(n, total_weight_, gap_mass_);
+  // The deferred gaps, largest first and run-length merged, then the dense
+  // prefix's nonzero cells: every gap below kDenseGaps lives in the prefix,
+  // so the two parts together are the sorted sparse masses.
+  std::sort(large_gaps_.begin(), large_gaps_.end(), std::greater<>());
+  std::vector<FootprintCurve::GapMass> masses;
+  for (const std::uint32_t gap : large_gaps_) {
+    if (!masses.empty() && masses.back().gap == gap) {
+      ++masses.back().count;
+    } else {
+      masses.push_back({gap, 1});
+    }
+  }
+  FootprintCurve::append_dense(gap_mass_, masses);
+  return FootprintCurve::assemble(n, total_weight_, std::move(masses));
 }
 
 double FootprintCurve::at(double w) const {
   const double n = static_cast<double>(trace_length());
   if (w <= 0.0) return 0.0;
-  if (w >= n) return fp_.back();
+  if (w >= n) return max_footprint();
   const auto lo = static_cast<std::size_t>(w);
   const double frac = w - static_cast<double>(lo);
-  return fp_[lo] * (1.0 - frac) + fp_[lo + 1] * frac;
+  const auto [lo_v, hi_v] = bracket(lo);
+  return lo_v * (1.0 - frac) + hi_v * frac;
 }
 
 double FootprintCurve::fill_time(double capacity) const {
   if (capacity <= 0.0) return 0.0;
-  if (capacity >= fp_.back()) return static_cast<double>(trace_length());
-  // fp_ is monotone non-decreasing: binary search the first w with
-  // fp(w) >= capacity, then interpolate within the step.
-  const auto it = std::lower_bound(fp_.begin(), fp_.end(), capacity);
-  const auto w_hi = static_cast<std::size_t>(it - fp_.begin());
+  if (capacity >= max_footprint()) return static_cast<double>(trace_length());
+  // fp is monotone non-decreasing: binary search the first w with
+  // fp(w) >= capacity, probing w = 0..n in lower_bound's order, then
+  // interpolate within the step.
+  const auto windows = std::views::iota(std::size_t{0}, n_ + 1);
+  const std::size_t w_hi = *std::ranges::lower_bound(
+      windows, capacity, {}, [this](std::size_t w) { return value(w); });
   if (w_hi == 0) return 0.0;
-  const double lo_v = fp_[w_hi - 1];
-  const double hi_v = fp_[w_hi];
+  const auto [lo_v, hi_v] = bracket(w_hi - 1);
   const double frac = hi_v > lo_v ? (capacity - lo_v) / (hi_v - lo_v) : 0.0;
   return static_cast<double>(w_hi - 1) + frac;
 }

@@ -12,10 +12,17 @@
 // where the per-symbol missing-window count decomposes into the symbol's
 // reuse-time gaps plus the two boundary gaps. The curve is monotonically
 // non-decreasing and concave, which the property tests assert.
+//
+// Storage: the nonzero gap masses and the state of the descending
+// accumulation at every kStride-th window length, a few percent of n + 1
+// doubles. fp(w) is computed on demand by repeating, from the checkpoint at
+// or above w, the same double additions in the same order, so every value
+// is bit-identical to a dense assembly's (DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -40,24 +47,72 @@ class FootprintCurve {
   /// read-out when evaluated at w = ft(cache capacity).
   [[nodiscard]] double derivative(double w) const;
 
-  [[nodiscard]] std::size_t trace_length() const { return fp_.size() - 1; }
+  [[nodiscard]] std::size_t trace_length() const { return n_; }
 
   /// Total weight of all distinct symbols = fp(n).
-  [[nodiscard]] double max_footprint() const { return fp_.back(); }
+  [[nodiscard]] double max_footprint() const { return value(n_); }
 
-  [[nodiscard]] std::span<const double> values() const { return fp_; }
+  /// fp(w) for w = 0..n, replayed in one O(n) pass (checksums and read-outs;
+  /// the model reads single values through at() and fill_time()).
+  [[nodiscard]] std::vector<double> values() const;
+
+  /// Heap bytes the curve holds: its gap masses and checkpoints.
+  [[nodiscard]] std::size_t bytes() const;
 
  private:
   friend class FootprintBuilder;
 
-  /// Shared curve assembly: turns the gathered gap histogram (exact counts
-  /// of symbols per gap length, from compute() or FootprintBuilder) into
-  /// fp(w) for every window length by the two descending suffix
-  /// accumulations.
-  static FootprintCurve assemble(std::size_t n, double total_weight,
-                                 const std::vector<std::uint32_t>& gap_mass);
+  /// `count` maximal gaps of exactly `gap` window positions.
+  struct GapMass {
+    std::uint32_t gap;
+    std::uint32_t count;
+  };
 
-  std::vector<double> fp_;  ///< fp_[w], w = 0..n
+  /// The descending accumulation's state at window length w: sums over the
+  /// gap lengths g >= w.
+  struct Accumulator {
+    double suffix_count = 0.0;  ///< sum_{g >= w} gap_mass[g]
+    double missing = 0.0;       ///< sum_{g >= w} (g - w + 1) gap_mass[g]
+    std::uint32_t next = 0;     ///< first entry of masses_ with gap < w
+  };
+
+  /// Window lengths between checkpoints: a value costs at most kStride - 1
+  /// replayed steps; the checkpoints cost 24 bytes per kStride positions.
+  static constexpr std::size_t kStride = 64;
+
+  /// Shared curve assembly over the gathered gap masses (exact counts of
+  /// symbols per gap length, from compute() or FootprintBuilder; nonzero,
+  /// largest gap first, every gap in [1, n - 1]): runs the two descending
+  /// suffix accumulations once, keeping every kStride-th state.
+  static FootprintCurve assemble(std::size_t n, double total_weight,
+                                 std::vector<GapMass> masses);
+
+  /// Appends the nonzero cells of a dense gap histogram, largest gap first.
+  static void append_dense(std::span<const std::uint32_t> gap_mass,
+                           std::vector<GapMass>& masses);
+
+  /// The accumulation at window length `to`, from `acc` at `from` >= `to`:
+  /// the pass's steps from w = from - 1 down to w = to.
+  [[nodiscard]] Accumulator replay(Accumulator acc, std::size_t from,
+                                   std::size_t to) const;
+  /// The accumulation at w (1 <= w <= n), replayed from the checkpoint at
+  /// or above it.
+  [[nodiscard]] Accumulator accumulate_to(std::size_t w) const;
+  /// fp(w) from the accumulation at w (1 <= w <= n).
+  [[nodiscard]] double value(std::size_t w, const Accumulator& acc) const {
+    return total_weight_ - acc.missing / static_cast<double>(n_ - w + 1);
+  }
+  [[nodiscard]] double value(std::size_t w) const {
+    return w == 0 ? 0.0 : value(w, accumulate_to(w));
+  }
+  /// fp(w) and fp(w + 1) for w < n, from one replay.
+  [[nodiscard]] std::pair<double, double> bracket(std::size_t w) const;
+
+  std::size_t n_ = 0;  ///< trace length
+  double total_weight_ = 0.0;
+  std::vector<GapMass> masses_;  ///< nonzero gap masses, largest gap first
+  /// checkpoints_[j] = the accumulation at w = n + 1 - j * kStride.
+  std::vector<Accumulator> checkpoints_;
 };
 
 /// Streaming footprint kernel over the *trimmed* trace (Definition 1) for
@@ -87,19 +142,21 @@ class FootprintBuilder {
   /// Trimmed window positions streamed so far (the virtual trace length).
   [[nodiscard]] std::uint64_t positions() const { return position_; }
 
-  /// Seals the stream: boundary gaps plus the suffix assembly. Records the
-  /// `locality.footprint.builder_spans` / `builder_collapsed_events` registry
-  /// counters when metrics are enabled.
+  /// Seals the stream: boundary gaps plus the suffix assembly over the
+  /// sparse gap masses. Records the `locality.footprint.builder_spans` /
+  /// `builder_collapsed_events` registry counters when metrics are enabled.
   [[nodiscard]] FootprintCurve finish() &&;
 
  private:
   /// Dense-histogram span: gaps below this land in a 128 KiB cache-resident
   /// array (the overwhelming majority — reuse gaps cluster near the working
-  /// set size); larger ones defer to a side list merged at finish(). The
-  /// histogram update is the kernel's hot spot, and keeping it out of a
-  /// trace-length-sized array keeps the stream compute-bound.
+  /// set size); larger ones defer to a side list sorted and merged at
+  /// finish(). The histogram update is the kernel's hot spot, and keeping it
+  /// out of a trace-length-sized array keeps the stream compute-bound.
   static constexpr std::uint64_t kDenseGaps = 32768;
 
+  /// Counts one gap of `gap` positions (none when 0).
+  void record(std::uint64_t gap);
   void probe(Symbol s);
 
   std::uint64_t position_ = 0;

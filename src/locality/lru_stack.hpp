@@ -44,8 +44,6 @@ class LruStack {
     CL_DCHECK(s < present_.size());
     return present_[s] != 0;
   }
-  [[nodiscard]] std::size_t resident_count() const { return count_; }
-  [[nodiscard]] Symbol top() const { return head_; }
 
  private:
   static constexpr Symbol kNil = ~Symbol{0};

@@ -23,6 +23,7 @@
 #include "perfmodel/corun_predictor.hpp"
 #include "perfmodel/scheduler.hpp"
 #include "support/check.hpp"
+#include "support/registry.hpp"
 #include "support/rng.hpp"
 
 namespace codelayout {
@@ -307,6 +308,31 @@ TEST_F(PredictorGoldenTest, ProfileMatchesLineTraceStatistics) {
   // simulator's raw demand probe count.
   EXPECT_GT(profile.line_probes, 0u);
   EXPECT_LT(profile.line_probes, sim.line_probes);
+}
+
+TEST(ProfileMemo, ProfileBytesCountsTheCurveOfEachBuild) {
+  struct EnableMetrics {
+    MetricsRegistry& registry = MetricsRegistry::global();
+    bool was_enabled = registry.enabled();
+    EnableMetrics() { registry.set_enabled(true); }
+    ~EnableMetrics() { registry.set_enabled(was_enabled); }
+  } metrics;
+  auto read = [&](const char* name) {
+    return metrics.registry.counter(name).value();
+  };
+  const std::uint64_t builds_before = read("perfmodel.predict.profile_builds");
+  const std::uint64_t bytes_before = read("perfmodel.predict.profile_bytes");
+
+  Lab lab(LabOptions().threads(1));
+  const SoloProfile& profile = lab.solo_profile("458.sjeng", std::nullopt);
+  (void)lab.solo_profile("458.sjeng", std::nullopt);  // a memo hit adds none
+  ASSERT_EQ(read("perfmodel.predict.profile_builds") - builds_before, 1u);
+  const std::uint64_t bytes =
+      read("perfmodel.predict.profile_bytes") - bytes_before;
+  EXPECT_EQ(bytes, profile.lines.bytes());
+  EXPECT_GT(bytes, 0u);
+  // Below the n + 1 doubles a dense curve would hold.
+  EXPECT_LT(bytes, 8 * (profile.lines.trace_length() + 1));
 }
 
 // ---- Scheduler --------------------------------------------------------------
