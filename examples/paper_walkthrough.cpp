@@ -45,16 +45,10 @@ void figure1() {
 void figure2() {
   std::printf("=== Figure 2: TRG reduction over 3 code slots ===\n");
   // The Fig. 2 instance (A=0 B=1 C=2 E=3 F=4).
-  Trg g;
-  g.add_edge(0, 1, 40);
-  g.add_edge(3, 4, 35);
-  g.add_edge(2, 0, 30);
-  g.add_edge(1, 4, 15);
-  g.add_edge(2, 1, 12);
-  g.add_edge(2, 3, 10);
-  g.add_edge(0, 4, 10);
-
-  const TrgReduction r = reduce_trg(g, 3);
+  const std::vector<Trg::Edge> edges = {{0, 1, 40}, {3, 4, 35}, {2, 0, 30},
+                                        {1, 4, 15}, {2, 1, 12}, {2, 3, 10},
+                                        {0, 4, 10}};
+  const TrgReduction r = reduce_trg(Trg::from_edges({}, edges), 3);
   const char* names = "ABCEF";
   for (std::size_t k = 0; k < r.slots.size(); ++k) {
     std::printf("code slot %zu:", k + 1);

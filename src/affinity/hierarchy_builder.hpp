@@ -19,9 +19,10 @@ inline std::uint64_t pair_key(Symbol a, Symbol b) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-/// `affine_sets[i]` holds the pair keys with w_values[i]-window affinity; the
-/// relation must be monotone in w (a pair affine at w stays affine at every
-/// larger w) for the result to be a well-formed hierarchy.
+/// `affine_sets[i]` holds the pair keys with w_values[i]-window affinity,
+/// strictly ascending, over symbols of `trimmed`; the relation must be
+/// monotone in w (a pair affine at w stays affine at every larger w) for the
+/// result to be a well-formed hierarchy.
 AffinityHierarchy build_hierarchy(
     const Trace& trimmed, std::span<const std::uint32_t> w_values,
     std::span<const std::vector<std::uint64_t>> affine_sets);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -137,17 +135,18 @@ std::vector<BlockId> blocks_from_function_order(
     const Module& module, std::span<const Symbol> function_order) {
   std::vector<BlockId> order;
   order.reserve(module.block_count());
-  std::unordered_set<Symbol> seen;
+  std::vector<bool> seen(module.function_count(), false);
   auto emit = [&](FuncId f) {
+    seen[f.index()] = true;
     for (BlockId b : module.function(f).blocks) order.push_back(b);
   };
   for (Symbol s : function_order) {
     CL_CHECK_MSG(s < module.function_count(),
                  "function symbol " << s << " out of range");
-    if (seen.insert(s).second) emit(FuncId(s));
+    if (!seen[s]) emit(FuncId(s));
   }
   for (const Function& f : module.functions()) {
-    if (!seen.contains(f.id.value)) emit(f.id);
+    if (!seen[f.id.index()]) emit(f.id);
   }
   return order;
 }
@@ -172,12 +171,16 @@ CodeLayout function_reordering(const Module& module,
 CodeLayout bb_reordering(const Module& module,
                          std::span<const Symbol> block_order) {
   // Deduplicate and index the model's sequence.
+  constexpr std::size_t kUnlisted = ~std::size_t{0};
   std::vector<Symbol> sequence;
-  std::unordered_map<Symbol, std::size_t> position;
+  std::vector<std::size_t> position(module.block_count(), kUnlisted);
   for (Symbol s : block_order) {
     CL_CHECK_MSG(s < module.block_count(), "block symbol " << s
                                                            << " out of range");
-    if (position.emplace(s, sequence.size()).second) sequence.push_back(s);
+    if (position[s] == kUnlisted) {
+      position[s] = sequence.size();
+      sequence.push_back(s);
+    }
   }
 
   // Emit in model order, but chain a block's fall-through successor when the
@@ -188,22 +191,21 @@ CodeLayout bb_reordering(const Module& module,
   constexpr std::size_t kChainWindow = 2;
   std::vector<BlockId> order;
   order.reserve(module.block_count());
-  std::unordered_set<Symbol> seen;
-  for (std::size_t i = 0; i < sequence.size(); ++i) {
-    Symbol s = sequence[i];
-    if (!seen.insert(s).second) continue;
+  std::vector<bool> seen(module.block_count(), false);
+  for (Symbol s : sequence) {
+    if (seen[s]) continue;
+    seen[s] = true;
     order.push_back(BlockId(s));
     for (;;) {
       const BasicBlock& b = module.block(BlockId(s));
       if (!b.has_fallthrough) break;
       const Symbol next = b.successors.front().target.value;
-      const auto it = position.find(next);
-      if (it == position.end() || seen.contains(next)) break;
-      const std::size_t here = position.at(s);
-      const std::size_t d =
-          it->second > here ? it->second - here : here - it->second;
+      if (position[next] == kUnlisted || seen[next]) break;
+      const std::size_t d = position[next] > position[s]
+                                ? position[next] - position[s]
+                                : position[s] - position[next];
       if (d > kChainWindow) break;
-      seen.insert(next);
+      seen[next] = true;
       order.push_back(BlockId(next));
       s = next;
     }
@@ -211,7 +213,7 @@ CodeLayout bb_reordering(const Module& module,
   // Cold blocks keep their source grouping after the hot section.
   for (const Function& f : module.functions()) {
     for (BlockId b : f.blocks) {
-      if (!seen.contains(b.value)) order.push_back(b);
+      if (!seen[b.index()]) order.push_back(b);
     }
   }
   return CodeLayout(module, std::move(order), /*with_entry_stubs=*/true);

@@ -2,63 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <ranges>
 
 #include "support/check.hpp"
+#include "support/radix_sort.hpp"
 #include "support/registry.hpp"
 
 namespace codelayout {
 
 FootprintCurve FootprintCurve::compute(const Trace& trace) {
-  const std::size_t n = trace.size();
-  const Symbol space = trace.symbol_space();
-  if (n == 0) return assemble(0, 0.0, {});
-  // A cell counts at most n gaps (one per position), so 32-bit cells are
-  // exact while n fits.
-  CL_CHECK_MSG(n <= ~std::uint32_t{0},
+  // A gap count never exceeds the trace length, so 32-bit counts are exact
+  // while it fits.
+  CL_CHECK_MSG(trace.size() <= ~std::uint32_t{0},
                "footprint trace exceeds 2^32 events; widen the gap counts");
-
-  // gap_mass[g] counts the maximal gaps of exactly g window positions in
-  // which a symbol is absent. A gap of g positions contributes (g - w + 1)
-  // missing windows of length w <= g.
-  std::vector<std::uint32_t> gap_mass(n + 1, 0);
-  std::vector<std::uint64_t> last(space, ~std::uint64_t{0});
-  std::vector<std::uint64_t> first(space, ~std::uint64_t{0});
-  double total_weight = 0.0;
-
-  const std::span<const Symbol> symbols = trace.symbols();
-  for (std::size_t t = 0; t < symbols.size(); ++t) {
-    const Symbol s = symbols[t];
-    if (last[s] == ~std::uint64_t{0}) {
-      first[s] = t;
-      total_weight += 1.0;
-    } else {
-      const std::uint64_t gap = t - last[s] - 1;  // positions without s
-      if (gap > 0) gap_mass[gap] += 1;
-    }
-    last[s] = t;
-  }
-  for (Symbol s = 0; s < space; ++s) {
-    if (first[s] == ~std::uint64_t{0}) continue;  // never accessed
-    const std::uint64_t head_gap = first[s];
-    if (head_gap > 0) gap_mass[head_gap] += 1;
-    const std::uint64_t tail_gap = n - 1 - last[s];
-    if (tail_gap > 0) gap_mass[tail_gap] += 1;
-  }
-
-  std::vector<GapMass> masses;
-  append_dense(gap_mass, masses);
-  return assemble(n, total_weight, std::move(masses));
-}
-
-void FootprintCurve::append_dense(std::span<const std::uint32_t> gap_mass,
-                                  std::vector<GapMass>& masses) {
-  for (std::size_t g = gap_mass.size(); g-- > 1;) {
-    if (gap_mass[g] != 0) {
-      masses.push_back({static_cast<std::uint32_t>(g), gap_mass[g]});
-    }
-  }
+  FootprintBuilder builder(trace.symbol_space());
+  builder.events(trace.symbols());
+  return std::move(builder).finish();
 }
 
 FootprintCurve FootprintCurve::assemble(std::size_t n, double total_weight,
@@ -141,7 +100,8 @@ FootprintBuilder::FootprintBuilder(Symbol space)
       first_(space, ~std::uint64_t{0}),
       last_(space, ~std::uint64_t{0}) {}
 
-void FootprintBuilder::record(std::uint64_t gap) {
+// Inline: called out of line once per event, it halved the kernel's rate.
+inline void FootprintBuilder::record(std::uint64_t gap) {
   if (gap == 0) return;
   if (gap < kDenseGaps) {
     gap_mass_[gap] += 1;
@@ -150,21 +110,36 @@ void FootprintBuilder::record(std::uint64_t gap) {
   }
 }
 
-void FootprintBuilder::probe(Symbol s) {
-  CL_DCHECK(s < last_.size());
-  if (last_[s] == ~std::uint64_t{0}) {
-    first_[s] = position_;
-    total_weight_ += 1.0;
-  } else {
-    record(position_ - last_[s] - 1);
+template <typename SymbolAt>
+void FootprintBuilder::append(std::uint64_t count, SymbolAt symbol_at) {
+  // Locals, not members: a store into last_ could alias a 64-bit member,
+  // which would keep the position out of a register.
+  std::uint64_t position = position_;
+  double total_weight = total_weight_;
+  std::uint64_t* const first = first_.data();
+  std::uint64_t* const last = last_.data();
+  for (std::uint64_t i = 0; i < count; ++i, ++position) {
+    const Symbol s = symbol_at(i);
+    if (last[s] == ~std::uint64_t{0}) {
+      first[s] = position;
+      total_weight += 1.0;
+    } else {
+      record(position - last[s] - 1);
+    }
+    last[s] = position;
   }
-  last_[s] = position_;
-  prev_ = s;
-  ++position_;
+  if (count > 0) prev_ = symbol_at(count - 1);
+  position_ = position;
+  total_weight_ = total_weight;
+}
+
+void FootprintBuilder::events(std::span<const Symbol> symbols) {
+  append(symbols.size(), [symbols](std::uint64_t i) { return symbols[i]; });
 }
 
 void FootprintBuilder::span(Symbol first, std::uint32_t count) {
   if (count == 0) return;
+  CL_DCHECK(std::uint64_t{first} + count <= last_.size());
   ++spans_;
   // No single gap count can exceed the pre-trim event total, so this bound
   // keeps the 32-bit histogram cells exact (checked before any increment).
@@ -173,9 +148,11 @@ void FootprintBuilder::span(Symbol first, std::uint32_t count) {
                "footprint stream exceeds 2^32 events; widen the gap counts");
   // The span's leading symbol merges into the previous event when it repeats
   // it (exactly the event Trace::trimmed() would drop).
-  const bool skip_lead = prev_ == first;
-  if (skip_lead) ++collapsed_events_;
-  for (std::uint32_t l = skip_lead ? 1 : 0; l < count; ++l) probe(first + l);
+  const std::uint32_t lead = prev_ == first ? 1 : 0;
+  collapsed_events_ += lead;
+  append(count - lead, [start = first + lead](std::uint64_t i) {
+    return static_cast<Symbol>(start + i);
+  });
 }
 
 FootprintCurve FootprintBuilder::finish() && {
@@ -194,7 +171,7 @@ FootprintCurve FootprintBuilder::finish() && {
   // The deferred gaps, largest first and run-length merged, then the dense
   // prefix's nonzero cells: every gap below kDenseGaps lives in the prefix,
   // so the two parts together are the sorted sparse masses.
-  std::sort(large_gaps_.begin(), large_gaps_.end(), std::greater<>());
+  radix_sort(large_gaps_, [](std::uint32_t gap) { return ~gap; });
   std::vector<FootprintCurve::GapMass> masses;
   for (const std::uint32_t gap : large_gaps_) {
     if (!masses.empty() && masses.back().gap == gap) {
@@ -203,7 +180,11 @@ FootprintCurve FootprintBuilder::finish() && {
       masses.push_back({gap, 1});
     }
   }
-  FootprintCurve::append_dense(gap_mass_, masses);
+  for (std::size_t g = gap_mass_.size(); g-- > 1;) {
+    if (gap_mass_[g] != 0) {
+      masses.push_back({static_cast<std::uint32_t>(g), gap_mass_[g]});
+    }
+  }
   return FootprintCurve::assemble(n, total_weight_, std::move(masses));
 }
 

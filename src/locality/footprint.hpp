@@ -80,16 +80,12 @@ class FootprintCurve {
   /// replayed steps; the checkpoints cost 24 bytes per kStride positions.
   static constexpr std::size_t kStride = 64;
 
-  /// Shared curve assembly over the gathered gap masses (exact counts of
-  /// symbols per gap length, from compute() or FootprintBuilder; nonzero,
-  /// largest gap first, every gap in [1, n - 1]): runs the two descending
-  /// suffix accumulations once, keeping every kStride-th state.
+  /// Curve assembly over FootprintBuilder's gap masses (exact counts of
+  /// symbols per gap length; nonzero, largest gap first, every gap in
+  /// [1, n - 1]): runs the two descending suffix accumulations once,
+  /// keeping every kStride-th state.
   static FootprintCurve assemble(std::size_t n, double total_weight,
                                  std::vector<GapMass> masses);
-
-  /// Appends the nonzero cells of a dense gap histogram, largest gap first.
-  static void append_dense(std::span<const std::uint32_t> gap_mass,
-                           std::vector<GapMass>& masses);
 
   /// The accumulation at window length `to`, from `acc` at `from` >= `to`:
   /// the pass's steps from w = from - 1 down to w = to.
@@ -115,14 +111,16 @@ class FootprintCurve {
   std::vector<Accumulator> checkpoints_;
 };
 
-/// Streaming footprint kernel over the *trimmed* trace (Definition 1) for
-/// callers that can describe the stream as consecutive-symbol spans instead
-/// of materializing it: perfmodel's solo profiles feed cache-line fetch
-/// streams straight from the fetch plan's per-block line spans. Consecutive
-/// duplicate symbols collapse to one window position exactly as
-/// Trace::trimmed() would drop them, and gap masses are the same exact integer
-/// counts compute() keeps, so the finished curve is bit-identical to
-/// FootprintCurve::compute over the trimmed flat trace.
+/// The footprint kernel: it gathers the gap masses of a symbol stream, one
+/// window position at a time, and finish() assembles the curve.
+/// FootprintCurve::compute feeds it a trace's events as given.
+/// Callers that can describe the stream as consecutive-symbol spans feed it
+/// the *trimmed* trace (Definition 1) without materializing it: perfmodel's
+/// solo profiles feed cache-line fetch streams straight from the fetch
+/// plan's per-block line spans. There, consecutive duplicate symbols
+/// collapse to one window position exactly as Trace::trimmed() would drop
+/// them, so the finished curve is bit-identical to FootprintCurve::compute
+/// over the trimmed flat trace.
 ///
 ///   FootprintBuilder builder(space);
 ///   for (block : block_trace.symbols())
@@ -133,6 +131,11 @@ class FootprintBuilder {
   /// `space` bounds the symbol values that will be streamed (= dense symbol
   /// space of the virtual trace).
   explicit FootprintBuilder(Symbol space);
+
+  /// Appends each of `symbols` as its own window position, even one that
+  /// repeats the one before it. The caller keeps the stream below 2^32
+  /// events.
+  void events(std::span<const Symbol> symbols);
 
   /// Appends the `count` consecutive symbols [first, first + count): the
   /// line sequence of one code block execution. The leading symbol merges
@@ -157,7 +160,10 @@ class FootprintBuilder {
 
   /// Counts one gap of `gap` positions (none when 0).
   void record(std::uint64_t gap);
-  void probe(Symbol s);
+  /// Appends symbol_at(0), ..., symbol_at(count - 1), one window position
+  /// each.
+  template <typename SymbolAt>
+  void append(std::uint64_t count, SymbolAt symbol_at);
 
   std::uint64_t position_ = 0;
   std::uint64_t prev_ = ~std::uint64_t{0};  ///< last streamed symbol

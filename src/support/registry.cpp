@@ -1,5 +1,6 @@
 #include "support/registry.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -28,25 +29,28 @@ void LatencyHistogram::record(std::uint64_t nanos) {
 }
 
 double LatencyHistogram::quantile_from(
-    const std::array<std::uint64_t, kBuckets>& buckets, std::uint64_t total,
-    double q) const {
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
+    const std::array<std::uint64_t, kBuckets>& buckets, const Summary& range,
+    double q) {
+  if (range.count == 0) return 0.0;
+  const auto lowest = static_cast<double>(range.min);
+  const auto highest = static_cast<double>(range.max);
+  const double target = q * static_cast<double>(range.count);
   double seen = 0.0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     const auto in_bucket = static_cast<double>(buckets[i]);
     if (in_bucket == 0.0) continue;
     if (seen + in_bucket >= target) {
       // Interpolate inside [2^i, 2^(i+1)); bucket 0 spans [0, 2). The top
-      // bucket's bound 2^64 is a double, not a 64-bit shift.
+      // bucket's bound 2^64 is a double, not a 64-bit shift. A snapshot
+      // taken mid-record can see min above max; max wins then.
       const double lo = i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i));
       const double hi = std::ldexp(1.0, static_cast<int>(i) + 1);
       const double frac = (target - seen) / in_bucket;
-      return lo + frac * (hi - lo);
+      return std::min(std::max(lo + frac * (hi - lo), lowest), highest);
     }
     seen += in_bucket;
   }
-  return static_cast<double>(max_.load(std::memory_order_relaxed));
+  return highest;
 }
 
 LatencyHistogram::Summary LatencyHistogram::summary() const {
@@ -61,9 +65,9 @@ LatencyHistogram::Summary LatencyHistogram::summary() const {
   out.sum = sum_.load(std::memory_order_relaxed);
   out.min = total ? min_.load(std::memory_order_relaxed) : 0;
   out.max = max_.load(std::memory_order_relaxed);
-  out.p50 = quantile_from(snap, total, 0.50);
-  out.p90 = quantile_from(snap, total, 0.90);
-  out.p99 = quantile_from(snap, total, 0.99);
+  out.p50 = quantile_from(snap, out, 0.50);
+  out.p90 = quantile_from(snap, out, 0.90);
+  out.p99 = quantile_from(snap, out, 0.99);
   return out;
 }
 

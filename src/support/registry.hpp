@@ -36,9 +36,11 @@ class Counter {
 
 /// Latency distribution over power-of-two buckets: bucket i counts samples
 /// with floor(log2(v)) == i (v in nanoseconds; v == 0 lands in bucket 0).
-/// Quantiles interpolate linearly inside the selected bucket, so p50/p90/p99
-/// carry at most ~2x bucket-relative error — plenty for "where does the time
-/// go" questions, at the cost of 64 relaxed-atomic words.
+/// Quantiles interpolate linearly inside the selected bucket and are clamped
+/// to the recorded [min, max], so p50/p90/p99 carry at most ~2x
+/// bucket-relative error and never leave the range of the samples — plenty
+/// for "where does the time go" questions, at the cost of 64 relaxed-atomic
+/// words.
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -69,9 +71,9 @@ class LatencyHistogram {
   [[nodiscard]] std::array<std::uint64_t, kBuckets> bucket_counts() const;
 
  private:
-  [[nodiscard]] double quantile_from(
-      const std::array<std::uint64_t, kBuckets>& buckets, std::uint64_t total,
-      double q) const;
+  [[nodiscard]] static double quantile_from(
+      const std::array<std::uint64_t, kBuckets>& buckets, const Summary& range,
+      double q);
 
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};

@@ -1,11 +1,11 @@
 #include "trg/graph.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "locality/lru_stack.hpp"
 #include "support/check.hpp"
+#include "support/radix_sort.hpp"
 
 namespace codelayout {
 namespace {
@@ -15,12 +15,6 @@ namespace {
 /// counts stay bounded at any node count: up to 1024 nodes take one pass,
 /// and the 4000 kept by the default prune take 16.
 constexpr std::size_t kCountBlockBytes = std::size_t{4} << 20;
-
-inline std::uint64_t edge_key(Symbol a, Symbol b) {
-  const Symbol lo = a < b ? a : b;
-  const Symbol hi = a < b ? b : a;
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
 
 }  // namespace
 
@@ -45,6 +39,18 @@ std::uint32_t trg_slot_count(std::uint64_t cache_bytes, std::uint32_t assoc,
   return static_cast<std::uint32_t>(slots);
 }
 
+Trg Trg::over(std::span<const Symbol> symbols, std::size_t space) {
+  Trg graph;
+  graph.node_index_.assign(space, kNoNode);
+  for (const Symbol s : symbols) {
+    if (graph.node_index_[s] == kNoNode) {
+      graph.node_index_[s] = static_cast<std::uint32_t>(graph.nodes_.size());
+      graph.nodes_.push_back(s);
+    }
+  }
+  return graph;
+}
+
 Trg Trg::build(const Trace& trace, const TrgConfig& config) {
   CL_CHECK(config.window_entries > 0);
   const std::span<const Symbol> symbols = trace.symbols();
@@ -55,9 +61,7 @@ Trg Trg::build(const Trace& trace, const TrgConfig& config) {
 
   // Dense ids are positions in first-appearance order, i.e. in nodes_: a
   // walk only meets symbols that have already occurred.
-  Trg graph;
-  graph.node_index_.assign(trace.symbol_space(), kNoNode);
-  for (const Symbol s : symbols) graph.note_node(s);
+  Trg graph = over(symbols, trace.symbol_space());
   const std::size_t n = graph.nodes_.size();
   if (n == 0) return graph;
 
@@ -70,6 +74,7 @@ Trg Trg::build(const Trace& trace, const TrgConfig& config) {
   const std::size_t block_rows = std::clamp<std::size_t>(
       kCountBlockBytes / (n * sizeof(std::uint32_t)), 1, n);
   std::vector<std::uint32_t> counts(block_rows * n, 0);
+  std::vector<Edge> half_edges;
   for (std::size_t lo = 0; lo < n; lo += block_rows) {
     const std::size_t hi = std::min(n, lo + block_rows);
     LruStack stack(static_cast<Symbol>(n));
@@ -85,110 +90,96 @@ Trg Trg::build(const Trace& trace, const TrgConfig& config) {
       stack.touch(a);
       stack.evict_to_count(config.window_entries);
     }
-    // weight(a, b) = c[a][b] + c[b][a]: the two additions under one key.
+    // weight(a, b) = c[a][b] + c[b][a]: each count is one half of the
+    // edge on the pair (min, max).
     for (std::size_t a = lo; a < hi; ++a) {
       std::uint32_t* row = counts.data() + (a - lo) * n;
+      const Symbol x = graph.nodes_[a];
       for (std::size_t b = 0; b < n; ++b) {
         if (row[b] == 0) continue;
-        graph.edges_[edge_key(graph.nodes_[a], graph.nodes_[b])] +=
-            std::exchange(row[b], 0);
+        const Symbol y = graph.nodes_[b];
+        half_edges.push_back(
+            {std::min(x, y), std::max(x, y), std::exchange(row[b], 0)});
       }
     }
   }
-  graph.ensure_adjacency();
+  graph.set_edges(std::move(half_edges));
   return graph;
 }
 
-void Trg::note_node(Symbol s) {
-  if (s >= node_index_.size()) node_index_.resize(s + 1, kNoNode);
-  if (node_index_[s] == kNoNode) {
-    node_index_[s] = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(s);
+Trg Trg::from_edges(std::span<const Symbol> nodes,
+                    std::span<const Edge> edges) {
+  std::vector<Symbol> symbols(nodes.begin(), nodes.end());
+  std::vector<Edge> half_edges;
+  half_edges.reserve(edges.size());
+  for (const Edge& e : edges) {
+    CL_CHECK_MSG(e.a != e.b, "edge from symbol " << e.a << " to itself");
+    symbols.push_back(e.a);
+    symbols.push_back(e.b);
+    half_edges.push_back({std::min(e.a, e.b), std::max(e.a, e.b), e.weight});
   }
+  const std::size_t space =
+      symbols.empty()
+          ? 0
+          : std::size_t{*std::max_element(symbols.begin(), symbols.end())} + 1;
+  Trg graph = over(symbols, space);
+  graph.set_edges(std::move(half_edges));
+  return graph;
 }
 
-void Trg::add_edge(Symbol a, Symbol b, Weight w) {
-  CL_CHECK(a != b);
-  note_node(a);
-  note_node(b);
-  edges_[edge_key(a, b)] += w;
-  adjacency_valid_ = false;
-}
-
-Trg::Weight Trg::edge_weight(Symbol a, Symbol b) const {
-  if (a == b) return 0;
-  const Weight* w = edges_.find(edge_key(a, b));
-  return w == nullptr ? 0 : *w;
-}
-
-std::vector<Trg::Edge> Trg::edges_by_weight() const {
-  std::vector<Edge> out;
-  out.reserve(edge_count());
-  edges_.for_each([&](std::uint64_t key, const Weight& w) {
-    out.push_back(Edge{static_cast<Symbol>(key >> 32),
-                       static_cast<Symbol>(key & 0xffffffffu), w});
+void Trg::set_edges(std::vector<Edge> half_edges) {
+  // Sorted on (a, b), the halves of each pair are adjacent: sum them.
+  radix_sort(half_edges, [](const Edge& e) {
+    return (std::uint64_t{e.a} << 32) | e.b;
   });
-  // Ascending (~weight, a, b) is the order: an LSD radix sort on that
-  // 128-bit key, one byte per pass, skipping each byte that every edge
-  // shares. (a, b) is unique, so the order is total and any exact sort
-  // gives the same bytes.
-  constexpr int kBytes = 16;
-  const auto byte = [](const Edge& e, int i) -> std::size_t {
-    if (i < 4) return (e.b >> (8 * i)) & 0xff;
-    if (i < 8) return (e.a >> (8 * (i - 4))) & 0xff;
-    return (~e.weight >> (8 * (i - 8))) & 0xff;
-  };
-  std::vector<std::array<std::size_t, 256>> counts(kBytes);
-  for (const Edge& e : out) {
-    for (int i = 0; i < kBytes; ++i) ++counts[i][byte(e, i)];
+  std::size_t size = 0;
+  for (const Edge& e : half_edges) {
+    if (size > 0 && half_edges[size - 1].a == e.a &&
+        half_edges[size - 1].b == e.b) {
+      half_edges[size - 1].weight += e.weight;
+    } else {
+      half_edges[size++] = e;
+    }
   }
-  std::vector<Edge> buffer(out.size());
-  for (int i = 0; i < kBytes; ++i) {
-    std::array<std::size_t, 256>& next = counts[i];
-    if (out.empty() || next[byte(out.front(), i)] == out.size()) continue;
-    std::size_t offset = 0;
-    for (std::size_t& c : next) offset += std::exchange(c, offset);
-    for (const Edge& e : out) buffer[next[byte(e, i)]++] = e;
-    out.swap(buffer);
-  }
-  return out;
-}
+  half_edges.resize(size);
+  half_edges.shrink_to_fit();
+  edges_ = std::move(half_edges);
 
-std::span<const Trg::Neighbor> Trg::neighbors(Symbol a) const {
-  const std::uint32_t position = node_position(a);
-  CL_CHECK_MSG(position != kNoNode, "symbol " << a << " not in TRG");
-  ensure_adjacency();
-  return {adj_.data() + adj_offsets_[position],
-          adj_offsets_[position + 1] - adj_offsets_[position]};
-}
-
-void Trg::ensure_adjacency() const {
-  if (adjacency_valid_) return;
+  // In (a, b) order a node's lower neighbors come first, then its higher
+  // ones, each ascending: every slice fills sorted by neighbor symbol.
   adj_offsets_.assign(nodes_.size() + 1, 0);
-  edges_.for_each([&](std::uint64_t key, const Weight&) {
-    ++adj_offsets_[node_position(static_cast<Symbol>(key >> 32)) + 1];
-    ++adj_offsets_[node_position(static_cast<Symbol>(key & 0xffffffffu)) + 1];
-  });
+  for (const Edge& e : edges_) {
+    ++adj_offsets_[node_index_[e.a] + 1];
+    ++adj_offsets_[node_index_[e.b] + 1];
+  }
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     adj_offsets_[i + 1] += adj_offsets_[i];
   }
   adj_.resize(adj_offsets_.back());
   std::vector<std::uint32_t> cursor(adj_offsets_.begin(),
                                     adj_offsets_.end() - 1);
-  edges_.for_each([&](std::uint64_t key, const Weight& w) {
-    const auto lo = static_cast<Symbol>(key >> 32);
-    const auto hi = static_cast<Symbol>(key & 0xffffffffu);
-    adj_[cursor[node_position(lo)]++] = Neighbor{hi, w};
-    adj_[cursor[node_position(hi)]++] = Neighbor{lo, w};
-  });
-  // Sort each slice by neighbor symbol so iteration order is deterministic
-  // regardless of the accumulator's internal layout.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    std::sort(adj_.begin() + adj_offsets_[i],
-              adj_.begin() + adj_offsets_[i + 1],
-              [](const Neighbor& x, const Neighbor& y) { return x.to < y.to; });
+  for (const Edge& e : edges_) {
+    adj_[cursor[node_index_[e.a]]++] = Neighbor{e.b, e.weight};
+    adj_[cursor[node_index_[e.b]]++] = Neighbor{e.a, e.weight};
   }
-  adjacency_valid_ = true;
+
+  // A stable pass on ~weight keeps (a, b) order within each weight.
+  radix_sort(edges_, [](const Edge& e) { return ~e.weight; });
+}
+
+Trg::Weight Trg::edge_weight(Symbol a, Symbol b) const {
+  if (node_position(a) == kNoNode) return 0;
+  const std::span<const Neighbor> slice = neighbors(a);
+  const auto it = std::partition_point(
+      slice.begin(), slice.end(), [b](const Neighbor& x) { return x.to < b; });
+  return it != slice.end() && it->to == b ? it->weight : 0;
+}
+
+std::span<const Trg::Neighbor> Trg::neighbors(Symbol a) const {
+  const std::uint32_t position = node_position(a);
+  CL_CHECK_MSG(position != kNoNode, "symbol " << a << " not in TRG");
+  return {adj_.data() + adj_offsets_[position],
+          adj_offsets_[position + 1] - adj_offsets_[position]};
 }
 
 }  // namespace codelayout

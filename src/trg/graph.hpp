@@ -8,27 +8,29 @@
 // follows Gloy & Smith's advice of examining a window of twice the cache
 // size): on a reuse of block A, every block above A on the stack occurred
 // between A's two successive occurrences, so each such pair's edge weight is
-// incremented. The stack uses the hash-table-plus-list layout of Sec. II-F
-// for O(1) touch.
+// incremented. The stack is Sec. II-F's hash table plus list on dense ids,
+// flat position arrays with O(1) touch (locality/lru_stack.hpp).
 //
-// Storage is flat: edges accumulate in one open-addressing table keyed by
-// the packed (lo, hi) pair, and neighbors() reads a CSR adjacency built from
-// that table. The reduction (trg/reduction.hpp) works on this storage with
-// no copy of it: a cursor over edges_by_weight(), the CSR slices, and its
-// own tables indexed by node_position().
+// Storage is flat: the edges sit once in one vector, in the (~weight, a, b)
+// order that Algorithm 2 and the placement read them, and neighbors() reads
+// a CSR adjacency filled from the same edges. The reduction
+// (trg/reduction.hpp) works on this storage with no copy of it: a cursor
+// over edges_by_weight(), the CSR slices, and its own tables indexed by
+// node_position().
 //
 // Construction renumbers the nodes densely in first-appearance order and
 // counts, per ordered pair (a, b), the reuses of a with b above it on the
 // stack into a row-major u32 matrix; weight(a, b) = c[a][b] + c[b][a]. Rows
 // are handled in blocks under one fixed byte budget, one trace pass per
-// block, so memory stays bounded at any node count (DESIGN.md §10).
+// block, so memory stays bounded at any node count. Each block's nonzero
+// counts leave as half-edges under their (min, max) symbol pair, and one
+// radix sort on that pair sums the two halves of every edge (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "support/flat_map.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -62,34 +64,43 @@ class Trg {
  public:
   using Weight = std::uint64_t;
 
-  static Trg build(const Trace& trace, const TrgConfig& config = {});
-
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] std::span<const Symbol> nodes() const { return nodes_; }
-
-  [[nodiscard]] Weight edge_weight(Symbol a, Symbol b) const;
-  /// Number of distinct edges; O(1) (the accumulator's size).
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
-
-  /// All edges as (a, b, weight) with a < b, sorted by descending weight then
-  /// ascending (a, b) for determinism.
+  /// An undirected edge, a < b.
   struct Edge {
     Symbol a;
     Symbol b;
     Weight weight;
   };
-  [[nodiscard]] std::vector<Edge> edges_by_weight() const;
 
-  /// Adjacency of one node, sorted by neighbor symbol, as a contiguous CSR
-  /// slice. Rebuilt lazily after add_edge; not safe to first-access
-  /// concurrently with a mutation (a fully built graph is fine to share).
+  /// One entry of a node's adjacency.
   struct Neighbor {
     Symbol to;
     Weight weight;
   };
-  [[nodiscard]] std::span<const Neighbor> neighbors(Symbol a) const;
 
-  void add_edge(Symbol a, Symbol b, Weight w);  ///< also used by tests
+  static Trg build(const Trace& trace, const TrgConfig& config = {});
+
+  /// The graph over `nodes`, then every endpoint of `edges` not among them,
+  /// in edge order. Edges on the same pair add up, in either orientation; a
+  /// zero-weight edge is still an edge. The endpoints of an edge differ.
+  static Trg from_edges(std::span<const Symbol> nodes,
+                        std::span<const Edge> edges);
+
+  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] std::span<const Symbol> nodes() const { return nodes_; }
+
+  /// The weight of edge (a, b); 0 when there is none, also when a symbol is
+  /// not in the graph.
+  [[nodiscard]] Weight edge_weight(Symbol a, Symbol b) const;
+  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
+
+  /// All edges, sorted by descending weight then ascending (a, b).
+  [[nodiscard]] std::span<const Edge> edges_by_weight() const {
+    return edges_;
+  }
+
+  /// Adjacency of one node, sorted by neighbor symbol, as a contiguous CSR
+  /// slice.
+  [[nodiscard]] std::span<const Neighbor> neighbors(Symbol a) const;
 
   /// Position of `s` in nodes(): its dense id, which the reduction indexes
   /// by; an all-ones value for a symbol not in the graph.
@@ -100,17 +111,22 @@ class Trg {
  private:
   static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
 
-  void note_node(Symbol s);
-  void ensure_adjacency() const;
+  Trg() = default;
+
+  /// The edgeless graph over `symbols` in first-appearance order, every
+  /// symbol below `space`.
+  static Trg over(std::span<const Symbol> symbols, std::size_t space);
+
+  /// Sums the half-edges (a < b) of each pair into edges_, fills the CSR,
+  /// then orders edges_ by weight.
+  void set_edges(std::vector<Edge> half_edges);
 
   std::vector<Symbol> nodes_;  ///< first-appearance order
   std::vector<std::uint32_t> node_index_;  ///< symbol -> position in nodes_
-  FlatKeyMap<Weight> edges_;   ///< packed (lo, hi) pair -> weight
-
-  /// CSR adjacency derived from edges_, indexed by node position.
-  mutable bool adjacency_valid_ = false;
-  mutable std::vector<std::uint32_t> adj_offsets_;
-  mutable std::vector<Neighbor> adj_;
+  std::vector<Edge> edges_;    ///< (~weight, a, b) order
+  /// CSR adjacency, indexed by node position.
+  std::vector<std::uint32_t> adj_offsets_{0};
+  std::vector<Neighbor> adj_;
 };
 
 }  // namespace codelayout

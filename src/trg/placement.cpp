@@ -1,16 +1,12 @@
 #include "trg/placement.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "support/check.hpp"
 #include "trg/reduction.hpp"
 
 namespace codelayout {
-namespace {
-
-}  // namespace
 
 PlacementResult gloy_smith_placement(const Module& module, const Trg& graph,
                                      const PlacementConfig& config) {
@@ -19,6 +15,10 @@ PlacementResult gloy_smith_placement(const Module& module, const Trg& graph,
       config.cache_bytes / config.line_bytes / config.associativity;
   CL_CHECK_MSG(sets > 0, "degenerate cache geometry");
   const std::uint64_t way_span = sets * config.line_bytes;
+  for (const Symbol s : graph.nodes()) {
+    CL_CHECK_MSG(s < module.block_count(), "block symbol " << s
+                                                           << " out of range");
+  }
 
   // Bytes a block needs, including headroom for the fix-up jump and entry
   // trampoline from_addresses may charge.
@@ -33,26 +33,26 @@ PlacementResult gloy_smith_placement(const Module& module, const Trg& graph,
   // Heaviest-edge-first; the first endpoint of the first edge anchors at
   // set 0, every later unplaced endpoint picks the start set with the
   // least weighted line-range overlap against its placed neighbors.
-  std::unordered_map<Symbol, std::uint64_t> chosen_set;
+  constexpr std::uint64_t kUnaligned = ~std::uint64_t{0};
+  std::vector<std::uint64_t> chosen_set(module.block_count(), kUnaligned);
   auto lines_of = [&](Symbol s) {
     const BasicBlock& b = module.block(BlockId(s));
     return (reserved_bytes(b) + config.line_bytes - 1) / config.line_bytes;
   };
   auto choose = [&](Symbol s) {
-    if (chosen_set.contains(s)) return;
+    if (chosen_set[s] != kUnaligned) return;
     std::vector<double> pressure(sets, 0.0);
     bool any_neighbor = false;
     for (const auto& [nb, w] : graph.neighbors(s)) {
-      const auto it = chosen_set.find(nb);
-      if (it == chosen_set.end()) continue;
+      if (chosen_set[nb] == kUnaligned) continue;
       any_neighbor = true;
       const std::uint64_t span = lines_of(nb);
       for (std::uint64_t k = 0; k < span && k < sets; ++k) {
-        pressure[(it->second + k) % sets] += static_cast<double>(w);
+        pressure[(chosen_set[nb] + k) % sets] += static_cast<double>(w);
       }
     }
     if (!any_neighbor) {
-      chosen_set.emplace(s, 0);
+      chosen_set[s] = 0;
       return;
     }
     const std::uint64_t my_span = std::min<std::uint64_t>(lines_of(s), sets);
@@ -68,7 +68,7 @@ PlacementResult gloy_smith_placement(const Module& module, const Trg& graph,
         best = cand;
       }
     }
-    chosen_set.emplace(s, best);
+    chosen_set[s] = best;
   };
   for (const Trg::Edge& e : graph.edges_by_weight()) {
     choose(e.a);
@@ -91,9 +91,8 @@ PlacementResult gloy_smith_placement(const Module& module, const Trg& graph,
   for (Symbol s : order) {
     const BlockId id(s);
     if (done[id.index()]) continue;
-    const auto it = chosen_set.find(s);
-    if (it != chosen_set.end()) {
-      const std::uint64_t want = it->second * config.line_bytes;
+    if (chosen_set[s] != kUnaligned) {
+      const std::uint64_t want = chosen_set[s] * config.line_bytes;
       const std::uint64_t offset = cursor % way_span;
       const std::uint64_t pad =
           offset <= want ? want - offset : way_span - offset + want;

@@ -1,6 +1,7 @@
 #include "trg/reduction.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "support/check.hpp"
 
@@ -31,7 +32,7 @@ class Reducer {
   }
 
   TrgReduction run() {
-    const std::vector<Trg::Edge> edges = graph_.edges_by_weight();
+    const std::span<const Trg::Edge> edges = graph_.edges_by_weight();
     for (std::size_t next = 0;;) {
       while (next < edges.size() &&
              (placed(edges[next].a) || placed(edges[next].b))) {

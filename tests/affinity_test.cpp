@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -501,6 +504,221 @@ TEST(Hierarchy, LayoutOrderIsPermutationOfSymbols) {
   std::set<Symbol> in_trace(t.symbols().begin(), t.symbols().end());
   EXPECT_EQ(order.size(), in_order.size());  // no duplicates
   EXPECT_EQ(in_order, in_trace);             // exactly the trace symbols
+}
+
+// ---------- hierarchy builder against the reference --------------------------
+
+// The reference for detail::build_hierarchy: the same greedy agglomeration
+// over hash tables keyed by symbol, testing complete linkage pair by pair.
+// `partial` counts the candidate buckets that held an affine partner of the
+// group but failed the test.
+AffinityHierarchy reference_build_hierarchy(
+    const Trace& trimmed, std::span<const std::uint32_t> w_values,
+    std::span<const std::vector<std::uint64_t>> affine_sets,
+    std::uint64_t& partial) {
+  const auto complete_linkage =
+      [](const AffinityGroup& a, const AffinityGroup& b,
+         const std::unordered_set<std::uint64_t>& affine) {
+        for (Symbol x : a.members) {
+          for (Symbol y : b.members) {
+            if (!affine.contains(detail::pair_key(x, y))) return false;
+          }
+        }
+        return true;
+      };
+
+  std::unordered_map<Symbol, std::uint64_t> first_seen;
+  const std::span<const Symbol> symbols = trimmed.symbols();
+  for (std::uint64_t pos = 0; pos < symbols.size(); ++pos) {
+    first_seen.try_emplace(symbols[pos], pos);
+  }
+  std::vector<AffinityGroup> nodes;
+  std::vector<std::uint32_t> live;
+  {
+    std::vector<Symbol> order;
+    for (const auto& [s, t] : first_seen) order.push_back(s);
+    std::sort(order.begin(), order.end(), [&](Symbol a, Symbol b) {
+      return first_seen.at(a) < first_seen.at(b);
+    });
+    for (Symbol s : order) {
+      const auto id = static_cast<std::uint32_t>(nodes.size());
+      nodes.push_back(AffinityGroup{.id = id,
+                                    .formed_at_w = 1,
+                                    .members = {s},
+                                    .children = {},
+                                    .first_occurrence = first_seen.at(s)});
+      live.push_back(id);
+    }
+  }
+
+  for (std::size_t level = 0; level < w_values.size(); ++level) {
+    const std::vector<std::uint64_t>& pair_list = affine_sets[level];
+    if (pair_list.empty()) continue;
+    const std::unordered_set<std::uint64_t> affine(pair_list.begin(),
+                                                   pair_list.end());
+    std::unordered_map<Symbol, std::vector<Symbol>> partners;
+    for (const std::uint64_t key : pair_list) {
+      const auto lo = static_cast<Symbol>(key >> 32);
+      const auto hi = static_cast<Symbol>(key & 0xffffffffu);
+      partners[lo].push_back(hi);
+      partners[hi].push_back(lo);
+    }
+
+    std::vector<std::vector<std::uint32_t>> buckets;
+    std::unordered_map<Symbol, std::size_t> bucket_of_symbol;
+    for (std::uint32_t gid : live) {
+      const AffinityGroup& g = nodes[gid];
+      std::set<std::size_t> candidates;
+      for (Symbol s : g.members) {
+        const auto pit = partners.find(s);
+        if (pit == partners.end()) continue;
+        for (Symbol other : pit->second) {
+          const auto it = bucket_of_symbol.find(other);
+          if (it != bucket_of_symbol.end()) candidates.insert(it->second);
+        }
+      }
+      bool placed = false;
+      for (std::size_t b : candidates) {
+        bool ok = true;
+        for (std::uint32_t member_gid : buckets[b]) {
+          if (!complete_linkage(g, nodes[member_gid], affine)) {
+            ok = false;
+            break;
+          }
+        }
+        if (ok) {
+          buckets[b].push_back(gid);
+          for (Symbol s : g.members) bucket_of_symbol[s] = b;
+          placed = true;
+          break;
+        }
+        ++partial;
+      }
+      if (!placed) {
+        buckets.push_back({gid});
+        for (Symbol s : g.members) bucket_of_symbol[s] = buckets.size() - 1;
+      }
+    }
+
+    std::vector<std::uint32_t> next_live;
+    for (const auto& bucket : buckets) {
+      if (bucket.size() == 1) {
+        next_live.push_back(bucket.front());
+        continue;
+      }
+      AffinityGroup merged;
+      merged.id = static_cast<std::uint32_t>(nodes.size());
+      merged.formed_at_w = w_values[level];
+      merged.children = bucket;
+      merged.first_occurrence = ~std::uint64_t{0};
+      for (std::uint32_t child : bucket) {
+        const AffinityGroup& c = nodes[child];
+        merged.members.insert(merged.members.end(), c.members.begin(),
+                              c.members.end());
+        merged.first_occurrence =
+            std::min(merged.first_occurrence, c.first_occurrence);
+      }
+      next_live.push_back(merged.id);
+      nodes.push_back(std::move(merged));
+    }
+    std::sort(next_live.begin(), next_live.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return nodes[a].first_occurrence < nodes[b].first_occurrence;
+              });
+    live = std::move(next_live);
+  }
+  return AffinityHierarchy(std::move(nodes), std::move(live));
+}
+
+/// A random monotone pair relation over 1-30 sparse symbols and 1-6 levels,
+/// on a trimmed trace that names every symbol. The symbols fall into a few
+/// clusters: a pair within a cluster turns affine at a random level with high
+/// probability, a pair across clusters rarely, so groups grow, and many are
+/// affine to only part of a bucket.
+struct RandomPairSets {
+  Trace trace{Trace::Granularity::kBlock};
+  std::vector<std::uint32_t> w_values;
+  std::vector<std::vector<std::uint64_t>> affine_sets;
+};
+
+RandomPairSets random_pair_sets(Rng& rng) {
+  RandomPairSets out;
+  const auto n = 1 + rng.below(30);
+  std::vector<Symbol> symbols;
+  while (symbols.size() < n) {
+    const auto s = static_cast<Symbol>(rng.below(200));
+    if (std::find(symbols.begin(), symbols.end(), s) == symbols.end()) {
+      symbols.push_back(s);
+    }
+  }
+  Trace raw(Trace::Granularity::kBlock);
+  for (const Symbol s : symbols) raw.push_symbol(s);
+  for (std::uint64_t i = 0, extra = rng.below(3 * n); i < extra; ++i) {
+    raw.push_symbol(symbols[rng.below(n)]);
+  }
+  out.trace = raw.trimmed();
+
+  const auto levels = 1 + rng.below(6);
+  for (std::uint32_t w = 2; out.w_values.size() < levels;) {
+    out.w_values.push_back(w);
+    w += 1 + static_cast<std::uint32_t>(rng.below(3));
+  }
+  out.affine_sets.resize(levels);
+  const auto clusters = 1 + rng.below(4);
+  std::vector<std::uint64_t> cluster(n);
+  for (auto& c : cluster) c = rng.below(clusters);
+  std::vector<std::size_t> by_symbol(n);
+  std::iota(by_symbol.begin(), by_symbol.end(), 0);
+  std::sort(by_symbol.begin(), by_symbol.end(),
+            [&](std::size_t x, std::size_t y) {
+              return symbols[x] < symbols[y];
+            });
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const std::size_t x = by_symbol[i];
+      const std::size_t y = by_symbol[j];
+      const double p = cluster[x] == cluster[y] ? 0.85 : 0.15;
+      if (!rng.chance(p)) continue;
+      for (auto level = rng.below(levels); level < levels; ++level) {
+        out.affine_sets[level].push_back(
+            detail::pair_key(symbols[x], symbols[y]));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(HierarchyBuilder, MatchesTheReferenceOnRandomPairSets) {
+  Rng rng(26);
+  std::uint64_t partial = 0;
+  std::uint64_t merges = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    SCOPED_TRACE(::testing::Message() << "pair sets " << i);
+    const RandomPairSets sets = random_pair_sets(rng);
+    const AffinityHierarchy built = detail::build_hierarchy(
+        sets.trace, sets.w_values, sets.affine_sets);
+    const AffinityHierarchy reference = reference_build_hierarchy(
+        sets.trace, sets.w_values, sets.affine_sets, partial);
+    expect_same_hierarchy(built, reference);
+    if (::testing::Test::HasFailure()) return;
+    merges += built.nodes().size() - built.symbol_count();
+  }
+  // The corpus exercises both outcomes of the linkage test.
+  EXPECT_GT(partial, 1'000u);
+  EXPECT_GT(merges, 1'000u);
+}
+
+TEST(HierarchyBuilder, RejectsPairListsThatAreNotStrictlyAscending) {
+  const Trace t = make_trace({1, 2, 3});
+  const std::vector<std::uint32_t> w = {2};
+  const std::vector<std::vector<std::uint64_t>> repeated = {
+      {key(1, 2), key(1, 2)}};
+  EXPECT_THROW(detail::build_hierarchy(t, w, repeated), ContractError);
+  const std::vector<std::vector<std::uint64_t>> descending = {
+      {key(2, 3), key(1, 2)}};
+  EXPECT_THROW(detail::build_hierarchy(t, w, descending), ContractError);
+  const std::vector<std::vector<std::uint64_t>> absent = {{key(1, 9)}};
+  EXPECT_THROW(detail::build_hierarchy(t, w, absent), ContractError);
 }
 
 TEST(Hierarchy, ToStringRendersGroups) {

@@ -102,5 +102,17 @@ TEST(GloySmith, SimulatableLayout) {
   EXPECT_LT(sim.miss_ratio(), 0.01);
 }
 
+TEST(GloySmith, RejectsANodeThatIsNotABlock) {
+  // Block 99 of a 5-block module: the placement indexes its tables by block
+  // id, so it must refuse the graph, an isolated node included.
+  const Module m = loop_module(4);
+  const std::vector<Symbol> isolated = {0, 99};
+  EXPECT_THROW(gloy_smith_placement(m, Trg::from_edges(isolated, {})),
+               ContractError);
+  const std::vector<Trg::Edge> edge = {{0, 99, 3}};
+  EXPECT_THROW(gloy_smith_placement(m, Trg::from_edges({}, edge)),
+               ContractError);
+}
+
 }  // namespace
 }  // namespace codelayout

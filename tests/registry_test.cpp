@@ -69,10 +69,10 @@ TEST(LatencyHistogramTest, QuantilesSeparateTwoModes) {
 }
 
 TEST(LatencyHistogramTest, TopBucketQuantilesStayInItsBounds) {
-  // 2^64 - 1 lands in bucket 63, [2^63, 2^64): its upper bound must not be
-  // a 64-bit shift by 64.
+  // 2^63 and 2^64 - 1 land in bucket 63, [2^63, 2^64): its upper bound must
+  // not be a 64-bit shift by 64.
   LatencyHistogram h;
-  h.record(~std::uint64_t{0});
+  h.record(std::uint64_t{1} << 63);
   h.record(~std::uint64_t{0});
   const LatencyHistogram::Summary s = h.summary();
   EXPECT_EQ(s.count, 2u);
@@ -80,6 +80,29 @@ TEST(LatencyHistogramTest, TopBucketQuantilesStayInItsBounds) {
   EXPECT_DOUBLE_EQ(s.p50, 0x1p63 + 0.5 * 0x1p63);
   EXPECT_DOUBLE_EQ(s.p99, 0x1p63 + 0.99 * 0x1p63);
   EXPECT_LE(s.p99, 0x1p64);
+}
+
+TEST(LatencyHistogramTest, OneSampleIsEveryQuantile) {
+  // 722 ms interpolates to 805 ms at p50 inside its bucket; the clamp to
+  // [min, max] reads the sample itself.
+  LatencyHistogram h;
+  h.record(722'000'000);
+  const LatencyHistogram::Summary s = h.summary();
+  EXPECT_DOUBLE_EQ(s.p50, 722'000'000.0);
+  EXPECT_DOUBLE_EQ(s.p90, 722'000'000.0);
+  EXPECT_DOUBLE_EQ(s.p99, 722'000'000.0);
+}
+
+TEST(LatencyHistogramTest, QuantilesOfOneBucketStayWithinItsSamples) {
+  // Both samples sit low in [2^20, 2^21): interpolation alone would put
+  // p99 near the bucket's top.
+  LatencyHistogram h;
+  h.record(1'100'000);
+  h.record(1'200'000);
+  const LatencyHistogram::Summary s = h.summary();
+  EXPECT_GE(s.p50, 1'100'000.0);
+  EXPECT_LE(s.p50, s.p99);
+  EXPECT_LE(s.p99, 1'200'000.0);
 }
 
 TEST(LatencyHistogramTest, EmptySummaryIsAllZero) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "support/check.hpp"
-#include "support/flat_map.hpp"
 #include "support/format.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
@@ -379,66 +378,6 @@ TEST(JsonWriter, EmptyContainers) {
   w.begin_array("empty_array").end_array();
   w.begin_object("empty_object").end_object();
   EXPECT_EQ(w.finish(), R"({"empty_array":[],"empty_object":{}})");
-}
-
-// ---------- FlatKeyMap -----------------------------------------------------
-
-TEST(FlatKeyMap, InsertFindAndValueInit) {
-  FlatKeyMap<std::uint64_t> map;
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(7), nullptr);
-  map[7] += 3;  // operator[] value-initializes on first touch
-  map[7] += 4;
-  ASSERT_NE(map.find(7), nullptr);
-  EXPECT_EQ(*map.find(7), 7u);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatKeyMap, GrowthPreservesEntries) {
-  FlatKeyMap<std::uint64_t> map;
-  Rng rng(5);
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 5'000; ++i) {
-    keys.push_back(1 + rng.next() % 1'000'000);
-  }
-  for (std::uint64_t k : keys) map[k] += k;
-  std::set<std::uint64_t> distinct(keys.begin(), keys.end());
-  EXPECT_EQ(map.size(), distinct.size());
-  // Every entry holds the sum of its own key over its multiplicity.
-  std::uint64_t walked = 0;
-  map.for_each([&](std::uint64_t key, const std::uint64_t& value) {
-    EXPECT_EQ(value % key, 0u);
-    ++walked;
-  });
-  EXPECT_EQ(walked, distinct.size());
-}
-
-TEST(FlatKeyMap, AdjacentKeysDoNotCollideIntoEachOther) {
-  // Packed pair keys differ only in low bits; the mix must keep them apart.
-  FlatKeyMap<int> map;
-  for (std::uint64_t k = 1; k <= 512; ++k) map[k] = static_cast<int>(k);
-  for (std::uint64_t k = 1; k <= 512; ++k) {
-    ASSERT_NE(map.find(k), nullptr) << k;
-    EXPECT_EQ(*map.find(k), static_cast<int>(k));
-  }
-  EXPECT_EQ(map.find(513), nullptr);
-}
-
-TEST(FlatKeyMap, ReserveAvoidsRehashInvalidation) {
-  FlatKeyMap<int> map;
-  map.reserve(100);
-  int& first = map[42];
-  for (std::uint64_t k = 1; k <= 100; ++k) map[k] = 1;
-  first = 9;  // still valid: no rehash happened within the reserved budget
-  EXPECT_EQ(*map.find(42), 9);
-}
-
-TEST(FlatKeyMap, ClearEmpties) {
-  FlatKeyMap<int> map;
-  map[3] = 1;
-  map.clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(3), nullptr);
 }
 
 }  // namespace

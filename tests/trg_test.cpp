@@ -76,10 +76,8 @@ TEST(TrgBuild, NodesInFirstAppearanceOrder) {
 }
 
 TEST(TrgBuild, EdgesByWeightSortedDeterministically) {
-  Trg g;
-  g.add_edge(1, 2, 10);
-  g.add_edge(3, 4, 10);
-  g.add_edge(1, 3, 50);
+  const std::vector<Trg::Edge> input = {{1, 2, 10}, {3, 4, 10}, {1, 3, 50}};
+  const Trg g = Trg::from_edges({}, input);
   const auto edges = g.edges_by_weight();
   ASSERT_EQ(edges.size(), 3u);
   EXPECT_EQ(edges[0].weight, 50u);
@@ -90,6 +88,46 @@ TEST(TrgBuild, EdgesByWeightSortedDeterministically) {
 TEST(TrgBuild, NeighborsThrowsForUnknown) {
   const Trg g = Trg::build(make_trace({1, 2, 1}));
   EXPECT_THROW((void)g.neighbors(42), ContractError);
+}
+
+TEST(TrgFromEdges, RepeatedPairsSumAndZeroWeightEdgesStay) {
+  // Node 3 is isolated; 5-7 comes twice, once each way; 9-8 weighs 0.
+  const std::vector<Symbol> nodes = {3};
+  const std::vector<Trg::Edge> edges = {{5, 7, 3}, {7, 5, 4}, {9, 8, 0}};
+  const Trg g = Trg::from_edges(nodes, edges);
+  EXPECT_EQ(std::vector<Symbol>(g.nodes().begin(), g.nodes().end()),
+            (std::vector<Symbol>{3, 5, 7, 9, 8}));
+  ASSERT_EQ(g.edge_count(), 2u);
+  EXPECT_EQ(g.edge_weight(5, 7), 7u);
+  EXPECT_EQ(g.edge_weight(7, 5), 7u);
+  const auto by_weight = g.edges_by_weight();
+  EXPECT_EQ(by_weight[1].a, 8u);
+  EXPECT_EQ(by_weight[1].b, 9u);
+  EXPECT_EQ(by_weight[1].weight, 0u);
+  EXPECT_EQ(g.edge_weight(8, 9), 0u);
+  ASSERT_EQ(g.neighbors(9).size(), 1u);
+  EXPECT_EQ(g.neighbors(9)[0].to, 8u);
+  EXPECT_TRUE(g.neighbors(3).empty());
+
+  // Absent pairs and unknown symbols weigh 0.
+  EXPECT_EQ(g.edge_weight(5, 9), 0u);
+  EXPECT_EQ(g.edge_weight(5, 5), 0u);
+  EXPECT_EQ(g.edge_weight(5, 42), 0u);
+  EXPECT_EQ(g.edge_weight(42, 5), 0u);
+  EXPECT_EQ(g.edge_weight(4, 5), 0u);
+
+  // The zero-weight edge pops like any other: 8 and 9 take the two free
+  // slots, and the isolated 3 is left over. Without that edge, 3 would
+  // take slot 2 and 8 would share slot 0.
+  const TrgReduction r = reduce_trg(g, 4);
+  EXPECT_EQ(r.slots,
+            (std::vector<std::vector<Symbol>>{{5, 3}, {7}, {8}, {9}}));
+  EXPECT_EQ(r.order, (std::vector<Symbol>{5, 7, 8, 9, 3}));
+}
+
+TEST(TrgFromEdges, RejectsASelfEdge) {
+  const std::vector<Trg::Edge> edges = {{4, 4, 1}};
+  EXPECT_THROW((void)Trg::from_edges({}, edges), ContractError);
 }
 
 // ---------- Definition-6 oracle ---------------------------------------------
@@ -400,15 +438,16 @@ TrgReduction reference_reduce(const Trg& graph, std::uint32_t slot_count) {
 /// removing E<B,F>; then C joins E. Final: (A F)(B)(E C) -> A B E F C.
 /// Symbols: A=0 B=1 C=2 E=3 F=4.
 Trg fig2_graph() {
-  Trg g;
-  g.add_edge(0, 1, 40);  // A-B
-  g.add_edge(3, 4, 35);  // E-F
-  g.add_edge(2, 0, 30);  // C-A
-  g.add_edge(1, 4, 15);  // B-F
-  g.add_edge(2, 1, 12);  // C-B
-  g.add_edge(2, 3, 10);  // C-E
-  g.add_edge(0, 4, 10);  // A-F
-  return g;
+  const std::vector<Trg::Edge> edges = {
+      {0, 1, 40},  // A-B
+      {3, 4, 35},  // E-F
+      {2, 0, 30},  // C-A
+      {1, 4, 15},  // B-F
+      {2, 1, 12},  // C-B
+      {2, 3, 10},  // C-E
+      {0, 4, 10},  // A-F
+  };
+  return Trg::from_edges({}, edges);
 }
 
 TEST(TrgReduce, Fig2SlotAssignment) {
@@ -453,8 +492,6 @@ TEST(TrgReduce, Deterministic) {
 }
 
 TEST(TrgReduce, IsolatedNodesStillPlaced) {
-  Trg g;
-  g.add_edge(0, 1, 5);
   // Nodes 7 and 8 exist only through a no-conflict trace build.
   const Trg with_isolated = Trg::build(make_trace({0, 1, 0, 7, 8}));
   const TrgReduction r = reduce_trg(with_isolated, 4);
@@ -472,9 +509,8 @@ TEST(TrgReduce, SingleSlotDegeneratesToOneList) {
 
 TEST(TrgReduce, ConflictingNodesLandInDifferentSlots) {
   // Two heavy-conflict nodes must not share a slot when slots are free.
-  Trg g;
-  g.add_edge(10, 11, 100);
-  const TrgReduction r = reduce_trg(g, 2);
+  const std::vector<Trg::Edge> edges = {{10, 11, 100}};
+  const TrgReduction r = reduce_trg(Trg::from_edges({}, edges), 2);
   // Each slot holds exactly one of them.
   ASSERT_EQ(r.slots.size(), 2u);
   EXPECT_EQ(r.slots[0].size(), 1u);
@@ -498,10 +534,10 @@ void expect_matches_reference(const Trg& graph) {
   }
 }
 
-/// A random graph built with add_edge: up to 40 nodes with sparse symbol
-/// values, first-appearance order unrelated to symbol order, weights 0-4 (so
-/// weight ties and zero-weight edges are common), repeated pairs that add
-/// up, and isolated nodes from a trace that names some nodes once each.
+/// A random graph: up to 40 nodes with sparse symbol values,
+/// first-appearance order unrelated to symbol order, weights 0-4 (so weight
+/// ties and zero-weight edges are common), repeated pairs that add up, and
+/// isolated nodes listed ahead of the edges.
 Trg random_graph(Rng& rng) {
   const std::uint64_t n = 1 + rng.below(40);
   std::vector<Symbol> symbols;
@@ -511,15 +547,16 @@ Trg random_graph(Rng& rng) {
       symbols.push_back(s);
     }
   }
-  Trg graph = Trg::build(make_trace(std::vector<Symbol>(
-      symbols.begin(), symbols.begin() + rng.below(n + 1))));
-  const std::uint64_t edges = rng.below(3 * n + 1);
-  for (std::uint64_t i = 0; i < edges; ++i) {
+  const std::vector<Symbol> nodes(symbols.begin(),
+                                  symbols.begin() + rng.below(n + 1));
+  std::vector<Trg::Edge> edges;
+  const std::uint64_t edge_draws = rng.below(3 * n + 1);
+  for (std::uint64_t i = 0; i < edge_draws; ++i) {
     const Symbol a = symbols[rng.below(n)];
     const Symbol b = symbols[rng.below(n)];
-    if (a != b) graph.add_edge(a, b, rng.below(5));
+    if (a != b) edges.push_back({a, b, rng.below(5)});
   }
-  return graph;
+  return Trg::from_edges(nodes, edges);
 }
 
 TEST(TrgReduceReference, RandomGraphsMatch) {
@@ -541,7 +578,7 @@ TEST(TrgReduceReference, BuiltGraphsMatch) {
 
 TEST(TrgReduceReference, Fig2AndEmptyGraphsMatch) {
   expect_matches_reference(fig2_graph());
-  expect_matches_reference(Trg{});
+  expect_matches_reference(Trg::from_edges({}, {}));
   expect_matches_reference(Trg::build(make_trace({0, 1, 0, 7, 8})));
 }
 
