@@ -18,7 +18,7 @@ using namespace codelayout;
 int main(int argc, char** argv) {
   const BenchArgs args = parse_bench_args(argc, argv);
   Lab lab(bench_lab_options(args));
-  const auto programs = top_improving_programs(lab, 3);
+  const auto programs = top_improving_programs(lab, 3, args.hierarchy());
   std::printf("Top-3 programs by function-affinity co-run speedup:");
   for (const auto& p : programs) std::printf(" %s", p.c_str());
   std::printf("\n\nSec. III-F: optimized+baseline vs optimized+optimized "

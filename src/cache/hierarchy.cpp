@@ -7,26 +7,23 @@
 namespace codelayout {
 namespace {
 
-void put_geometry(std::string& out, const CacheGeometry& geom) {
-  put_varint(out, geom.size_bytes);
-  put_varint(out, geom.associativity);
-  put_varint(out, geom.line_bytes);
+template <class Codec, class Geometry>
+void geometry_fields(Codec& c, Geometry& geom) {
+  c.varint(geom.size_bytes);
+  c.varint32(geom.associativity, "associativity out of range");
+  c.varint32(geom.line_bytes, "line size out of range");
 }
 
-/// A geometry from its three fields, once the two 32-bit ones are known to
-/// fit; every tighter limit is CacheGeometry::validate()'s.
-CacheGeometry make_geometry(std::uint64_t size, std::uint64_t assoc,
-                            std::uint64_t line) {
-  CL_CHECK_MSG(assoc <= ~std::uint32_t{0} && line <= ~std::uint32_t{0},
-               "geometry: associativity or line size out of range");
-  return CacheGeometry{size, static_cast<std::uint32_t>(assoc),
-                       static_cast<std::uint32_t>(line)};
-}
-
-CacheGeometry get_geometry(ByteReader& in) {
-  const std::uint64_t size = in.varint();
-  const std::uint64_t assoc = in.varint();
-  return make_geometry(size, assoc, in.varint());
+/// The canonical encoding: the L1 geometry, the optional L2 behind a
+/// presence flag, and the three latencies' bit patterns.
+template <class Codec, class Spec>
+void spec_fields(Codec& c, Spec& spec) {
+  geometry_fields(c, spec.l1);
+  c.optional(spec.l2, "bad L2 presence flag",
+             [&](auto& l2) { geometry_fields(c, l2); });
+  c.f64(spec.l1_hit_cycles);
+  c.f64(spec.l2_hit_cycles);
+  c.f64(spec.memory_cycles);
 }
 
 std::uint64_t parse_number(std::string_view text, std::string_view what) {
@@ -43,12 +40,16 @@ std::uint64_t parse_number(std::string_view text, std::string_view what) {
     digits = text.substr(0, text.size() - 1);
   }
   CL_CHECK_MSG(!digits.empty(), "geometry: empty " << what << " field");
+  // value * scale must fit 64 bits; checked before each multiply-add, so
+  // the value never wraps.
+  const std::uint64_t limit = ~std::uint64_t{0} / scale;
   for (const char c : digits) {
     CL_CHECK_MSG(c >= '0' && c <= '9',
                  "geometry: bad " << what << " '" << std::string(text) << "'");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    CL_CHECK_MSG(value <= (~std::uint64_t{0}) / scale,
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    CL_CHECK_MSG(value <= (limit - digit) / 10,
                  "geometry: " << what << " overflows");
+    value = value * 10 + digit;
   }
   return value * scale;
 }
@@ -65,10 +66,14 @@ CacheGeometry parse_geometry(std::string_view text) {
                    text.find('/', second + 1) == std::string_view::npos,
                "geometry: expected SIZE/ASSOC/LINE, got '" << std::string(text)
                                                            << "'");
-  const CacheGeometry geom = make_geometry(
-      parse_number(text.substr(0, first), "size"),
-      parse_number(text.substr(first + 1, second - first - 1), "assoc"),
-      parse_number(text.substr(second + 1), "line"));
+  const std::uint64_t size = parse_number(text.substr(0, first), "size");
+  const std::uint64_t assoc =
+      parse_number(text.substr(first + 1, second - first - 1), "assoc");
+  const std::uint64_t line = parse_number(text.substr(second + 1), "line");
+  CL_CHECK_MSG(assoc <= ~std::uint32_t{0} && line <= ~std::uint32_t{0},
+               "geometry: associativity or line size out of range");
+  const CacheGeometry geom{size, static_cast<std::uint32_t>(assoc),
+                           static_cast<std::uint32_t>(line)};
   geom.validate();
   return geom;
 }
@@ -105,27 +110,16 @@ std::string HierarchySpec::to_string() const {
 }
 
 std::string HierarchySpec::encode() const {
-  std::string out;
-  put_geometry(out, l1);
-  out.push_back(l2 ? 1 : 0);
-  if (l2) put_geometry(out, *l2);
-  put_double(out, l1_hit_cycles);
-  put_double(out, l2_hit_cycles);
-  put_double(out, memory_cycles);
-  return out;
+  ByteWriter out;
+  spec_fields(out, *this);
+  return std::move(out.out);
 }
 
 HierarchySpec HierarchySpec::decode(std::string_view bytes) {
   ByteReader in(bytes, "hierarchy encoding");
   HierarchySpec spec;
-  spec.l1 = get_geometry(in);
-  const std::uint8_t has_l2 = in.u8();
-  CL_CHECK_MSG(has_l2 <= 1, "hierarchy encoding: bad L2 presence flag");
-  if (has_l2 != 0) spec.l2 = get_geometry(in);
-  spec.l1_hit_cycles = in.f64();
-  spec.l2_hit_cycles = in.f64();
-  spec.memory_cycles = in.f64();
-  CL_CHECK_MSG(in.done(), "hierarchy encoding: trailing bytes");
+  spec_fields(in, spec);
+  in.finish("trailing bytes");
   return spec;
 }
 

@@ -54,11 +54,13 @@ struct HierarchySpec {
   /// compose and parse_hierarchy() reads back (latencies stay default).
   [[nodiscard]] std::string to_string() const;
 
-  /// Canonical byte encoding (varint geometry triples + latency bit
-  /// patterns). Stable across hosts of one endianness; the wire protocol
+  /// Canonical byte encoding in support/bytes.hpp's codec: varint geometry
+  /// triples (L1, then the L2 behind a presence flag) and the latencies' bit
+  /// patterns. Stable across hosts of one endianness; the wire protocol
   /// embeds it verbatim and EvalKey hashing digests it.
   [[nodiscard]] std::string encode() const;
-  /// Inverse of encode(); throws ContractError on malformed bytes.
+  /// Inverse of encode(); throws ContractError on malformed bytes (the
+  /// shape itself is validate()'s).
   [[nodiscard]] static HierarchySpec decode(std::string_view bytes);
 
   /// FNV-1a over encode().

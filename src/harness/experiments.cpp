@@ -361,10 +361,19 @@ std::vector<Fig7Pair> fig7_pairs(Lab& lab, const HierarchySpec& hierarchy) {
 
 std::vector<std::string> top_improving_programs(
     Lab& lab, std::size_t n, const HierarchySpec& hierarchy) {
-  const auto rows = table2_rows(lab, hierarchy);
+  // The rank is Table II's function-affinity speedup: per program, the mean
+  // over the probes, in probe order, of the hardware co-run speedup. Those
+  // are Fig. 6's function-affinity cells, so only they are computed, not
+  // the rest of Table II.
+  const std::vector<Fig6Cell> cells = fig6_cells(lab, kFuncAffinity, hierarchy);
   std::vector<std::pair<double, std::string>> ranked;
-  for (const auto& row : rows) {
-    ranked.emplace_back(row.func_affinity.speedup, row.name);
+  RunningStats speedup;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    speedup.add(cells[i].speedup);
+    if (i + 1 == cells.size() || cells[i + 1].program != cells[i].program) {
+      ranked.emplace_back(speedup.mean(), cells[i].program);
+      speedup = RunningStats{};
+    }
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });

@@ -8,20 +8,22 @@
 //
 //   [magic u32][version u16][type u8][reserved u8][payload_len u32][payload]
 //
-// with a little-endian fixed header and a varint-encoded payload (strings
-// are length-prefixed, doubles travel as IEEE-754 bit patterns so responses
-// are byte-deterministic, and an uploaded trace embeds the trace/io varint
-// stream verbatim). Decoding is hardened the same way trace/io is: bad
-// magic, unsupported version, truncated or over-long payloads, out-of-range
-// enums, and trailing garbage all throw ContractError instead of
-// propagating garbage into the engine.
+// with a little-endian fixed header and a payload in support/bytes.hpp's
+// codec (strings are length-prefixed, doubles travel as IEEE-754 bit
+// patterns so responses are byte-deterministic, and an uploaded trace embeds
+// trace/io's bytes verbatim). Each message, the header included, is one
+// field list in protocol.cpp that the encoder and the decoder both walk, so
+// the field order is written down once. Decoding is hardened the same way
+// trace/io is: bad magic, unsupported version, truncated or over-long
+// payloads, out-of-range enums and flags, lists over their 64-entry cap,
+// values too wide for their field, and trailing garbage all throw
+// ContractError instead of propagating garbage into the engine.
 //
 // One dialect: every frame carries kWireVersion, and decode_frame_header
 // rejects any other version. The server answers such a frame with a
 // JobStatus::kError naming both versions, then hangs up. Every payload field
-// is written and read unconditionally, in one fixed order that the encoders
-// in protocol.cpp define (the receipt's retired slots included; see
-// CostReceipt).
+// is written and read unconditionally, in its field list's order (the
+// receipt's retired slots included; see CostReceipt).
 #pragma once
 
 #include <cstdint>
@@ -111,7 +113,7 @@ struct JobRequest {
   /// to their CPIs) and the wire `speed` fields are ignored; service-path
   /// pair results are then byte-identical to the in-process engine.
   bool cpi_speeds = true;
-  /// kTraceStats payload (embedded as a trace/io varint stream).
+  /// kTraceStats payload (embedded as trace/io's bytes).
   Trace trace{Trace::Granularity::kBlock};
   /// Cache shape for kSolo / kCorun jobs. The default is the paper's flat
   /// L1I.
@@ -132,9 +134,9 @@ struct JobRequest {
 
   friend bool operator==(const JobRequest&, const JobRequest&) = default;
 
-  /// Serialized body with id zeroed and priority and trace context
-  /// normalized: it names the work, so two requests for the same work share
-  /// it. perfbench keys its reply checksums on it.
+  /// The request payload of a copy with id zeroed and priority and trace
+  /// context normalized: it names the work, so two requests for the same
+  /// work share it. perfbench keys its reply checksums on it.
   [[nodiscard]] std::string canonical_key() const;
   /// "solo 403.gcc|BB Affinity|hw" — for logs and errors. A non-default
   /// hierarchy appends "|g=<spec>".
@@ -169,13 +171,13 @@ struct TraceStatsResult {
 /// where the job's time and simulated work went. Every job executes, so the
 /// counts and timings are always this job's own.
 ///
-/// On the wire the receipt also holds five retired slots, which encoders
-/// write as 0 and decoders read and discard, so reply bytes match those of
-/// earlier daemons: two varints between `events` and `cache_probes` (the
-/// fast and fallback co-run round counts of a deleted co-run fast path),
-/// and, after the introspect document, two varints and a double
-/// (dispatch_run, dispatch_flat and run_compression of the deleted kernel
-/// dispatch).
+/// On the wire the receipt also holds five retired slots, which the
+/// response's field list writes as 0 and reads and drops, so reply bytes
+/// match those of earlier daemons: two varints between `events` and
+/// `cache_probes` (the fast and fallback co-run round counts of a deleted
+/// co-run fast path), and, after the introspect document, two varints and a
+/// double (dispatch_run, dispatch_flat and run_compression of the deleted
+/// kernel dispatch).
 struct CostReceipt {
   std::uint64_t events = 0;           ///< instructions + overhead simulated
   std::uint64_t cache_probes = 0;     ///< L1I line probes across all results

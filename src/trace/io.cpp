@@ -1,11 +1,9 @@
 #include "trace/io.hpp"
 
-#include <cstring>
 #include <fstream>
-#include <istream>
-#include <limits>
-#include <ostream>
+#include <iterator>
 
+#include "support/bytes.hpp"
 #include "support/registry.hpp"
 
 namespace codelayout {
@@ -14,129 +12,81 @@ namespace {
 constexpr std::uint32_t kMagic = 0x434c5452;  // "CLTR"
 constexpr std::uint32_t kVersion = 2;
 
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  os.write(buf, 4);
+struct Header {
+  std::uint32_t magic = kMagic;
+  std::uint32_t version = kVersion;
+  std::uint32_t granularity = 0;
+  std::uint64_t events = 0;
+  std::uint64_t runs = 0;
+};
+
+template <class Codec, class HeaderT>
+void header_fields(Codec& c, HeaderT& header) {
+  c.u32(header.magic);
+  c.u32(header.version);
+  c.u32(header.granularity);
+  c.u64(header.events);
+  c.u64(header.runs);
 }
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  os.write(buf, 8);
-}
-
-void put_varint(std::ostream& os, std::uint64_t v) {
-  char buf[10];
-  int n = 0;
-  do {
-    char byte = static_cast<char>(v & 0x7f);
-    v >>= 7;
-    if (v != 0) byte = static_cast<char>(byte | 0x80);
-    buf[n++] = byte;
-  } while (v != 0);
-  os.write(buf, n);
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  char buf[4];
-  is.read(buf, 4);
-  CL_CHECK_MSG(is.gcount() == 4, "truncated trace stream");
-  std::uint32_t v;
-  std::memcpy(&v, buf, 4);
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  char buf[8];
-  is.read(buf, 8);
-  CL_CHECK_MSG(is.gcount() == 8, "truncated trace stream");
-  std::uint64_t v;
-  std::memcpy(&v, buf, 8);
-  return v;
-}
-
-std::uint64_t get_varint(std::istream& is) {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    const int c = is.get();
-    CL_CHECK_MSG(c != std::istream::traits_type::eof(),
-                 "truncated varint in trace stream");
-    const auto byte = static_cast<std::uint64_t>(c & 0xff);
-    const std::uint64_t payload = byte & 0x7f;
-    CL_CHECK_MSG(shift < 63 || payload <= 1, "varint overflow in trace stream");
-    v |= payload << shift;
-    if ((byte & 0x80) == 0) return v;
-  }
-  CL_CHECK_MSG(false, "varint overflow in trace stream");
-  return 0;  // unreachable
-}
-
-/// Reads a varint that must fit a 32-bit field (symbol or run length).
-std::uint32_t get_varint32(std::istream& is, const char* what) {
-  const std::uint64_t v = get_varint(is);
-  CL_CHECK_MSG(v <= std::numeric_limits<std::uint32_t>::max(),
-               what << " overflows 32 bits in trace stream");
-  return static_cast<std::uint32_t>(v);
+template <class Codec, class SymbolT, class LengthT>
+void run_fields(Codec& c, SymbolT& symbol, LengthT& length) {
+  c.varint32(symbol, "symbol overflows 32 bits");
+  c.varint32(length, "run length overflows 32 bits");
 }
 
 }  // namespace
 
-void write_trace(std::ostream& os, const Trace& trace) {
-  put_u32(os, kMagic);
-  put_u32(os, kVersion);
-  put_u32(os, trace.is_block() ? 0u : 1u);
-  put_u64(os, trace.size());
-  put_u64(os, trace.run_count());
+std::string encode_trace(const Trace& trace) {
+  ByteWriter out;
+  const Header header{.granularity = trace.is_block() ? 0u : 1u,
+                      .events = trace.size(),
+                      .runs = trace.run_count()};
+  header_fields(out, header);
   trace.for_each_run([&](Symbol symbol, std::uint64_t length) {
-    put_varint(os, symbol);
-    put_varint(os, length);
+    run_fields(out, symbol, length);
   });
-  CL_CHECK_MSG(os.good(), "trace write failed");
+  return std::move(out.out);
 }
 
-Trace read_trace(std::istream& is) {
-  const std::istream::pos_type begin = is.tellg();
-  CL_CHECK_MSG(get_u32(is) == kMagic, "bad trace magic");
-  CL_CHECK_MSG(get_u32(is) == kVersion, "unsupported trace version");
-  const auto gran = get_u32(is) == 0 ? Trace::Granularity::kBlock
-                                     : Trace::Granularity::kFunction;
-  const std::uint64_t events = get_u64(is);
-  const std::uint64_t pairs = get_u64(is);
+Trace decode_trace(std::string_view bytes) {
+  ByteReader in(bytes, "trace stream");
+  Header header;
+  header_fields(in, header);
+  in.check(header.magic == kMagic, "bad magic");
+  in.check(header.version == kVersion, "unsupported trace version ",
+           header.version, " (this build reads ", kVersion, ")");
+  in.check(header.granularity <= 1, "granularity ", header.granularity,
+           " is neither 0 (block) nor 1 (function)");
   // Expanding the runs costs 4 bytes per event, so the declared event count
   // is capped before anything is stored; the run lengths below must then sum
-  // to exactly that count. A hostile header can also declare any run count;
-  // never trust it for an allocation. Each pair costs >= 2 stream bytes, so
-  // a short stream runs out of bytes (-> truncation error) first.
-  CL_CHECK_MSG(events <= kMaxTraceEvents,
-               "trace declares " << events << " events, above the "
-                                 << kMaxTraceEvents << "-event decode cap");
-  Trace out(gran);
-  out.reserve(events);
+  // to exactly that count. The declared run count is never trusted for an
+  // allocation: each run costs at least 2 bytes, so a short input runs out
+  // of bytes (a truncation error) first.
+  in.check(header.events <= kMaxTraceEvents, "trace declares ", header.events,
+           " events, above the ", kMaxTraceEvents, "-event decode cap");
+  Trace out(header.granularity == 0 ? Trace::Granularity::kBlock
+                                    : Trace::Granularity::kFunction);
+  out.reserve(header.events);
   std::uint64_t decoded = 0;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    const Symbol symbol = get_varint32(is, "symbol");
-    const std::uint32_t length = get_varint32(is, "run length");
-    CL_CHECK_MSG(length > 0, "zero-length run in trace stream");
+  for (std::uint64_t i = 0; i < header.runs; ++i) {
+    Symbol symbol = 0;
+    std::uint32_t length = 0;
+    run_fields(in, symbol, length);
+    in.check(length > 0, "zero-length run");
     // Checked against the remaining count, so the running sum never passes
     // the declared total.
-    CL_CHECK_MSG(length <= events - decoded,
-                 "run lengths exceed declared event count");
+    in.check(length <= header.events - decoded,
+             "run lengths exceed declared event count");
     out.push_run(symbol, length);
     decoded += length;
   }
-  CL_CHECK_MSG(decoded == events, "trace event count mismatch");
+  in.check(decoded == header.events, "event count mismatch");
+  in.finish("trailing bytes after the declared runs");
   MetricsRegistry& registry = MetricsRegistry::global();
   if (registry.enabled()) {
     registry.counter("trace.io.traces_decoded").add(1);
-    // Seekable streams (files, stringstreams — every embedder we have)
-    // report exact decoded bytes; tellg() failing just skips the counter.
-    const std::istream::pos_type end = is.tellg();
-    if (begin != std::istream::pos_type(-1) &&
-        end != std::istream::pos_type(-1) && end > begin) {
-      registry.counter("trace.io.bytes_decoded")
-          .add(static_cast<std::uint64_t>(end - begin));
-    }
+    registry.counter("trace.io.bytes_decoded").add(bytes.size());
   }
   return out;
 }
@@ -144,13 +94,17 @@ Trace read_trace(std::istream& is) {
 void save_trace(const std::string& path, const Trace& trace) {
   std::ofstream f(path, std::ios::binary);
   CL_CHECK_MSG(f.is_open(), "cannot open " << path << " for writing");
-  write_trace(f, trace);
+  const std::string bytes = encode_trace(trace);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  CL_CHECK_MSG(f.good(), "trace write failed");
 }
 
 Trace load_trace(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   CL_CHECK_MSG(f.is_open(), "cannot open " << path);
-  return read_trace(f);
+  const std::string bytes{std::istreambuf_iterator<char>(f),
+                          std::istreambuf_iterator<char>()};
+  return decode_trace(bytes);
 }
 
 }  // namespace codelayout

@@ -53,6 +53,23 @@ TEST(HierarchySpec, ParseGeometryReadsCanonicalText) {
             (CacheGeometry{2 * 1024 * 1024, 16, 32}));
 }
 
+TEST(HierarchySpec, ParseGeometryRejectsNumbersPast64Bits) {
+  // 2^64 + 32768 must not wrap to 32K, and 2 * 10^19 must not wrap to
+  // another size either: each is refused as overflowing, as is a suffix
+  // that scales a fitting number past 64 bits.
+  for (const char* text :
+       {"18446744073709584384/4/64", "20000000000000000000/4/64",
+        "18014398509481984K/4/64", "32K/18446744073709551616/64"}) {
+    try {
+      (void)parse_geometry(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+}
+
 TEST(HierarchySpec, ParseHierarchyRoundTripsToString) {
   for (const char* text :
        {"32K/4/64", "16K/2/64+l2=256K/8/64", "2K/2/32+l2=1M/16/32"}) {

@@ -174,6 +174,75 @@ TEST(ServiceProtocol, CorunReplyBytesArePinned) {
   EXPECT_EQ(decode_response_payload(payload), response);
 }
 
+TEST(ServiceProtocol, EveryFieldOfARequestAndAResponseIsPinned) {
+  // Every field set to a distinct value, so the order of each field list,
+  // the receipt's and the schedule's included, is pinned byte by byte: a
+  // field moved within its list changes these bytes, and with them the
+  // reply checksums of every daemon that came before.
+  JobRequest request;
+  request.id = 300;
+  request.priority = JobPriority::kInteractive;
+  request.kind = JobKind::kCorun;
+  request.measure = Measure::kSimulator;
+  request.workload = "w";
+  request.optimizer = kBBTrg;
+  request.parties.push_back({"a", kFuncAffinity, 1.5});
+  request.parties.push_back({"b", std::nullopt, 0.5});
+  request.cpi_speeds = false;
+  request.trace = Trace{Trace::Granularity::kFunction};
+  request.trace.push_run(3, 2);
+  request.trace.push_symbol(200);
+  request.hierarchy.l2 = CacheGeometry{256 * 1024, 8, 64};
+  request.trace_id = 0x1234;
+  request.span_id = 5;
+  request.introspect = IntrospectKind::kRecentJobs;
+  request.slots = 2;
+  request.verify_top_k = 1;
+  const std::string request_payload = encode_request_payload(request);
+  EXPECT_EQ(to_hex(request_payload),
+            "ac02" "02" "02" "00" "0177" "010101"  // id ... workload, optimizer
+            "02" "0161" "010000" "000000000000f83f"  // parties: a, ...
+            "0162" "00" "000000000000e03f"           //   ... b
+            "00"                                     // cpi_speeds
+            "21" "52544c43" "02000000" "01000000"    // trace: header ...
+            "0300000000000000" "0200000000000000"    //   ... counts,
+            "0302" "c80101"                          //   runs (3, 2), (200, 1)
+            "23" "808002" "04" "40"                  // hierarchy: L1,
+            "01" "808010" "08" "40"                  //   L2,
+            "000000000000f03f" "0000000000001c40"    //   latencies
+            "0000000000804140"
+            "b424" "05" "04" "02" "01");  // trace context, introspect, slots
+  EXPECT_EQ(decode_request_payload(request_payload), request);
+
+  JobResponse response;
+  response.id = 9;
+  response.status = JobStatus::kError;
+  response.error = "e";
+  response.results = {SimResult{1, 2, 3, 4, 5, 6, 7, 8}};
+  response.layout = {10, 11, 12, 13, 14};
+  response.trace_stats = {15, 16, 17, 18};
+  response.receipt = {19, 20, 21, 22, 23, 24, 25, 26, true, 27, 28};
+  response.introspect = "i";
+  response.schedule.pairs = {{0, 1, 2.0}};
+  response.schedule.unpaired = {2};
+  response.schedule.predicted_total_misses = 0.5;
+  response.schedule.refine_passes = 3;
+  response.schedule.verified = {0};
+  const std::string response_payload = encode_response_payload(response);
+  EXPECT_EQ(to_hex(response_payload),
+            "09" "01" "0165" "01"                     // id ... result count
+            "0102030405060708"                        // the result
+            "0a0b0c0d0e" "0f101112"                   // layout, trace stats
+            "13" "0000" "1415161718191a" "01"          // receipt: events,
+                                                      // retired slots, ...
+            "0169"                                    // introspect
+            "0000" "0000000000000000"                 // 3 retired slots
+            "01" "00" "01" "0000000000000040"         // schedule: pairs,
+            "01" "02" "000000000000e03f" "03" "0100"  //   ... verified
+            "1b1c");                                  // predictor
+  EXPECT_EQ(decode_response_payload(response_payload), response);
+}
+
 TEST(ServiceProtocol, CanonicalKeyNormalizesIdAndPriority) {
   JobRequest a = solo_request("429.mcf", kBBAffinity, Measure::kHardware, 1);
   JobRequest b = solo_request("429.mcf", kBBAffinity, Measure::kHardware, 999);

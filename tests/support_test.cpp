@@ -1,9 +1,17 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/bytes.hpp"
 #include "support/check.hpp"
 #include "support/format.hpp"
 #include "support/metrics.hpp"
@@ -378,6 +386,217 @@ TEST(JsonWriter, EmptyContainers) {
   w.begin_array("empty_array").end_array();
   w.begin_object("empty_object").end_object();
   EXPECT_EQ(w.finish(), R"({"empty_array":[],"empty_object":{}})");
+}
+
+// ---------- ByteWriter / ByteReader ----------------------------------------
+
+enum class Color : std::uint8_t { kRed, kGreen, kBlue };
+
+/// One field of every kind the codec writes.
+struct Sample {
+  std::uint8_t byte = 0;
+  std::uint16_t half = 0;
+  std::uint32_t word = 0;
+  std::uint64_t wide = 0;
+  double real = 0.0;
+  std::uint64_t count = 0;
+  std::uint32_t narrow = 0;
+  std::string text;
+  Color color = Color::kRed;
+  bool on = false;
+  std::optional<std::uint64_t> maybe;
+  std::vector<std::uint64_t> items;
+
+  friend bool operator==(const Sample&, const Sample&) = default;
+};
+
+template <class Codec, class S>
+void sample_fields(Codec& c, S& s) {
+  c.u8(s.byte);
+  c.u16(s.half);
+  c.u32(s.word);
+  c.u64(s.wide);
+  c.f64(s.real);
+  c.varint(s.count);
+  c.varint32(s.narrow, "narrow out of range");
+  c.bytes(s.text);
+  c.enumeration(s.color, Color::kBlue, "color out of range");
+  c.flag(s.on, "bad on flag");
+  c.optional(s.maybe, "bad maybe flag", [&](auto& v) { c.varint(v); });
+  c.list(s.items, 3, "too many items", [&](auto& v) { c.varint(v); });
+}
+
+std::string encode_sample(const Sample& sample) {
+  ByteWriter out;
+  sample_fields(out, sample);
+  return std::move(out.out);
+}
+
+/// What reading `bytes` with `read` throws, or "" when it succeeds.
+template <class Read>
+std::string read_error(std::string_view bytes, Read read) {
+  ByteReader in(bytes, "sample");
+  try {
+    read(in);
+  } catch (const ContractError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+Sample decode_sample(std::string_view bytes) {
+  ByteReader in(bytes, "sample");
+  Sample sample;
+  sample_fields(in, sample);
+  in.finish("trailing bytes");
+  return sample;
+}
+
+Sample full_sample() {
+  Sample s;
+  s.byte = 0xff;
+  s.half = 0xfffe;
+  s.word = 0xfffffffd;
+  s.wide = ~std::uint64_t{0};
+  s.real = -0.0;
+  s.count = ~std::uint64_t{0};
+  s.narrow = ~std::uint32_t{0};
+  s.text = std::string("a\0b", 3);
+  s.color = Color::kBlue;
+  s.on = true;
+  s.maybe = 300;
+  s.items = {0, 127, 128};
+  return s;
+}
+
+TEST(ByteCodec, EveryPrimitiveRoundTrips) {
+  for (const Sample& sample : {Sample{}, full_sample()}) {
+    EXPECT_EQ(decode_sample(encode_sample(sample)), sample);
+  }
+  EXPECT_TRUE(std::signbit(decode_sample(encode_sample(full_sample())).real));
+  // A NaN keeps its payload bits.
+  Sample nan;
+  nan.real = std::bit_cast<double>(std::uint64_t{0x7ff8000000000123});
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                decode_sample(encode_sample(nan)).real),
+            0x7ff8000000000123u);
+}
+
+TEST(ByteCodec, WritesLittleEndianWordsAndLeb128) {
+  ByteWriter out;
+  out.u16(0x0102);
+  out.u32(0x03040506);
+  out.u64(0x0708090a0b0c0d0e);
+  out.f64(1.0);
+  out.varint(300);
+  out.bytes("hi");
+  EXPECT_EQ(out.out, std::string("\x02\x01\x06\x05\x04\x03"
+                                 "\x0e\x0d\x0c\x0b\x0a\x09\x08\x07"
+                                 "\0\0\0\0\0\0\xf0\x3f"
+                                 "\xac\x02"
+                                 "\x02hi",
+                                 27));
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{127}, std::uint64_t{128},
+        std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+    ByteWriter w;
+    w.varint(v);
+    ByteReader in(w.out, "sample");
+    EXPECT_EQ(in.varint(), v);
+    in.finish("trailing bytes");
+  }
+}
+
+TEST(ByteCodec, RejectsTruncationAtEveryLength) {
+  const std::string bytes = encode_sample(full_sample());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::string error =
+        read_error(bytes.substr(0, len), [](ByteReader& in) {
+          Sample sample;
+          sample_fields(in, sample);
+        });
+    EXPECT_EQ(error.rfind("sample: truncated", 0), 0u)
+        << "cut at " << len << ": " << error;
+  }
+}
+
+TEST(ByteCodec, RejectsVarintOverflow) {
+  const auto read_varint = [](ByteReader& in) { (void)in.varint(); };
+  // 2^64 - 1 is the largest value; one more bit in the tenth byte, or an
+  // eleventh byte, is an overflow.
+  EXPECT_EQ(read_error(std::string(9, '\xff') + '\x01', read_varint), "");
+  EXPECT_EQ(read_error(std::string(9, '\xff') + '\x02', read_varint),
+            "sample: varint overflow");
+  EXPECT_EQ(read_error(std::string(11, '\x80'), read_varint),
+            "sample: varint overflow");
+  EXPECT_EQ(read_error("\x80", read_varint), "sample: truncated varint");
+}
+
+TEST(ByteCodec, RejectsAnEnumPastItsLastValue) {
+  Color color = Color::kRed;
+  const auto read_color = [&](ByteReader& in) {
+    in.enumeration(color, Color::kBlue, "color out of range");
+  };
+  EXPECT_EQ(read_error("\x02", read_color), "");
+  EXPECT_EQ(color, Color::kBlue);
+  EXPECT_EQ(read_error("\x03", read_color), "sample: color out of range");
+}
+
+TEST(ByteCodec, RejectsAFlagOtherThanZeroOrOne) {
+  bool on = false;
+  const auto read_flag = [&](ByteReader& in) { in.flag(on, "bad on flag"); };
+  EXPECT_EQ(read_error("\x01", read_flag), "");
+  EXPECT_TRUE(on);
+  EXPECT_EQ(read_error("\x02", read_flag), "sample: bad on flag");
+  // An optional's presence byte is a flag too.
+  std::optional<std::uint64_t> maybe;
+  EXPECT_EQ(read_error("\x02\x05",
+                       [&](ByteReader& in) {
+                         in.optional(maybe, "bad maybe flag",
+                                     [&](auto& v) { in.varint(v); });
+                       }),
+            "sample: bad maybe flag");
+}
+
+TEST(ByteCodec, RejectsAListOverItsCap) {
+  std::vector<std::uint64_t> items;
+  const auto read_items = [&](ByteReader& in) {
+    in.list(items, 3, "too many items", [&](auto& v) { in.varint(v); });
+  };
+  EXPECT_EQ(read_error("\x03\x01\x02\x03", read_items), "");
+  EXPECT_EQ(items, (std::vector<std::uint64_t>{1, 2, 3}));
+  // The count is checked before any item is read or stored.
+  EXPECT_EQ(read_error("\x04", read_items), "sample: too many items");
+}
+
+TEST(ByteCodec, RejectsAValueTooWideFor32Bits) {
+  std::uint32_t narrow = 0;
+  const auto read_narrow = [&](ByteReader& in) {
+    in.varint32(narrow, "narrow out of range");
+  };
+  EXPECT_EQ(read_error("\xff\xff\xff\xff\x0f", read_narrow), "");
+  EXPECT_EQ(narrow, ~std::uint32_t{0});
+  EXPECT_EQ(read_error("\x80\x80\x80\x80\x10", read_narrow),
+            "sample: narrow out of range");
+}
+
+TEST(ByteCodec, RejectsTrailingBytes) {
+  const std::string bytes = encode_sample(full_sample());
+  EXPECT_EQ(read_error(bytes + 'x',
+                       [](ByteReader& in) {
+                         Sample sample;
+                         sample_fields(in, sample);
+                         in.finish("trailing bytes");
+                       }),
+            "sample: trailing bytes");
+}
+
+TEST(ByteCodec, CheckMessagesJoinTheirParts) {
+  EXPECT_EQ(read_error("", [](ByteReader& in) {
+              in.check(true, "never shown");
+              in.check(false, "value ", 7, " above ", 5u);
+            }),
+            "sample: value 7 above 5");
 }
 
 }  // namespace

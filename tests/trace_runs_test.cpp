@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <future>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -450,9 +449,7 @@ TEST(SpinWorkload, SampleWindowsMatchesPerEventReference) {
 
 TEST(SpinWorkload, IoRoundtripPreservesRuns) {
   const Trace& t = spin_trace();
-  std::stringstream ss;
-  write_trace(ss, t);
-  const Trace back = read_trace(ss);
+  const Trace back = decode_trace(encode_trace(t));
   EXPECT_EQ(back, t);
   EXPECT_EQ(back.run_count(), t.run_count());
 }
@@ -466,9 +463,7 @@ TEST(RunCore, EmptyTrace) {
   EXPECT_EQ(compute_reuse(t).total_accesses, 0u);
   EXPECT_EQ(FootprintCurve::compute(t).trace_length(), 0u);
   EXPECT_EQ(Trg::build(t, TrgConfig{.window_entries = 16}).node_count(), 0u);
-  std::stringstream ss;
-  write_trace(ss, t);
-  EXPECT_EQ(read_trace(ss), t);
+  EXPECT_EQ(decode_trace(encode_trace(t)), t);
 }
 
 TEST(RunCore, SingleSymbolTrace) {

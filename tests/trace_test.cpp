@@ -1,5 +1,5 @@
 #include <cstring>
-#include <sstream>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -151,23 +151,20 @@ TEST(TraceIo, RunLengthPairsRoundtrip) {
   // The v2 stream stores one (symbol, length) varint pair per maximal run
   // after a 28-byte header whose last field is the run count.
   const Trace t = make_trace({1, 1, 1, 2, 3, 3, 1});
-  std::stringstream ss;
-  write_trace(ss, t);
-  const std::string bytes = ss.str();
+  const std::string bytes = encode_trace(t);
   ASSERT_EQ(bytes.size(), 28u + 8u);
   std::uint64_t runs = 0;
   std::memcpy(&runs, bytes.data() + 20, sizeof(runs));
   EXPECT_EQ(runs, 4u);
   EXPECT_EQ(bytes.substr(28), std::string("\x01\x03\x02\x01\x03\x02\x01\x01"));
-  EXPECT_EQ(read_trace(ss), t);
+  EXPECT_EQ(decode_trace(bytes), t);
 }
 
 TEST(TraceIo, EmptyTraceRoundtrip) {
   const Trace t(Trace::Granularity::kBlock);
-  std::stringstream ss;
-  write_trace(ss, t);
-  EXPECT_EQ(ss.str().size(), 28u);
-  EXPECT_EQ(read_trace(ss), t);
+  const std::string bytes = encode_trace(t);
+  EXPECT_EQ(bytes.size(), 28u);
+  EXPECT_EQ(decode_trace(bytes), t);
 }
 
 TEST(TraceIo, StreamRoundtrip) {
@@ -176,27 +173,21 @@ TEST(TraceIo, StreamRoundtrip) {
   for (int i = 0; i < 5000; ++i) {
     t.push_symbol(static_cast<Symbol>(rng.below(64)));
   }
-  std::stringstream ss;
-  write_trace(ss, t);
-  const Trace back = read_trace(ss);
+  const Trace back = decode_trace(encode_trace(t));
   EXPECT_EQ(back, t);
   EXPECT_EQ(back.granularity(), Trace::Granularity::kFunction);
 }
 
 TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "not a trace file at all";
-  EXPECT_THROW(read_trace(ss), ContractError);
+  EXPECT_THROW((void)decode_trace("not a trace file at all"), ContractError);
 }
 
 TEST(TraceIo, RejectsTruncatedStream) {
   Trace t(Trace::Granularity::kBlock);
   for (int i = 0; i < 100; ++i) t.push_symbol(static_cast<Symbol>(i));
-  std::stringstream ss;
-  write_trace(ss, t);
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(read_trace(cut), ContractError);
+  const std::string full = encode_trace(t);
+  EXPECT_THROW((void)decode_trace(full.substr(0, full.size() / 2)),
+               ContractError);
 }
 
 TEST(TraceIo, FileRoundtrip) {
@@ -212,7 +203,7 @@ TEST(TraceIo, MissingFileThrows) {
 
 // ---------- hostile streams ---------------------------------------------------
 //
-// Hand-crafted byte streams probing every validation path of read_trace: the
+// Hand-crafted byte streams probing every validation path of decode_trace: the
 // decoder must reject them with ContractError instead of over-allocating,
 // looping, or silently mis-decoding.
 
@@ -233,23 +224,22 @@ void append_varint(std::string& s, std::uint64_t v) {
   } while (v != 0);
 }
 
-/// Trace-stream header: magic "CLTR", version, granularity, event and run
-/// counts (matching write_trace's layout).
+/// Trace-stream header: magic "CLTR", version, granularity (0 = block), event
+/// and run counts (matching encode_trace's layout).
 std::string header(std::uint32_t version, std::uint64_t events,
-                   std::uint64_t pairs) {
+                   std::uint64_t pairs, std::uint32_t granularity = 0) {
   std::string s;
   append_u32(s, 0x434c5452);
   append_u32(s, version);
-  append_u32(s, 0);  // block granularity
+  append_u32(s, granularity);
   append_u64(s, events);
   append_u64(s, pairs);
   return s;
 }
 
 std::string thrown_message(const std::string& bytes) {
-  std::stringstream ss(bytes);
   try {
-    read_trace(ss);
+    (void)decode_trace(bytes);
   } catch (const ContractError& e) {
     return e.what();
   }
@@ -307,8 +297,7 @@ TEST(TraceIoHostile, RunLengthSumOverflowIsRejected) {
   append_varint(s, ~std::uint32_t{0});
   append_varint(s, 2);
   append_varint(s, ~std::uint32_t{0});
-  std::stringstream ss(s);
-  EXPECT_THROW(read_trace(ss), ContractError);
+  EXPECT_THROW((void)decode_trace(s), ContractError);
 }
 
 TEST(TraceIoHostile, EventCountMismatchThrows) {
@@ -325,8 +314,7 @@ TEST(TraceIoHostile, HugeDeclaredRunCountDoesNotPreallocate) {
                          1'000'000'000'000'000'000ull);
   append_varint(s, 1);
   append_varint(s, 1);
-  std::stringstream ss(s);
-  EXPECT_THROW(read_trace(ss), ContractError);
+  EXPECT_THROW((void)decode_trace(s), ContractError);
 }
 
 TEST(TraceIoHostile, DeclaredEventCountAboveDecodeCapThrows) {
@@ -341,8 +329,7 @@ TEST(TraceIoHostile, DeclaredEventCountAboveDecodeCapThrows) {
   std::string at_cap = header(2, kMaxTraceEvents, 1);
   append_varint(at_cap, 1);
   append_varint(at_cap, kMaxTraceEvents);
-  std::stringstream ss(at_cap);
-  EXPECT_EQ(read_trace(ss).size(), kMaxTraceEvents);
+  EXPECT_EQ(decode_trace(at_cap).size(), kMaxTraceEvents);
 }
 
 TEST(TraceIoHostile, UnsupportedVersionThrows) {
@@ -354,6 +341,30 @@ TEST(TraceIoHostile, UnsupportedVersionThrows) {
               std::string::npos)
         << "version " << version;
   }
+}
+
+TEST(TraceIoHostile, GranularityOtherThanBlockOrFunctionThrows) {
+  // Granularity 1 is a function trace; any larger word is rejected, not
+  // read as one.
+  EXPECT_EQ(decode_trace(header(2, 0, 0, 1)).granularity(),
+            Trace::Granularity::kFunction);
+  for (const std::uint32_t granularity : {2u, 7u}) {
+    EXPECT_NE(thrown_message(header(2, 0, 0, granularity))
+                  .find("granularity " + std::to_string(granularity)),
+              std::string::npos)
+        << "granularity " << granularity;
+  }
+}
+
+TEST(TraceIoHostile, TrailingBytesThrow) {
+  // Bytes after the declared runs are garbage the encoder never wrote, in
+  // memory and in a file alike.
+  const std::string bytes = encode_trace(make_trace({4, 4, 2}));
+  EXPECT_NE(thrown_message(bytes + '\0').find("trailing bytes"),
+            std::string::npos);
+  const std::string path = ::testing::TempDir() + "/trailing.bin";
+  std::ofstream(path, std::ios::binary) << bytes << 'x';
+  EXPECT_THROW((void)load_trace(path), ContractError);
 }
 
 }  // namespace
