@@ -176,7 +176,8 @@ std::string frame(FrameType type, const std::string& payload) {
   std::string out(kFrameHeaderBytes, '\0');
   encode_frame_header({type, static_cast<std::uint32_t>(payload.size())},
                       out.data());
-  return out += payload;
+  out += payload;
+  return out;
 }
 
 }  // namespace

@@ -1,8 +1,5 @@
 #include "trace/io.hpp"
 
-#include <fstream>
-#include <iterator>
-
 #include "support/bytes.hpp"
 #include "support/registry.hpp"
 
@@ -89,22 +86,6 @@ Trace decode_trace(std::string_view bytes) {
     registry.counter("trace.io.bytes_decoded").add(bytes.size());
   }
   return out;
-}
-
-void save_trace(const std::string& path, const Trace& trace) {
-  std::ofstream f(path, std::ios::binary);
-  CL_CHECK_MSG(f.is_open(), "cannot open " << path << " for writing");
-  const std::string bytes = encode_trace(trace);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  CL_CHECK_MSG(f.good(), "trace write failed");
-}
-
-Trace load_trace(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  CL_CHECK_MSG(f.is_open(), "cannot open " << path);
-  const std::string bytes{std::istreambuf_iterator<char>(f),
-                          std::istreambuf_iterator<char>()};
-  return decode_trace(bytes);
 }
 
 }  // namespace codelayout

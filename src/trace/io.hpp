@@ -1,5 +1,7 @@
 // Trace serialization (paper Sec. II-F "Instrumentation" records traces and a
-// symbol mapping to files between the profiling run and the analysis).
+// symbol mapping to files between the profiling run and the analysis). The
+// codec works on bytes; a caller that keeps a trace in a file writes and
+// reads these bytes itself.
 //
 // Format, in support/bytes.hpp's codec: a 28-byte header of little-endian
 // words (magic u32, version u32 = 2, granularity u32 = 0 block / 1
@@ -32,9 +34,5 @@ inline constexpr std::uint64_t kMaxTraceEvents = std::uint64_t{1} << 24;
 /// (or would pass) the declared event count, or bytes after the last run.
 [[nodiscard]] std::string encode_trace(const Trace& trace);
 [[nodiscard]] Trace decode_trace(std::string_view bytes);
-
-/// The same bytes as a file.
-void save_trace(const std::string& path, const Trace& trace);
-[[nodiscard]] Trace load_trace(const std::string& path);
 
 }  // namespace codelayout

@@ -143,17 +143,6 @@ TEST_F(LabTest, OptimizingThePeerTooAddsLittle) {
   EXPECT_LT(additional, 0.05);
 }
 
-TEST_F(LabTest, SecIIIFComputesOnlyTheCellsItReads) {
-  // The ranking reads the hardware co-runs of the original and
-  // function-affinity layouts, 8 programs x 8 probes x 2 = 128; the rows
-  // add the 9 optimized+optimized co-runs of the top 3. The only layouts
-  // are the 8 function-affinity ones.
-  EXPECT_EQ(sec3f_rows(lab_).size(), 9u);
-  const LabMetrics metrics = lab_.metrics();
-  EXPECT_EQ(metrics.corun.computed, 137u);
-  EXPECT_EQ(metrics.layout.computed, 8u);
-}
-
 TEST_F(LabTest, BBReorderingNAForPerlbenchAndPovray) {
   EXPECT_FALSE(Lab::bb_reordering_supported("400.perlbench"));
   EXPECT_FALSE(Lab::bb_reordering_supported("453.povray"));

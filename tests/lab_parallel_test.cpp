@@ -1,7 +1,8 @@
 // Tests for the Lab's parallel evaluation engine: the typed EvalKey/
 // EvalRequest API, LabOptions validation, per-key once-execution under
 // concurrent hammering, thread-count determinism of the experiment drivers,
-// the per-stage metrics, and bounded metric names.
+// the cells Sec. III-F computes, the per-stage metrics, and bounded metric
+// names.
 #include <optional>
 #include <string>
 #include <thread>
@@ -269,6 +270,16 @@ TEST(LabEngineTest, ConcurrentHammeringMatchesSerialEngine) {
 TEST(LabEngineTest, DriverRowsAreIdenticalAtAnyThreadCount) {
   Lab serial(LabOptions{}.threads(1));
   Lab parallel(LabOptions{}.threads(4));
+  // Sec. III-F computes only the cells it reads. Its ranking reads the
+  // hardware co-runs of the original and function-affinity layouts, 8
+  // programs x 8 probes x 2 = 128, which are the Fig. 6 cells below; its
+  // rows add the 9 optimized+optimized co-runs of the top 3. The only
+  // layouts are the 8 function-affinity ones.
+  EXPECT_EQ(sec3f_rows(parallel).size(), 9u);
+  const LabMetrics metrics = parallel.metrics();
+  EXPECT_EQ(metrics.corun.computed, 137u);
+  EXPECT_EQ(metrics.layout.computed, 8u);
+
   const std::vector<Fig6Cell> a = fig6_cells(serial, kFuncAffinity);
   const std::vector<Fig6Cell> b = fig6_cells(parallel, kFuncAffinity);
   ASSERT_EQ(a.size(), b.size());

@@ -1,5 +1,4 @@
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -178,27 +177,12 @@ TEST(TraceIo, StreamRoundtrip) {
   EXPECT_EQ(back.granularity(), Trace::Granularity::kFunction);
 }
 
-TEST(TraceIo, RejectsBadMagic) {
-  EXPECT_THROW((void)decode_trace("not a trace file at all"), ContractError);
-}
-
 TEST(TraceIo, RejectsTruncatedStream) {
   Trace t(Trace::Granularity::kBlock);
   for (int i = 0; i < 100; ++i) t.push_symbol(static_cast<Symbol>(i));
   const std::string full = encode_trace(t);
   EXPECT_THROW((void)decode_trace(full.substr(0, full.size() / 2)),
                ContractError);
-}
-
-TEST(TraceIo, FileRoundtrip) {
-  const Trace t = make_trace({9, 9, 1, 2});
-  const std::string path = ::testing::TempDir() + "/trace.bin";
-  save_trace(path, t);
-  EXPECT_EQ(load_trace(path), t);
-}
-
-TEST(TraceIo, MissingFileThrows) {
-  EXPECT_THROW(load_trace("/nonexistent/dir/trace.bin"), ContractError);
 }
 
 // ---------- hostile streams ---------------------------------------------------
@@ -244,6 +228,16 @@ std::string thrown_message(const std::string& bytes) {
     return e.what();
   }
   return "";
+}
+
+TEST(TraceIo, RejectsBadMagic) {
+  // A whole header, so the magic check is what fails, not truncation.
+  std::string s = header(2, 0, 0);
+  s[0] = 'X';
+  EXPECT_NE(thrown_message(s).find("bad magic"), std::string::npos);
+  // Text shorter than a header is cut off before any field is checked.
+  EXPECT_NE(thrown_message("not a trace file at all").find("truncated"),
+            std::string::npos);
 }
 
 TEST(TraceIoHostile, TruncatedVarintThrows) {
@@ -357,14 +351,10 @@ TEST(TraceIoHostile, GranularityOtherThanBlockOrFunctionThrows) {
 }
 
 TEST(TraceIoHostile, TrailingBytesThrow) {
-  // Bytes after the declared runs are garbage the encoder never wrote, in
-  // memory and in a file alike.
+  // Bytes after the declared runs are garbage the encoder never wrote.
   const std::string bytes = encode_trace(make_trace({4, 4, 2}));
   EXPECT_NE(thrown_message(bytes + '\0').find("trailing bytes"),
             std::string::npos);
-  const std::string path = ::testing::TempDir() + "/trailing.bin";
-  std::ofstream(path, std::ios::binary) << bytes << 'x';
-  EXPECT_THROW((void)load_trace(path), ContractError);
 }
 
 }  // namespace
