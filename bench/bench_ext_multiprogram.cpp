@@ -19,8 +19,8 @@
 // in closed form (perfmodel/scheduler.hpp), the greedy + local-search
 // assignment minimizes total predicted front-level misses, and the K
 // costliest chosen pairs are verified against the bit-exact co-run
-// simulator. The same optimization is exposed as the service's co_schedule
-// job kind; tests pin the two paths byte-identical.
+// simulator. Both this mode and the service's co_schedule job kind call
+// harness/experiments.hpp's co_schedule.
 //
 // --json appends the one-line self-linted data report (exit 3 on lint
 // failure) after the engine-metrics line in both modes.
@@ -32,9 +32,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "harness/lab.hpp"
+#include "harness/experiments.hpp"
 #include "json_lint.hpp"
-#include "perfmodel/scheduler.hpp"
 #include "support/cli.hpp"
 #include "support/format.hpp"
 #include "workloads/spec.hpp"
@@ -178,16 +177,14 @@ int run_schedule(const BenchArgs& args, Lab& lab,
                  const HierarchySpec& hierarchy,
                  const std::vector<std::string>& names, std::size_t slots,
                  std::size_t verify_top) {
-  lab.prepare_all(names);
-  std::vector<const SoloProfile*> profiles;
-  profiles.reserve(names.size());
+  std::vector<EvalRequest> programs;
+  programs.reserve(names.size());
   for (const std::string& name : names) {
-    profiles.push_back(
-        &lab.solo_profile(name, std::nullopt, hierarchy.l1.line_bytes));
+    programs.push_back(EvalRequest::layout(name, std::nullopt));
   }
-  const PairCostMatrix costs =
-      compute_pair_costs(profiles, hierarchy, lab.perf());
-  const ScheduleResult schedule = schedule_corun(costs, slots);
+  const CoSchedule plan = co_schedule(lab, programs, slots, verify_top,
+                                      Measure::kSimulator, hierarchy);
+  const ScheduleResult& schedule = plan.schedule;
 
   std::printf(
       "Co-scheduling %zu programs onto %zu SMT pair slots (geometry %s):\n"
@@ -204,8 +201,9 @@ int run_schedule(const BenchArgs& args, Lab& lab,
                    fmt_count(static_cast<std::uint64_t>(pair.predicted_misses))});
   }
   for (const std::size_t index : schedule.unpaired) {
-    table.add_row({std::to_string(slot++), names[index] + " (alone)",
-                   fmt_count(static_cast<std::uint64_t>(costs.solo[index]))});
+    table.add_row(
+        {std::to_string(slot++), names[index] + " (alone)",
+         fmt_count(static_cast<std::uint64_t>(plan.costs.solo[index]))});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("predicted total misses: %.0f\n\n",
@@ -219,17 +217,12 @@ int run_schedule(const BenchArgs& args, Lab& lab,
     double predicted, simulated;
   };
   std::vector<Verified> verified;
-  for (const std::size_t pair_index : top_k_pairs(schedule, verify_top)) {
-    const SchedulePair& pair = schedule.pairs[pair_index];
-    const CorunResult& ab =
-        lab.corun(names[pair.a], std::nullopt, names[pair.b], std::nullopt,
-                  Measure::kSimulator, hierarchy);
-    const CorunResult& ba =
-        lab.corun(names[pair.b], std::nullopt, names[pair.a], std::nullopt,
-                  Measure::kSimulator, hierarchy);
-    verified.push_back({pair.a, pair.b, pair.predicted_misses,
-                        static_cast<double>(ab.self.misses()) +
-                            static_cast<double>(ba.self.misses())});
+  for (std::size_t i = 0; i < plan.verified.size(); ++i) {
+    const SchedulePair& pair = schedule.pairs[plan.verified[i]];
+    verified.push_back(
+        {pair.a, pair.b, pair.predicted_misses,
+         static_cast<double>(plan.simulated[2 * i].misses()) +
+             static_cast<double>(plan.simulated[2 * i + 1].misses())});
   }
   if (!verified.empty()) {
     std::printf("verification (bit-exact simulator, %zu costliest pairs):\n",

@@ -7,6 +7,7 @@
 // because one optimized program already leaves no instruction-cache
 // contention to remove.
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "harness/experiments.hpp"
@@ -18,9 +19,14 @@ using namespace codelayout;
 int main(int argc, char** argv) {
   const BenchArgs args = parse_bench_args(argc, argv);
   Lab lab(bench_lab_options(args));
-  const auto programs = top_improving_programs(lab, 3, args.hierarchy());
+  const std::vector<Sec3FRow> rows = sec3f_rows(lab, 3, args.hierarchy());
+  // The rows run program-major over the ranked programs.
   std::printf("Top-3 programs by function-affinity co-run speedup:");
-  for (const auto& p : programs) std::printf(" %s", p.c_str());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || rows[i].program != rows[i - 1].program) {
+      std::printf(" %s", rows[i].program.c_str());
+    }
+  }
   std::printf("\n\nSec. III-F: optimized+baseline vs optimized+optimized "
               "co-run speedups\n(paper: negligible additional improvement, "
               "no slowdown)\n\n");
@@ -28,7 +34,7 @@ int main(int argc, char** argv) {
   TextTable table({"program", "peer", "opt+base speedup", "opt+opt speedup",
                    "additional"});
   RunningStats additional;
-  for (const Sec3FRow& row : sec3f_rows(lab, 3, args.hierarchy())) {
+  for (const Sec3FRow& row : rows) {
     const double add = row.opt_opt_speedup / row.opt_base_speedup - 1.0;
     additional.add(add);
     table.add_row({row.program, row.peer,

@@ -74,8 +74,8 @@ enum class CellStatus : std::uint8_t { kOk, kFailed };
 
 /// Per-request result of Lab::evaluate_all_checked: the request, whether its
 /// cell materialized, and the failure message when it did not. A failed cell
-/// never aborts the rest of the batch — the service daemon turns one bad job
-/// into one error response while its neighbours complete.
+/// never aborts the rest of the batch, so a caller sees every failing cell
+/// of one batch at once.
 struct EvalOutcome {
   EvalRequest request;
   CellStatus status = CellStatus::kOk;

@@ -419,4 +419,43 @@ std::vector<Sec3FRow> sec3f_rows(Lab& lab, std::size_t top_n,
   return rows;
 }
 
+CoSchedule co_schedule(Lab& lab, std::span<const EvalRequest> programs,
+                       std::size_t slots, std::size_t verify_top,
+                       Measure measure, const HierarchySpec& hierarchy) {
+  lab.evaluate_all(programs);
+  std::vector<const SoloProfile*> profiles;
+  profiles.reserve(programs.size());
+  for (const EvalRequest& program : programs) {
+    profiles.push_back(&lab.solo_profile(program.key.workload,
+                                         program.key.optimizer,
+                                         hierarchy.l1.line_bytes));
+  }
+  CoSchedule out;
+  out.costs = compute_pair_costs(profiles, hierarchy, lab.perf());
+  out.schedule = schedule_corun(out.costs, slots);
+  out.verified = top_k_pairs(out.schedule, verify_top);
+
+  const auto corun = [&](const EvalKey& self, const EvalKey& peer) {
+    return EvalRequest::corun(self.workload, self.optimizer, peer.workload,
+                              peer.optimizer, measure, hierarchy);
+  };
+  std::vector<EvalRequest> requests;
+  requests.reserve(out.verified.size() * 2);
+  for (const std::size_t index : out.verified) {
+    const EvalKey& a = programs[out.schedule.pairs[index].a].key;
+    const EvalKey& b = programs[out.schedule.pairs[index].b].key;
+    requests.push_back(corun(a, b));
+    requests.push_back(corun(b, a));
+  }
+  lab.evaluate_all(requests);
+  out.simulated.reserve(requests.size());
+  for (const EvalRequest& request : requests) {
+    const EvalKey& key = request.key;
+    out.simulated.push_back(lab.corun(key.workload, key.optimizer, *key.peer,
+                                      key.peer_optimizer, measure, hierarchy)
+                                .self);
+  }
+  return out;
+}
+
 }  // namespace codelayout

@@ -9,10 +9,12 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "harness/lab.hpp"
+#include "perfmodel/scheduler.hpp"
 
 namespace codelayout {
 
@@ -116,5 +118,23 @@ std::vector<Sec3FRow> sec3f_rows(Lab& lab, std::size_t top_n = 3,
 /// Top-N programs by average function-affinity co-run speedup.
 std::vector<std::string> top_improving_programs(
     Lab& lab, std::size_t n, const HierarchySpec& hierarchy = {});
+
+// ---- E12: co-scheduling (Sec. III-F's question for a pool of programs) -----
+struct CoSchedule {
+  PairCostMatrix costs;  ///< the predictor's closed-form pair costs
+  ScheduleResult schedule;
+  std::vector<std::size_t> verified;  ///< top_k_pairs(schedule, verify_top)
+  /// The bit-exact co-runs of each verified pair, a against b and then b
+  /// against a, each measured over its full trace, in `verified` order.
+  std::vector<SimResult> simulated;
+};
+/// Pairs `programs` (one layout request per program) onto `slots` SMT pair
+/// slots by the predicted misses of their memoized solo profiles, then
+/// simulates both directions of the `verify_top` costliest chosen pairs in
+/// one batch. Throws the first failing layout or co-run, and ContractError
+/// when the programs do not fit the slots.
+CoSchedule co_schedule(Lab& lab, std::span<const EvalRequest> programs,
+                       std::size_t slots, std::size_t verify_top,
+                       Measure measure, const HierarchySpec& hierarchy = {});
 
 }  // namespace codelayout

@@ -1,10 +1,9 @@
 // Validated, builder-style configuration for the Lab.
 //
-// Replaces the old positional (PipelineConfig, PerfParams) constructor pair:
-// options chain fluently, and Lab's constructor rejects nonsensical configs
-// (zero pruning budget, zero cache bytes, SMT that speeds threads up, ...)
+// Options chain fluently, and Lab's constructor rejects nonsensical configs
+// (zero pruning budget, zero TRG cache bytes, an empty affinity grid, ...)
 // with a ContractError naming every problem, instead of silently producing
-// degenerate layouts or negative cycle counts.
+// degenerate layouts. Every Lab runs the default PerfParams.
 #pragma once
 
 #include "harness/pipeline.hpp"
@@ -18,10 +17,6 @@ class LabOptions {
     pipeline_ = std::move(config);
     return *this;
   }
-  LabOptions& perf(PerfParams params) {
-    perf_ = params;
-    return *this;
-  }
   /// Worker threads for the evaluation engine; 0 (the default) resolves to
   /// one per hardware thread.
   LabOptions& threads(unsigned count) {
@@ -30,7 +25,7 @@ class LabOptions {
   }
 
   [[nodiscard]] const PipelineConfig& pipeline() const { return pipeline_; }
-  [[nodiscard]] const PerfParams& perf() const { return perf_; }
+  [[nodiscard]] const PerfParams& perf() const { return kPerf; }
   [[nodiscard]] unsigned threads() const { return threads_; }
 
   /// The worker count after resolving 0 = hardware concurrency.
@@ -41,7 +36,7 @@ class LabOptions {
 
  private:
   PipelineConfig pipeline_{};
-  PerfParams perf_{};
+  static constexpr PerfParams kPerf{};
   unsigned threads_ = 0;
 };
 

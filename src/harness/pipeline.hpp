@@ -52,10 +52,11 @@ struct PipelineConfig {
   /// TRG window/slots derive from the cache size and the uniform-size
   /// assumption (Sec. II-C): the window examines 2C bytes of footprint.
   std::uint64_t trg_cache_bytes = 32 * 1024;
-  std::uint32_t trg_block_bytes = 64;    ///< assumed basic-block size
-  std::uint32_t trg_function_bytes = 512;  ///< assumed function size
-  std::uint64_t profile_seed = 101;  ///< "test" input
-  std::uint64_t eval_seed = 707;     ///< "reference" input
+  /// The assumed basic-block and function sizes of that assumption.
+  static constexpr std::uint32_t trg_block_bytes = 64;
+  static constexpr std::uint32_t trg_function_bytes = 512;
+  static constexpr std::uint64_t profile_seed = 101;  ///< "test" input
+  static constexpr std::uint64_t eval_seed = 707;     ///< "reference" input
   /// Carries nothing (see AnalysisDispatch in trace/trace.hpp).
   AnalysisDispatch dispatch{};
 };

@@ -71,7 +71,6 @@ class Module {
   explicit Module(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   [[nodiscard]] std::size_t function_count() const { return functions_.size(); }
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }

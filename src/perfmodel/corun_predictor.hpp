@@ -52,10 +52,6 @@ struct SoloProfile {
                              : static_cast<double>(line_probes) /
                                    static_cast<double>(instructions);
   }
-  /// Distinct lines the program ever touches.
-  [[nodiscard]] double max_footprint_lines() const {
-    return lines.max_footprint();
-  }
 };
 
 /// Builds the profile with one pass over the evaluation block trace: each
@@ -87,10 +83,6 @@ struct PartyPrediction {
   /// Modeled co-run dilation (>= 1 in practice; 1.0 for an empty program).
   [[nodiscard]] double slowdown() const {
     return solo_cycles > 0.0 ? corun_cycles / solo_cycles : 1.0;
-  }
-  /// The party's defensiveness loss under this pairing (Sec. II-A).
-  [[nodiscard]] double miss_ratio_increase() const {
-    return corun_miss_ratio - solo_miss_ratio;
   }
 };
 

@@ -13,8 +13,8 @@
 // disjoint pairs, and the refinement loop applies first-improvement swap
 // moves (exchange members between two pairs, or swap a paired program with
 // an unpaired one) to a deterministic fixpoint. Simulation is reserved for
-// verification of the chosen assignment's top-k costliest pairs — the
-// caller (Lab, service executor, bench) runs the bit-exact co-run simulator
+// verification of the chosen assignment's top-k costliest pairs —
+// co_schedule (harness/experiments.hpp) runs the bit-exact co-run simulator
 // on exactly those pairs.
 #pragma once
 

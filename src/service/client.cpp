@@ -166,7 +166,7 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
   std::atomic<std::uint64_t> ok{0}, errors{0}, rejected{0};
   MetricsRegistry& registry = MetricsRegistry::global();
   // Per-client receipt partials, merged after the join (no contention).
-  std::vector<LoadGenReport::Cost> costs(options.clients);
+  std::vector<CostReceipt> costs(options.clients);
 
   const std::uint64_t start = now_nanos();
   std::vector<std::thread> threads;
@@ -174,7 +174,7 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
   for (unsigned c = 0; c < options.clients; ++c) {
     threads.emplace_back([&, c] {
       ServiceClient& client = clients[c];
-      LoadGenReport::Cost& cost = costs[c];
+      CostReceipt& cost = costs[c];
       for (unsigned j = 0; j < options.jobs_per_client; ++j) {
         JobRequest request = options.mix[j % options.mix.size()];
         request.id = (static_cast<std::uint64_t>(c + 1) << 32) | (j + 1);
@@ -191,19 +191,7 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
           case JobStatus::kRejected:
           case JobStatus::kShuttingDown: rejected.fetch_add(1); break;
         }
-        if (response.status == JobStatus::kOk) {
-          const CostReceipt& receipt = response.receipt;
-          cost.events += receipt.events;
-          cost.cache_probes += receipt.cache_probes;
-          cost.l2_probes += receipt.l2_probes;
-          cost.memo_hits += receipt.memo_hits;
-          cost.memo_misses += receipt.memo_misses;
-          cost.bytes_decoded += receipt.bytes_decoded;
-          cost.queue_wait_nanos += receipt.queue_wait_nanos;
-          cost.wall_nanos += receipt.wall_nanos;
-          cost.predict_calls += receipt.predict_calls;
-          cost.profile_memo_hits += receipt.profile_memo_hits;
-        }
+        if (response.status == JobStatus::kOk) cost += response.receipt;
       }
     });
   }
@@ -221,18 +209,7 @@ LoadGenReport run_load_generator(const LoadGenOptions& options) {
   report.jobs_per_sec =
       wall > 0.0 ? static_cast<double>(report.jobs) / wall : 0.0;
   report.latency = latency.summary();
-  for (const LoadGenReport::Cost& cost : costs) {
-    report.cost.events += cost.events;
-    report.cost.cache_probes += cost.cache_probes;
-    report.cost.l2_probes += cost.l2_probes;
-    report.cost.memo_hits += cost.memo_hits;
-    report.cost.memo_misses += cost.memo_misses;
-    report.cost.bytes_decoded += cost.bytes_decoded;
-    report.cost.queue_wait_nanos += cost.queue_wait_nanos;
-    report.cost.wall_nanos += cost.wall_nanos;
-    report.cost.predict_calls += cost.predict_calls;
-    report.cost.profile_memo_hits += cost.profile_memo_hits;
-  }
+  for (const CostReceipt& cost : costs) report.cost += cost;
   return report;
 }
 

@@ -72,19 +72,7 @@ struct LoadGenReport {
   LatencyHistogram::Summary latency;
   /// CostReceipts summed over every kOk response: where the daemon's time
   /// and simulated work went.
-  struct Cost {
-    std::uint64_t events = 0;
-    std::uint64_t cache_probes = 0;
-    std::uint64_t l2_probes = 0;
-    std::uint64_t memo_hits = 0;
-    std::uint64_t memo_misses = 0;
-    std::uint64_t bytes_decoded = 0;
-    std::uint64_t queue_wait_nanos = 0;
-    std::uint64_t wall_nanos = 0;
-    /// Closed-form predictor work summed over every kOk response.
-    std::uint64_t predict_calls = 0;
-    std::uint64_t profile_memo_hits = 0;
-  } cost;
+  CostReceipt cost;
 };
 
 /// Drives the daemon with `clients` concurrent connections and returns the

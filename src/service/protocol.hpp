@@ -194,6 +194,22 @@ struct CostReceipt {
   std::uint64_t predict_calls = 0;
   std::uint64_t profile_memo_hits = 0;
 
+  /// Adds every count and time of `other` (a load run's total); `cached` is
+  /// not a count and is left as it is.
+  CostReceipt& operator+=(const CostReceipt& other) {
+    events += other.events;
+    cache_probes += other.cache_probes;
+    l2_probes += other.l2_probes;
+    memo_hits += other.memo_hits;
+    memo_misses += other.memo_misses;
+    bytes_decoded += other.bytes_decoded;
+    queue_wait_nanos += other.queue_wait_nanos;
+    wall_nanos += other.wall_nanos;
+    predict_calls += other.predict_calls;
+    profile_memo_hits += other.profile_memo_hits;
+    return *this;
+  }
+
   friend bool operator==(const CostReceipt&, const CostReceipt&) = default;
 };
 

@@ -13,6 +13,7 @@
 #include <future>
 #include <utility>
 
+#include "harness/experiments.hpp"
 #include "perfmodel/scheduler.hpp"
 #include "support/bytes.hpp"
 #include "support/check.hpp"
@@ -36,6 +37,16 @@ JobResponse error_response(const JobRequest& request, std::string message) {
   response.status = JobStatus::kError;
   response.error = std::move(message);
   return response;
+}
+
+/// One layout request per party: the cells a multi-party job fans out.
+std::vector<EvalRequest> party_layouts(const JobRequest& request) {
+  std::vector<EvalRequest> layouts;
+  layouts.reserve(request.parties.size());
+  for (const CorunPartyRequest& party : request.parties) {
+    layouts.push_back(EvalRequest::layout(party.workload, party.optimizer));
+  }
+  return layouts;
 }
 
 void bump(const char* name) {
@@ -91,31 +102,19 @@ JobResponse LabExecutor::run(const JobRequest& request) {
   response.id = request.id;
 
   switch (request.kind) {
-    case JobKind::kSolo: {
+    case JobKind::kSolo:
       if (request.workload.empty()) {
         return error_response(request, "solo job needs a workload");
       }
-      const EvalRequest cell =
-          EvalRequest::solo(request.workload, request.optimizer,
-                            request.measure, request.hierarchy);
-      const std::vector<EvalOutcome> outcomes =
-          lab_.evaluate_all_checked({&cell, 1});
-      if (!outcomes[0].ok()) return error_response(request, outcomes[0].error);
       response.results.push_back(lab_.solo(request.workload, request.optimizer,
                                            request.measure,
                                            request.hierarchy));
       return response;
-    }
 
     case JobKind::kLayout: {
       if (request.workload.empty()) {
         return error_response(request, "layout job needs a workload");
       }
-      const EvalRequest cell =
-          EvalRequest::layout(request.workload, request.optimizer);
-      const std::vector<EvalOutcome> outcomes =
-          lab_.evaluate_all_checked({&cell, 1});
-      if (!outcomes[0].ok()) return error_response(request, outcomes[0].error);
       const CodeLayout& layout =
           lab_.layout(request.workload, request.optimizer);
       response.layout.blocks = layout.block_order().size();
@@ -153,15 +152,6 @@ JobResponse LabExecutor::run(const JobRequest& request) {
       // byte-identical to the in-process engine (pinned by the golden
       // round-trip test).
       if (request.cpi_speeds && request.parties.size() == 2) {
-        const EvalRequest cell = EvalRequest::corun(
-            request.parties[0].workload, request.parties[0].optimizer,
-            request.parties[1].workload, request.parties[1].optimizer,
-            request.measure, request.hierarchy);
-        const std::vector<EvalOutcome> outcomes =
-            lab_.evaluate_all_checked({&cell, 1});
-        if (!outcomes[0].ok()) {
-          return error_response(request, outcomes[0].error);
-        }
         const CorunResult& result = lab_.corun(
             request.parties[0].workload, request.parties[0].optimizer,
             request.parties[1].workload, request.parties[1].optimizer,
@@ -170,17 +160,9 @@ JobResponse LabExecutor::run(const JobRequest& request) {
         return response;
       }
 
-      // General N-party path: materialize every party's layout (checked, so
-      // one unknown workload fails this job alone), then assemble a
-      // CorunSpec over the Lab's memoized fetch plans.
-      std::vector<EvalRequest> cells;
-      cells.reserve(request.parties.size());
-      for (const CorunPartyRequest& party : request.parties) {
-        cells.push_back(EvalRequest::layout(party.workload, party.optimizer));
-      }
-      for (const EvalOutcome& outcome : lab_.evaluate_all_checked(cells)) {
-        if (!outcome.ok()) return error_response(request, outcome.error);
-      }
+      // General N-party path: materialize every party's layout in one
+      // batch, then assemble a CorunSpec over the Lab's memoized fetch plans.
+      lab_.evaluate_all(party_layouts(request));
       CorunSpec spec;
       spec.options = request.measure == Measure::kHardware
                          ? hardware_proxy_options()
@@ -246,79 +228,24 @@ JobResponse LabExecutor::run(const JobRequest& request) {
         return error_response(request, "co-schedule job needs >= 1 slot");
       }
 
-      // Materialize every party's layout up front (checked, so one unknown
-      // workload fails this job alone), then build the memoized solo
-      // profiles and run the closed-form assignment — no simulation until
-      // the verification pass below.
-      std::vector<EvalRequest> cells;
-      cells.reserve(request.parties.size());
-      for (const CorunPartyRequest& party : request.parties) {
-        cells.push_back(EvalRequest::layout(party.workload, party.optimizer));
-      }
-      for (const EvalOutcome& outcome : lab_.evaluate_all_checked(cells)) {
-        if (!outcome.ok()) return error_response(request, outcome.error);
-      }
-      std::vector<const SoloProfile*> profiles;
-      profiles.reserve(request.parties.size());
-      for (const CorunPartyRequest& party : request.parties) {
-        profiles.push_back(&lab_.solo_profile(
-            party.workload, party.optimizer, request.hierarchy.l1.line_bytes));
-      }
-      const PairCostMatrix costs =
-          compute_pair_costs(profiles, request.hierarchy, lab_.perf());
-      // Infeasible instances (parties > 2 * slots) throw ContractError here;
-      // execute() turns that into a kError response with the contract text.
-      const ScheduleResult schedule = schedule_corun(costs, request.slots);
-      response.schedule.pairs.reserve(schedule.pairs.size());
-      for (const SchedulePair& pair : schedule.pairs) {
+      // Infeasible instances (parties > 2 * slots) throw ContractError in
+      // the scheduler; execute() turns that into a kError response with the
+      // contract text.
+      CoSchedule plan =
+          co_schedule(lab_, party_layouts(request), request.slots,
+                      request.verify_top_k, request.measure, request.hierarchy);
+      for (const SchedulePair& pair : plan.schedule.pairs) {
         response.schedule.pairs.push_back(
             {pair.a, pair.b, pair.predicted_misses});
       }
-      response.schedule.unpaired.assign(schedule.unpaired.begin(),
-                                        schedule.unpaired.end());
+      response.schedule.unpaired.assign(plan.schedule.unpaired.begin(),
+                                        plan.schedule.unpaired.end());
       response.schedule.predicted_total_misses =
-          schedule.predicted_total_misses;
-      response.schedule.refine_passes = schedule.refine_passes;
-
-      // Verification: replay the k costliest chosen pairs on the bit-exact
-      // co-run engine, both directions, via checked cells. results[] holds
-      // two SimResults per verified pair (a-vs-b then b-vs-a) in `verified`
-      // order — byte-identical to the in-process Lab::corun answers.
-      const std::vector<std::size_t> verify =
-          top_k_pairs(schedule, request.verify_top_k);
-      response.schedule.verified.assign(verify.begin(), verify.end());
-      std::vector<EvalRequest> corun_cells;
-      corun_cells.reserve(verify.size() * 2);
-      for (const std::size_t idx : verify) {
-        const SchedulePair& pair = schedule.pairs[idx];
-        const CorunPartyRequest& a = request.parties[pair.a];
-        const CorunPartyRequest& b = request.parties[pair.b];
-        corun_cells.push_back(EvalRequest::corun(a.workload, a.optimizer,
-                                                 b.workload, b.optimizer,
-                                                 request.measure,
-                                                 request.hierarchy));
-        corun_cells.push_back(EvalRequest::corun(b.workload, b.optimizer,
-                                                 a.workload, a.optimizer,
-                                                 request.measure,
-                                                 request.hierarchy));
-      }
-      for (const EvalOutcome& outcome :
-           lab_.evaluate_all_checked(corun_cells)) {
-        if (!outcome.ok()) return error_response(request, outcome.error);
-      }
-      for (const std::size_t idx : verify) {
-        const SchedulePair& pair = schedule.pairs[idx];
-        const CorunPartyRequest& a = request.parties[pair.a];
-        const CorunPartyRequest& b = request.parties[pair.b];
-        const CorunResult& ab =
-            lab_.corun(a.workload, a.optimizer, b.workload, b.optimizer,
-                       request.measure, request.hierarchy);
-        const CorunResult& ba =
-            lab_.corun(b.workload, b.optimizer, a.workload, a.optimizer,
-                       request.measure, request.hierarchy);
-        response.results.push_back(ab.self);
-        response.results.push_back(ba.self);
-      }
+          plan.schedule.predicted_total_misses;
+      response.schedule.refine_passes = plan.schedule.refine_passes;
+      response.schedule.verified.assign(plan.verified.begin(),
+                                        plan.verified.end());
+      response.results = std::move(plan.simulated);
       return response;
     }
   }
@@ -483,8 +410,7 @@ void ServiceServer::finish_job(QueuedJob job) {
 
   response.id = job.request.id;
   push_recent(RecentJob{job.request.id, job.request.kind, response.status,
-                        job.request.trace_id, queue_wait, wall,
-                        receipt.predict_calls, receipt.profile_memo_hits});
+                        job.request.trace_id, receipt});
   {
     // Count the completion before the response leaves the building: a
     // client that has its answer must see it reflected in a stats snapshot
@@ -576,10 +502,10 @@ JobResponse ServiceServer::introspect_response(const JobRequest& request) {
             .field("kind", job_kind_name(job.kind))
             .field("status", job_status_name(job.status))
             .field("trace_id", job.trace_id)
-            .field("queue_wait_ns", job.queue_wait_nanos)
-            .field("wall_ns", job.wall_nanos)
-            .field("predict_calls", job.predict_calls)
-            .field("profile_memo_hits", job.profile_memo_hits)
+            .field("queue_wait_ns", job.receipt.queue_wait_nanos)
+            .field("wall_ns", job.receipt.wall_nanos)
+            .field("predict_calls", job.receipt.predict_calls)
+            .field("profile_memo_hits", job.receipt.profile_memo_hits)
             .end_object();
       }
       json.end_array();

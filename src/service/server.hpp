@@ -51,8 +51,10 @@ class JobExecutor {
   virtual JobResponse execute(const JobRequest& request) = 0;
 };
 
-/// Production executor: maps jobs onto Lab cells via evaluate_all_checked,
-/// so one bad job yields one kError response instead of poisoning the batch.
+/// Production executor: a single-cell job (solo, layout, two-party CPI
+/// co-run) reads its cell from the Lab's getters on the calling worker; a job
+/// that fans out submits its cells to Lab::evaluate_all. A failing cell
+/// throws to execute(), which answers that job alone with a kError.
 /// Responses carry only deterministic simulation/layout payloads (no
 /// timings), making the service path byte-identical to in-process results.
 class LabExecutor : public JobExecutor {
@@ -131,13 +133,7 @@ class ServiceServer {
     JobKind kind = JobKind::kSolo;
     JobStatus status = JobStatus::kOk;
     std::uint64_t trace_id = 0;
-    std::uint64_t queue_wait_nanos = 0;
-    std::uint64_t wall_nanos = 0;
-    /// Closed-form predictor attribution (perfmodel/corun_predictor.hpp):
-    /// predict_corun evaluations the job ran and solo-profile memo lookups
-    /// it answered without a kernel pass.
-    std::uint64_t predict_calls = 0;
-    std::uint64_t profile_memo_hits = 0;
+    CostReceipt receipt;  ///< the receipt the job's reply carried
   };
   /// Newest first; bounded at kRecentJobsCapacity.
   static constexpr std::size_t kRecentJobsCapacity = 32;

@@ -1,9 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "support/check.hpp"
 
 namespace codelayout {
 
@@ -15,106 +12,7 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double mean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double geomean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double logsum = 0.0;
-  for (double x : xs) {
-    CL_CHECK_MSG(x > 0.0, "geomean requires positive values, got " << x);
-    logsum += std::log(x);
-  }
-  return std::exp(logsum / static_cast<double>(xs.size()));
-}
-
-double percentile_of(std::span<const double> xs, double p) {
-  CL_CHECK(!xs.empty());
-  CL_CHECK(p >= 0.0 && p <= 100.0);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins) {
-  CL_CHECK(bins > 0);
-  CL_CHECK(hi > lo);
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  auto bin = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width_));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(bin)] += weight;
-  total_ += weight;
-}
-
-std::uint64_t Histogram::count(std::size_t bin) const {
-  CL_CHECK(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_high(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::quantile(double q) const {
-  CL_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const double next = cum + static_cast<double>(counts_[b]);
-    if (next >= target) {
-      const double frac =
-          counts_[b] ? (target - cum) / static_cast<double>(counts_[b]) : 0.0;
-      return bin_low(b) + frac * width_;
-    }
-    cum = next;
-  }
-  return bin_high(counts_.size() - 1);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 }  // namespace codelayout

@@ -1,64 +1,25 @@
-// Small statistics helpers shared by the evaluation harness and tests.
+// Small statistics helpers shared by the evaluation harness and benches.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
-#include <vector>
 
 namespace codelayout {
 
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
+/// Streaming mean/min/max accumulator (Welford's mean update).
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return mean_ * static_cast<double>(n_); }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Arithmetic mean of a span; 0 for empty input.
-double mean_of(std::span<const double> xs);
-
-/// Geometric mean of strictly positive values; 0 for empty input.
-double geomean_of(std::span<const double> xs);
-
-/// p-th percentile (0..100) by linear interpolation on a copy.
-double percentile_of(std::span<const double> xs, double p);
-
-/// Fixed-bin histogram over [lo, hi); out-of-range values clamp to end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bin_low(std::size_t bin) const;
-  [[nodiscard]] double bin_high(std::size_t bin) const;
-  /// Value below which `q` (0..1) of the mass lies, estimated from bins.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace codelayout

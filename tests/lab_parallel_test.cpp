@@ -134,26 +134,20 @@ TEST(LabOptionsTest, RejectsEmptyAffinityGrid) {
   }
 }
 
-TEST(LabOptionsTest, RejectsSmtSpeedup) {
-  PerfParams perf;
-  perf.smt_cpi_inflation = 0.5;  // sharing a core cannot speed a thread up
-  EXPECT_THROW(LabOptions{}.perf(perf).validate(), ContractError);
-}
-
 TEST(LabOptionsTest, ListsEveryProblemAtOnce) {
   PipelineConfig config;
   config.prune_top_k = 0;
-  config.trg_block_bytes = 0;
-  PerfParams perf;
-  perf.base_cpi = 0.0;
+  config.trg_cache_bytes = PipelineConfig::trg_block_bytes / 2;
+  config.affinity.w_values = {4, 3};
   try {
-    LabOptions{}.pipeline(config).perf(perf).validate();
+    LabOptions{}.pipeline(config).validate();
     FAIL() << "expected ContractError";
   } catch (const ContractError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("prune_top_k"), std::string::npos);
-    EXPECT_NE(what.find("trg_block_bytes"), std::string::npos);
-    EXPECT_NE(what.find("base_cpi"), std::string::npos);
+    EXPECT_NE(what.find("trg_block_bytes exceeds trg_cache_bytes"),
+              std::string::npos);
+    EXPECT_NE(what.find("w_values"), std::string::npos);
   }
 }
 

@@ -671,35 +671,48 @@ TEST(ServiceServer, RepeatedJobRunsAgainOnTheLabMemo) {
   ServiceServer server(config,
                        std::make_unique<LabExecutor>(LabOptions{}.threads(2)));
 
-  const JobResponse first = server.call(
-      solo_request("458.sjeng", kFuncAffinity, Measure::kHardware, 1));
-  ASSERT_EQ(first.status, JobStatus::kOk) << first.error;
-  // The same work under a new id, priority and trace id.
-  JobRequest repeat =
-      solo_request("458.sjeng", kFuncAffinity, Measure::kHardware, 2);
-  repeat.priority = JobPriority::kInteractive;
-  repeat.trace_id = 77;
-  repeat.span_id = 78;
-  const JobResponse second = server.call(repeat);
-  ASSERT_EQ(second.status, JobStatus::kOk) << second.error;
-  EXPECT_EQ(second.id, 2u);
+  // A solo job and a two-party co-run job, each read straight from its one
+  // Lab cell.
+  JobRequest corun;
+  corun.kind = JobKind::kCorun;
+  corun.measure = Measure::kHardware;
+  corun.parties.push_back({"458.sjeng", kFuncAffinity, 1.0});
+  corun.parties.push_back({"429.mcf", std::nullopt, 1.0});
+  for (const JobRequest& job :
+       {solo_request("458.sjeng", kFuncAffinity, Measure::kHardware), corun}) {
+    SCOPED_TRACE(job.to_string());
+    JobRequest once = job;
+    once.id = 1;
+    const JobResponse first = server.call(once);
+    ASSERT_EQ(first.status, JobStatus::kOk) << first.error;
+    // The same work under a new id, priority and trace id.
+    JobRequest repeat = job;
+    repeat.id = 2;
+    repeat.priority = JobPriority::kInteractive;
+    repeat.trace_id = 77;
+    repeat.span_id = 78;
+    const JobResponse second = server.call(repeat);
+    ASSERT_EQ(second.status, JobStatus::kOk) << second.error;
+    EXPECT_EQ(second.id, 2u);
 
-  // With id and receipt zeroed (perfbench's reply-checksum normalization),
-  // the repeat's reply is the first one's, byte for byte.
-  const auto normalized = [](JobResponse response) {
-    response.id = 0;
-    response.receipt = CostReceipt{};
-    return encode_response_payload(response);
-  };
-  EXPECT_EQ(normalized(second), normalized(first));
+    // With id and receipt zeroed (perfbench's reply-checksum normalization),
+    // the repeat's reply is the first one's, byte for byte.
+    const auto normalized = [](JobResponse response) {
+      response.id = 0;
+      response.receipt = CostReceipt{};
+      return encode_response_payload(response);
+    };
+    EXPECT_EQ(normalized(second), normalized(first));
 
-  // The repeat ran on a worker, and the Lab's memo answered every cell.
-  EXPECT_GT(first.receipt.memo_misses, 0u);
-  EXPECT_EQ(second.receipt.memo_misses, 0u);
-  EXPECT_GT(second.receipt.memo_hits, 0u);
-  EXPECT_GT(second.receipt.wall_nanos, 0u);
-  EXPECT_FALSE(second.receipt.cached);
-  EXPECT_EQ(server.stats().completed, 2u);
+    // The repeat ran on a worker, and its one lookup, its own cell, was a
+    // memo hit.
+    EXPECT_GT(first.receipt.memo_misses, 0u);
+    EXPECT_EQ(second.receipt.memo_misses, 0u);
+    EXPECT_EQ(second.receipt.memo_hits, 1u);
+    EXPECT_GT(second.receipt.wall_nanos, 0u);
+    EXPECT_FALSE(second.receipt.cached);
+  }
+  EXPECT_EQ(server.stats().completed, 4u);
   server.shutdown();
 }
 

@@ -200,86 +200,16 @@ TEST(RunningStats, BasicMoments) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStats, EmptyIsZero) {
   const RunningStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  Rng rng(53);
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.uniform() * 10;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
-// ---------- free-function stats ---------------------------------------------
-
-TEST(Stats, MeanAndGeomean) {
-  const std::vector<double> xs = {1.0, 2.0, 4.0};
-  EXPECT_NEAR(mean_of(xs), 7.0 / 3, 1e-12);
-  EXPECT_NEAR(geomean_of(xs), 2.0, 1e-12);
-  EXPECT_EQ(mean_of({}), 0.0);
-}
-
-TEST(Stats, GeomeanRejectsNonPositive) {
-  const std::vector<double> xs = {1.0, 0.0};
-  EXPECT_THROW(geomean_of(xs), ContractError);
-}
-
-TEST(Stats, Percentile) {
-  const std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 100), 5.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 50), 3.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 25), 2.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(9.9);
-  h.add(-3.0);   // clamps to first bin
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(i % 10 + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1.0);
+  EXPECT_EQ(s.min(), 0.0);
+  EXPECT_EQ(s.max(), 0.0);
 }
 
 // ---------- format -----------------------------------------------------------
